@@ -286,9 +286,9 @@ func (c *Client) Register(ctx context.Context, m *zmesh.Mesh) (string, error) {
 // and returns the artifact. The payload comes back container-enveloped —
 // byte-identical to what the in-process Encoder.CompressField produces for
 // the same mesh, options and bound. With opt.Layout = zmesh.LayoutAuto the
-// server picks the best layout for this field (always with auto seed 0, so
-// every replica picks identically) and the returned artifact records the
-// concrete winner — Decompress needs nothing further.
+// server resolves the layout from the mesh dimension and codec
+// (zmesh.ResolveAuto, so every replica answers identically) and the returned
+// artifact records that concrete layout — Decompress needs nothing further.
 func (c *Client) Compress(ctx context.Context, meshID, fieldName string, values []float64, opt zmesh.Options, bound zmesh.Bound) (*zmesh.Compressed, error) {
 	opt = withDefaults(opt)
 	q := make([]string, 0, 5)

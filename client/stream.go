@@ -26,6 +26,7 @@ import (
 	"time"
 
 	zmesh "repro"
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -349,9 +350,15 @@ func (c *Client) sendBatch(ctx context.Context, meshID string, body []byte, opt 
 		wire.ParamCurve:  {opt.Curve},
 		wire.ParamCodec:  {opt.Codec},
 	}.Encode()
-	respBody, _, err := c.do(ctx, http.MethodPost, c.base+wire.CheckpointPath(meshID)+"?"+q, wire.ContentTypeBatch, body)
+	respBody, hdr, err := c.do(ctx, http.MethodPost, c.base+wire.CheckpointPath(meshID)+"?"+q, wire.ContentTypeBatch, body)
 	if err != nil {
 		return nil, err
+	}
+	// The header, not the request, names the layout: "auto" comes back as
+	// the concrete layout the server's encoder resolved it to.
+	layout, err := core.ParseLayout(hdr.Get(wire.HeaderLayout))
+	if err != nil {
+		return nil, fmt.Errorf("client: bad %s header: %w", wire.HeaderLayout, err)
 	}
 	br := wire.NewBatchReader(bytes.NewReader(respBody), 0)
 	var out []*zmesh.Compressed
@@ -370,7 +377,7 @@ func (c *Client) sendBatch(ctx context.Context, meshID string, body []byte, opt 
 		}
 		out = append(out, &zmesh.Compressed{
 			FieldName: name,
-			Layout:    opt.Layout,
+			Layout:    layout,
 			Curve:     opt.Curve,
 			Codec:     opt.Codec,
 			NumValues: numValues,

@@ -9,10 +9,10 @@
 // curve, codec), sheds load past its in-flight budget with 429 +
 // Retry-After, and drains in-flight requests on SIGTERM/SIGINT before
 // exiting. Compression accepts every registered layout, including "tac"
-// (adaptive 3-D boxes) and "auto" (per-field pick, always seeded 0 so
-// replicas answer identical bytes; the response headers record the
-// winner); decode paths require the concrete layout the compress response
-// recorded and answer 400 for "auto".
+// (adaptive 3-D boxes) and "auto" (resolved from mesh dimension and codec
+// by zmesh.ResolveAuto, so replicas answer identical bytes; the response
+// headers record the resolved layout); decode paths require the concrete
+// layout the compress response recorded and answer 400 for "auto".
 //
 // Temporal checkpoint store: with -store DIR the daemon persists sealed
 // temporal checkpoints under DIR as content-addressed artifacts and opens

@@ -1,9 +1,9 @@
 package zmesh
 
-// Golden fixtures for the TAC box layout and the per-field auto-picker,
-// extending the golden discipline of golden_test.go to the zTAC frame
-// format and the picker's recorded choice. Regenerate together with the
-// rest of the fixtures:
+// Golden fixtures for the TAC box layout and the auto rule, extending the
+// golden discipline of golden_test.go to the zTAC frame format and the
+// layout LayoutAuto resolves to. Regenerate together with the rest of the
+// fixtures:
 //
 //	go test -run TestGolden -update .
 
@@ -67,11 +67,11 @@ func TestGoldenTAC(t *testing.T) {
 	}
 }
 
-// TestGoldenAuto pins the auto-picker end to end, per codec: the committed
+// TestGoldenAuto pins the auto rule end to end, per codec: the committed
 // artifact must still decode bit-exactly, AND a fresh LayoutAuto encoder
-// over the same field must reproduce the committed winner and payload —
-// so a picker change (candidate set, sampling protocol, tie-break) fails
-// CI the same way a frame-format change would.
+// over the same field must reproduce the committed layout and payload —
+// so a change to ResolveAuto fails CI the same way a frame-format change
+// would.
 func TestGoldenAuto(t *testing.T) {
 	m, f, _ := goldenField(t)
 	for _, codec := range goldenCodecs {
@@ -102,7 +102,7 @@ func TestGoldenAuto(t *testing.T) {
 			readFixture(t, name, &g)
 			checkVersion(t, name, g.ContainerVersion)
 			if g.Layout == core.AutoLayout.String() {
-				t.Fatalf("%s: fixture records the pseudo-layout instead of a winner", name)
+				t.Fatalf("%s: fixture records the pseudo-layout instead of a concrete one", name)
 			}
 			if !container.IsContainer(g.Payload) {
 				t.Fatalf("%s: committed payload is not a container envelope", name)
@@ -118,9 +118,9 @@ func TestGoldenAuto(t *testing.T) {
 			compareBits(t, name, g.Values, FieldValues(out))
 			fresh := encode()
 			if fresh.Layout.String() != g.Layout {
-				t.Fatalf("%s: auto picker now chooses %v, fixture pins %s.\n"+
-					"The sampling protocol or candidate set changed; if intentional, regenerate with -update\n"+
-					"and note the pick change in DESIGN.md.", name, fresh.Layout, g.Layout)
+				t.Fatalf("%s: auto now resolves to %v, fixture pins %s.\n"+
+					"The rule (ResolveAuto) changed; if intentional, regenerate with -update\n"+
+					"and update the evidence table in DESIGN.md \"Auto rule\".", name, fresh.Layout, g.Layout)
 			}
 			if !bytes.Equal(fresh.Payload, g.Payload) {
 				t.Fatalf("%s: fresh auto encode differs from committed payload (%d vs %d bytes)",

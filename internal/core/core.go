@@ -52,11 +52,10 @@ const (
 	// carries the box plan (Recipe.TACPlan), which the frame encoder uses to
 	// compress every box as a dense multi-dimensional array.
 	TAC3D
-	// AutoLayout is the per-field auto-picker pseudo-layout: the encoder
-	// trial-compresses a sample of each field under the candidate layouts
-	// and records the winner in the artifact, so decoders never see
-	// AutoLayout on the wire. It has no permutation of its own — building a
-	// recipe for it is an error.
+	// AutoLayout is the "let the encoder choose" pseudo-layout: the public
+	// encoder replaces it with a concrete layout (zmesh.ResolveAuto) before
+	// any recipe is built, so artifacts never record it. It has no
+	// permutation of its own — building a recipe for it is an error.
 	AutoLayout
 )
 
@@ -122,7 +121,7 @@ type Recipe struct {
 
 // KernelTier reports which apply/restore kernel tier this binary was built
 // with: "unsafe" (the default pointer-walking kernels) or "portable"
-// (`-tags zmesh_portable`, blocked kernels with no unsafe). Performance
+// (`-tags zmesh_portable`, the reference loops with no unsafe). Performance
 // gates key on this — the unsafe tier's speedup floor does not bind the
 // portable tier.
 func KernelTier() string {
@@ -173,7 +172,7 @@ func (r *Recipe) ApplyTo(dst, flat []float64) ([]float64, error) {
 }
 
 // ApplyToSerial is the straightforward reference gather loop, retained (like
-// BuildRecipeSerial) as the differential oracle for the blocked kernel and
+// BuildRecipeSerial) as the differential oracle for the unsafe kernel and
 // as the baseline the CI gate measures the kernel speedup against. Not on
 // the hot path.
 func (r *Recipe) ApplyToSerial(dst, flat []float64) ([]float64, error) {
@@ -184,9 +183,7 @@ func (r *Recipe) ApplyToSerial(dst, flat []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	for t, s := range r.perm {
-		out[t] = flat[s]
-	}
+	gatherSerial(out, flat, r.perm)
 	return out, nil
 }
 
@@ -216,7 +213,7 @@ func (r *Recipe) RestoreTo(dst, ordered []float64) ([]float64, error) {
 }
 
 // RestoreToSerial is the straightforward reference scatter loop — the
-// differential oracle and speedup baseline for the blocked kernel, mirroring
+// differential oracle and speedup baseline for the unsafe kernel, mirroring
 // ApplyToSerial.
 func (r *Recipe) RestoreToSerial(dst, ordered []float64) ([]float64, error) {
 	if len(ordered) != r.n {
@@ -226,9 +223,7 @@ func (r *Recipe) RestoreToSerial(dst, ordered []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	for t, s := range r.perm {
-		out[s] = ordered[t]
-	}
+	scatterSerial(out, ordered, r.perm)
 	return out, nil
 }
 
@@ -395,11 +390,11 @@ func BuildRecipeSerial(m *amr.Mesh, layout Layout, curveName string) (*Recipe, e
 
 // ErrAutoLayout is returned by the recipe builders when asked for
 // AutoLayout: it is not a concrete serialization order. The encoder resolves
-// it to a concrete winner per field and stamps that winner into the
+// it to a concrete layout when it is built and stamps that layout into every
 // artifact, so a decoder that sees "auto" is being handed a request the
 // protocol never produces — callers should surface this loudly (the zmeshd
 // decompress endpoints turn it into a 400).
-var ErrAutoLayout = fmt.Errorf("layout \"auto\" is resolved per field at encode time and never names a concrete order; decode with the layout recorded in the artifact")
+var ErrAutoLayout = fmt.Errorf("layout \"auto\" is resolved when an encoder is built and never names a concrete order; decode with the layout recorded in the artifact")
 
 // RecipeFromStructure rebuilds the recipe from serialized AMR tree metadata
 // (amr.Mesh.Structure). This is the decompression path: the permutation is

@@ -4,73 +4,29 @@ package core
 //
 // A recipe application is a pure permutation: Apply gathers, dst[t] =
 // src[perm[t]]; Restore scatters, dst[perm[t]] = src[t]. The straightforward
-// range loops pay a bounds check per random index, and the compiler cannot
-// hoist it because it cannot prove perm's entries are in range. Two tuned
-// tiers remove that cost:
+// range loops below pay a bounds check per random index, and the compiler
+// cannot hoist it because it cannot prove perm's entries are in range. The
+// unsafe kernels (kernel_unsafe.go, default build) remove that cost by
+// running every access through raw pointers, justified by a one-time
+// per-recipe validation that all perm entries lie in [0, n) — see
+// Recipe.kernelSafe.
 //
-//   - The portable blocked kernels below re-slice each fixed-size block of
-//     perm and of the sequential-side stream once, so sequential accesses
-//     inside a block carry no per-element checks, and unroll the inner loop
-//     so the index loads separate from the value moves. Only the random-side
-//     access still pays its check.
-//   - The unsafe kernels (kernel_unsafe.go, default build) drop blocking and
-//     run every access through raw pointers, justified by a one-time
-//     per-recipe validation that all perm entries lie in [0, n) — see
-//     Recipe.kernelSafe. Measured on the gather: per-iteration re-slicing
-//     costs more than it saves once no access needs a check.
-//
-// core.go keeps the original loops as ApplyToSerial/RestoreToSerial: they
-// are the differential oracle (mirroring BuildRecipeSerial) and the speedup
-// baseline the CI gate measures against.
-const kernelBlock = 1024
+// The range loops stay as gatherSerial/scatterSerial: they are what
+// ApplyToSerial/RestoreToSerial run (the differential oracle, mirroring
+// BuildRecipeSerial, and the speedup baseline the CI gate measures against),
+// and they are the whole hot path of a `-tags zmesh_portable` build
+// (kernel_portable.go).
 
-// applyGatherBlocked is the portable tuned gather: cache-blocked with the
-// per-block destination re-sliced (no dst bounds checks) and a 4-way unroll.
-// Compiled on every platform; the unsafe build dispatches applyGather from
-// kernel_unsafe.go instead.
-func applyGatherBlocked(dst, src []float64, perm []int32) {
-	n := len(perm)
-	for base := 0; base < n; base += kernelBlock {
-		end := base + kernelBlock
-		if end > n {
-			end = n
-		}
-		p := perm[base:end:end]
-		d := dst[base:end:end]
-		i := 0
-		for ; i+4 <= len(p); i += 4 {
-			s0, s1, s2, s3 := p[i], p[i+1], p[i+2], p[i+3]
-			v0, v1 := src[s0], src[s1]
-			v2, v3 := src[s2], src[s3]
-			d[i], d[i+1], d[i+2], d[i+3] = v0, v1, v2, v3
-		}
-		for ; i < len(p); i++ {
-			d[i] = src[p[i]]
-		}
+// gatherSerial is the reference gather loop.
+func gatherSerial(dst, src []float64, perm []int32) {
+	for t, s := range perm {
+		dst[t] = src[s]
 	}
 }
 
-// restoreScatterBlocked is the portable tuned scatter: the per-block source
-// and permutation slices are re-sliced (no sequential-side checks) with a
-// 4-way unroll; only the scattered store still pays its bounds check.
-func restoreScatterBlocked(dst, src []float64, perm []int32) {
-	n := len(perm)
-	for base := 0; base < n; base += kernelBlock {
-		end := base + kernelBlock
-		if end > n {
-			end = n
-		}
-		p := perm[base:end:end]
-		s := src[base:end:end]
-		i := 0
-		for ; i+4 <= len(p); i += 4 {
-			t0, t1, t2, t3 := p[i], p[i+1], p[i+2], p[i+3]
-			v0, v1 := s[i], s[i+1]
-			v2, v3 := s[i+2], s[i+3]
-			dst[t0], dst[t1], dst[t2], dst[t3] = v0, v1, v2, v3
-		}
-		for ; i < len(p); i++ {
-			dst[p[i]] = s[i]
-		}
+// scatterSerial is the reference scatter loop.
+func scatterSerial(dst, src []float64, perm []int32) {
+	for t, s := range perm {
+		dst[s] = src[t]
 	}
 }

@@ -42,9 +42,9 @@ func equalBits(tb testing.TB, what string, got, want []float64) {
 	}
 }
 
-// checkKernelAgreement pins every implementation — serial oracle, portable
-// blocked kernel, and the dispatched (possibly unsafe) kernel — bit-for-bit
-// against each other, and Restore∘Apply against identity.
+// checkKernelAgreement pins the dispatched (unsafe, unless built portable)
+// kernels bit-for-bit against the serial oracles, and Restore∘Apply against
+// identity.
 func checkKernelAgreement(tb testing.TB, r *Recipe, flat []float64) {
 	tb.Helper()
 	wantOrdered, err := r.ApplyToSerial(nil, flat)
@@ -56,9 +56,6 @@ func checkKernelAgreement(tb testing.TB, r *Recipe, flat []float64) {
 		tb.Fatal(err)
 	}
 	equalBits(tb, "ApplyTo vs ApplyToSerial", gotOrdered, wantOrdered)
-	blocked := make([]float64, r.n)
-	applyGatherBlocked(blocked, flat, r.perm)
-	equalBits(tb, "applyGatherBlocked vs ApplyToSerial", blocked, wantOrdered)
 
 	wantFlat, err := r.RestoreToSerial(nil, wantOrdered)
 	if err != nil {
@@ -70,12 +67,9 @@ func checkKernelAgreement(tb testing.TB, r *Recipe, flat []float64) {
 		tb.Fatal(err)
 	}
 	equalBits(tb, "RestoreTo vs RestoreToSerial", gotFlat, wantFlat)
-	scattered := make([]float64, r.n)
-	restoreScatterBlocked(scattered, gotOrdered, r.perm)
-	equalBits(tb, "restoreScatterBlocked vs RestoreToSerial", scattered, wantFlat)
 }
 
-// TestKernelDifferentialMeshes runs the blocked kernels against the serial
+// TestKernelDifferentialMeshes runs the dispatched kernels against the serial
 // oracle over real recipes: every layout × curve on 2-D and 3-D ring-front
 // meshes at several depths (the same family the builder differential tests
 // use).
@@ -104,13 +98,12 @@ func TestKernelDifferentialMeshes(t *testing.T) {
 }
 
 // TestKernelRandomPermutations sweeps sizes chosen to hit every boundary of
-// the blocked kernels: empty, single element, unroll remainders (±1 around
-// the 4- and 8-wide unrolls), exact block multiples and stragglers.
+// the unrolled kernels: empty, single element, unroll remainders (±1 around
+// the 4- and 8-wide unrolls), and sizes in the thousands.
 func TestKernelRandomPermutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sizes := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 100,
-		kernelBlock - 1, kernelBlock, kernelBlock + 1, kernelBlock + 7,
-		3*kernelBlock + 5}
+		1023, 1024, 1025, 1031, 3077}
 	for _, n := range sizes {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
@@ -207,8 +200,8 @@ func FuzzKernelDifferential(f *testing.F) {
 	f.Add(uint16(0), int64(1))
 	f.Add(uint16(1), int64(2))
 	f.Add(uint16(8), int64(3))
-	f.Add(uint16(kernelBlock), int64(4))
-	f.Add(uint16(kernelBlock+9), int64(5))
+	f.Add(uint16(1024), int64(4))
+	f.Add(uint16(1033), int64(5))
 	f.Fuzz(func(t *testing.T, size uint16, seed int64) {
 		n := int(size) % 5000
 		rng := rand.New(rand.NewSource(seed))

@@ -17,8 +17,8 @@ import "unsafe"
 //     is pure defense in depth; a recipe that fails it is refused with an
 //     error, never handed to these kernels.
 //
-// Build with -tags zmesh_portable to compile the pure-Go blocked kernels on
-// every platform (see kernel_portable.go).
+// Build with -tags zmesh_portable to run the pure-Go reference loops instead
+// (see kernel_portable.go).
 
 // kernelUnsafe reports which kernel flavor this binary runs (surfaced in
 // DESIGN.md's hot-path notes and the kernel tests).

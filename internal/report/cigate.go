@@ -53,6 +53,18 @@ const CIGateVersion = 3
 // and a kernel that stops beating serial by this margin fails outright.
 const KernelSpeedupFloor = 1.3
 
+// AutoVsBestFloor is the minimum ratio of the auto layout's compression
+// ratio to the best static candidate's, per codec, on the gate dataset. Like
+// the kernel floor it is absolute — checked on the current measurement, not
+// against the baseline — so a rule that resolves to a losing layout fails
+// even after the baseline has been regenerated around it.
+const AutoVsBestFloor = 0.97
+
+// ratioKey names one entry of CIMeasurement.Ratios.
+func ratioKey(layout core.Layout, codec string) string {
+	return fmt.Sprintf("%s/hilbert/%s", layout, codec)
+}
+
 // CIMeasurement is one run of the CI quality gate's fixed workload. The
 // throughput numbers are stored as *scores* — the median over paired
 // samples of workload time divided by an adjacent machine-speed reference
@@ -98,6 +110,9 @@ type CIMeasurement struct {
 	// exactly across machines.
 	Ratios map[string]float64 `json:"ratios"`
 }
+
+// ciDims is the dimension of the gate's dataset (a 2-D sedov hierarchy).
+const ciDims = 2
 
 // ciConfig is the gate's fixed dataset: small enough to run in seconds,
 // structured enough (shock front, multi-level refinement) that layout and
@@ -258,10 +273,10 @@ func MeasureCIGate(reps int) (*CIMeasurement, error) {
 	}
 
 	// Deterministic ratio table over layout × codec (hilbert curve),
-	// aggregated across the config's fields. AutoLayout belongs here too:
-	// its per-field pick is seeded (AutoSeed 0 by default) and therefore as
-	// deterministic as any concrete layout, and gating it catches both a
-	// ratio regression in a winner and a picker change that flips a winner.
+	// aggregated across the config's fields. AutoLayout belongs here too: it
+	// resolves through zmesh.ResolveAuto, a pure function of mesh dimension
+	// and codec, so its row is as deterministic as any concrete layout, and
+	// CompareCIGate holds it against the best candidate (AutoVsBestFloor).
 	for _, layout := range []core.Layout{core.LevelOrder, core.SFCWithinLevel, core.ZMesh, core.ZMeshBlock, core.TAC3D, core.AutoLayout} {
 		for _, codec := range []string{"sz", "zfp"} {
 			enc, err := zmesh.NewEncoder(ck.Mesh, zmesh.Options{Layout: layout, Curve: "hilbert", Codec: codec})
@@ -281,7 +296,7 @@ func MeasureCIGate(reps int) (*CIMeasurement, error) {
 				raw += int64(c.NumValues * 8)
 				comp += int64(len(c.Payload))
 			}
-			m.Ratios[fmt.Sprintf("%s/hilbert/%s", layout, codec)] = float64(raw) / float64(comp)
+			m.Ratios[ratioKey(layout, codec)] = float64(raw) / float64(comp)
 		}
 	}
 	return m, nil
@@ -532,6 +547,24 @@ func CompareCIGate(baseline, current *CIMeasurement, maxSlowdown, maxRatioDrop f
 		violations = append(violations, fmt.Sprintf(
 			"server exchange allocations regressed %.0f -> %.0f allocs/op (budget 25%%+8)",
 			baseline.ServerAllocsPerOp, current.ServerAllocsPerOp))
+	}
+
+	for _, codec := range []string{"sz", "zfp"} {
+		auto, ok := current.Ratios[ratioKey(core.AutoLayout, codec)]
+		if !ok {
+			continue // a combo the baseline expects is reported missing below
+		}
+		best, bestLayout := 0.0, core.AutoLayout
+		for _, layout := range experiments.StaticLayouts {
+			if r := current.Ratios[ratioKey(layout, codec)]; r > best {
+				best, bestLayout = r, layout
+			}
+		}
+		if auto < AutoVsBestFloor*best {
+			violations = append(violations, fmt.Sprintf(
+				"ratio %s %.3f (auto resolves to %s) is below %.2fx the best static layout (%s at %.3f)",
+				ratioKey(core.AutoLayout, codec), auto, zmesh.ResolveAuto(ciDims, codec), AutoVsBestFloor, bestLayout, best))
+		}
 	}
 
 	combos := make([]string, 0, len(baseline.Ratios))

@@ -137,8 +137,12 @@ func (s *store) lookup(id string) (*meshEntry, bool) {
 
 // encoder resolves the cached encoder for a pipeline key, building (and
 // recording a recipe.builds increment) only on a miss. Concurrent callers
-// for the same key share one build.
+// for the same key share one build. LayoutAuto is resolved before the key
+// is formed, so layout=auto and the layout it resolves to share one entry.
 func (s *store) encoder(e *meshEntry, opt zmesh.Options) (*zmesh.Encoder, error) {
+	if opt.Layout == zmesh.LayoutAuto {
+		opt.Layout = zmesh.ResolveAuto(e.mesh.Dims(), opt.Codec)
+	}
 	key := encoderKey{meshID: e.id, layout: opt.Layout, curve: opt.Curve, codec: opt.Codec}
 	s.mu.Lock()
 	fut, ok := s.encoders.get(key)

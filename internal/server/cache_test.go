@@ -99,6 +99,31 @@ func TestMeshLRUEviction(t *testing.T) {
 	}
 }
 
+// TestAutoSharesResolvedEncoder: the cache key is the resolved layout, so
+// layout=auto followed by the layout it resolves to is one miss and one
+// recipe build, not two.
+func TestAutoSharesResolvedEncoder(t *testing.T) {
+	m, f := testMesh(t)
+	s, cl := newTestServer(t, Config{})
+	ctx := context.Background()
+	id, err := cl.Register(ctx, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := s.Registry().Counter("server.cache.misses")
+	builds := s.Registry().Counter("recipe.builds")
+	m0, b0 := misses.Load(), builds.Load()
+	for _, layout := range []zmesh.Layout{zmesh.LayoutAuto, zmesh.ResolveAuto(m.Dims(), "sz")} {
+		opt := zmesh.Options{Layout: layout, Curve: "hilbert", Codec: "sz"}
+		if _, err := cl.CompressField(ctx, id, f, opt, testBound()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dm, db := misses.Load()-m0, builds.Load()-b0; dm != 1 || db != 1 {
+		t.Fatalf("auto then resolved: %d cache misses, %d recipe builds, want 1 and 1", dm, db)
+	}
+}
+
 // TestEncoderLRUEviction: with a single encoder slot, alternating pipelines
 // keep evicting each other, so every request is a miss and a fresh recipe
 // build; with enough slots the same sequence is all hits after warmup.

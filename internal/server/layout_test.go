@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	zmesh "repro"
+	"repro/client"
 	"repro/internal/wire"
 )
 
@@ -62,7 +63,7 @@ func TestServerTACRoundTrip(t *testing.T) {
 }
 
 // LayoutAuto through the service: the response must record the concrete
-// winner, match the library's seed-0 pick byte for byte, and round-trip
+// layout, match the library's auto encoder byte for byte, and round-trip
 // with nothing beyond the recorded metadata.
 func TestServerAutoCompress(t *testing.T) {
 	m, f := testMesh(t)
@@ -78,7 +79,7 @@ func TestServerAutoCompress(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Layout == zmesh.LayoutAuto {
-		t.Fatal("server response records the pseudo-layout instead of the winner")
+		t.Fatal("server response records the pseudo-layout instead of the resolved one")
 	}
 	enc, err := zmesh.NewEncoder(m, opt)
 	if err != nil {
@@ -89,10 +90,53 @@ func TestServerAutoCompress(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Layout != want.Layout || !bytes.Equal(got.Payload, want.Payload) {
-		t.Fatalf("server auto pick %v differs from library pick %v", got.Layout, want.Layout)
+		t.Fatalf("server auto layout %v differs from library's %v", got.Layout, want.Layout)
 	}
 	if _, err := cl.Decompress(ctx, id, got); err != nil {
 		t.Fatalf("decompress of auto-compressed artifact: %v", err)
+	}
+}
+
+// A batch has exactly one layout, so checkpoint?layout=auto is accepted: the
+// response header names the layout auto resolved to, and every section is
+// the static encoder's artifact bit for bit.
+func TestServerAutoCheckpoint(t *testing.T) {
+	m, f := testMesh(t)
+	_, cl := newTestServer(t, Config{})
+	ctx := context.Background()
+	id, err := cl.Register(ctx, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := zmesh.FieldValues(f)
+	fields := []client.BatchField{{Name: "dens", Values: values}, {Name: "pres", Values: values}}
+	for _, codec := range []string{"sz", "zfp"} {
+		resolved := zmesh.ResolveAuto(m.Dims(), codec)
+		arts, err := cl.CompressBatch(ctx, id, fields,
+			zmesh.Options{Layout: zmesh.LayoutAuto, Curve: "hilbert", Codec: codec}, testBound())
+		if err != nil {
+			t.Fatalf("%s: checkpoint with layout=auto: %v", codec, err)
+		}
+		enc, err := zmesh.NewEncoder(m, zmesh.Options{Layout: resolved, Curve: "hilbert", Codec: codec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range arts {
+			// The client takes the layout from the X-Zmesh-Layout header.
+			if a.Layout != resolved {
+				t.Fatalf("%s: section %d labelled %v, want %v", codec, i, a.Layout, resolved)
+			}
+			want, err := enc.CompressValues(fields[i].Name, values, testBound())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Payload, want.Payload) {
+				t.Fatalf("%s: section %d differs from the static %v artifact", codec, i, resolved)
+			}
+			if _, err := cl.Decompress(ctx, id, a); err != nil {
+				t.Fatalf("%s: decompress of section %d: %v", codec, i, err)
+			}
+		}
 	}
 }
 
@@ -114,7 +158,6 @@ func TestServerRejectsAutoOnDecodePaths(t *testing.T) {
 	for _, path := range []string{
 		wire.DecompressPath(id) + "?layout=auto",
 		wire.DecompressStreamPath(id) + "?layout=auto",
-		wire.CheckpointPath(id) + "?layout=auto&bound=rel:1e-3",
 	} {
 		resp, err := http.Post(ts.URL+path, wire.ContentTypeBinary, bytes.NewReader([]byte{1, 2, 3, 4}))
 		if err != nil {

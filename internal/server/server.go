@@ -530,8 +530,8 @@ func pipelineParams(r *http.Request) (zmesh.Options, error) {
 }
 
 // requireConcreteLayout rejects the LayoutAuto pseudo-layout where only a
-// concrete serialization order makes sense. Auto is an encode-time selection
-// policy — every artifact records its concrete winner — so a request naming
+// concrete serialization order makes sense. Auto is resolved when an encoder
+// is built — every artifact records the concrete layout — so a request naming
 // it on a decode path is a client error and must surface as an explicit 400,
 // never a 500 or a silent fallback to some default order.
 func requireConcreteLayout(opt zmesh.Options, context string) error {

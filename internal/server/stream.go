@@ -73,23 +73,23 @@ func putRing(r *chunkRing) {
 // streamParams resolves the shared front half of the compress-side
 // handlers: mesh lookup, pipeline options, codec validation, and the
 // cached encoder (one recipe build per (mesh, layout, curve, codec), ever).
-func (s *Server) streamParams(r *http.Request) (*meshEntry, zmesh.Options, *zmesh.Encoder, error) {
+func (s *Server) streamParams(r *http.Request) (*meshEntry, *zmesh.Encoder, error) {
 	entry, err := s.resolveMesh(r.Context(), r.PathValue("id"))
 	if err != nil {
-		return nil, zmesh.Options{}, nil, err
+		return nil, nil, err
 	}
 	opt, err := pipelineParams(r)
 	if err != nil {
-		return nil, zmesh.Options{}, nil, err
+		return nil, nil, err
 	}
 	if _, err := compress.Get(opt.Codec); err != nil {
-		return nil, zmesh.Options{}, nil, badRequest(err)
+		return nil, nil, badRequest(err)
 	}
 	enc, err := s.store.encoder(entry, opt)
 	if err != nil {
-		return nil, zmesh.Options{}, nil, err
+		return nil, nil, err
 	}
-	return entry, opt, enc, nil
+	return entry, enc, nil
 }
 
 // handleCompressStream: POST /v1/meshes/{id}/compress-stream, same query
@@ -97,7 +97,7 @@ func (s *Server) streamParams(r *http.Request) (*meshEntry, zmesh.Options, *zmes
 // values, response = chunked stream of the container-enveloped payload
 // with the X-Zmesh-* metadata headers.
 func (s *Server) handleCompressStream(w http.ResponseWriter, r *http.Request) error {
-	entry, _, enc, err := s.streamParams(r)
+	entry, enc, err := s.streamParams(r)
 	if err != nil {
 		return err
 	}
@@ -285,14 +285,8 @@ func writeChunked(w io.Writer, data []byte) error {
 // means any per-section failure surfaces as a clean JSON error instead of
 // a truncated body.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) error {
-	entry, opt, enc, err := s.streamParams(r)
+	entry, enc, err := s.streamParams(r)
 	if err != nil {
-		return err
-	}
-	// The batch response advertises ONE layout header for all sections, but
-	// the auto picker chooses per field — a mixed batch would mislabel every
-	// section the last one disagrees with. Reject loudly instead of lying.
-	if err := requireConcreteLayout(opt, "the batch checkpoint records one layout for all fields; pick a concrete layout or compress fields individually"); err != nil {
 		return err
 	}
 	var defaultBound zmesh.Bound

@@ -75,15 +75,31 @@ const (
 	// compresses every box as a dense array with the dims-aware codec (the
 	// TAC/TAC+ line of follow-up work).
 	LayoutTAC = core.TAC3D
-	// LayoutAuto trial-compresses a deterministic sample of each field under
-	// the candidate layouts and records the winner in the artifact; it never
-	// appears in a decoded artifact's Layout field.
+	// LayoutAuto asks NewEncoder to choose: it is replaced by
+	// ResolveAuto(mesh dims, codec) when the encoder is built, so it never
+	// appears in an artifact's Layout field.
 	LayoutAuto = core.AutoLayout
 )
 
-// ErrAutoLayout is returned where LayoutAuto is not meaningful: it names a
-// per-field selection policy, not a concrete serialization order.
+// ErrAutoLayout is returned where LayoutAuto is not meaningful: decoders and
+// temporal encoders need the concrete order an artifact records.
 var ErrAutoLayout = core.ErrAutoLayout
+
+// ResolveAuto is the whole LayoutAuto policy: the concrete layout an encoder
+// for a dims-dimensional mesh and the named codec uses. It reads nothing but
+// its arguments — no field data, no trial compression — so every encoder,
+// cache key and gate that needs the answer calls this one function. The
+// evidence behind each arm is in DESIGN.md "Auto rule".
+func ResolveAuto(dims int, codec string) Layout {
+	switch {
+	case codec == "gzip":
+		return LayoutLevel
+	case dims == 3 || codec == "zfp":
+		return LayoutTAC
+	default:
+		return LayoutZMesh
+	}
+}
 
 // AbsBound bounds the point-wise absolute error.
 func AbsBound(v float64) Bound { return compress.AbsBound(v) }
@@ -150,11 +166,6 @@ type Options struct {
 	Curve string
 	// Codec is the lossy compressor: "sz" or "zfp".
 	Codec string
-	// AutoSeed seeds the deterministic sampling of the LayoutAuto picker.
-	// Encoders with equal options (AutoSeed included) pick identical layouts
-	// for identical fields and produce byte-identical artifacts. Ignored for
-	// concrete layouts.
-	AutoSeed uint64
 }
 
 // DefaultOptions is zMesh with Hilbert sibling order over SZ — the
@@ -201,8 +212,7 @@ func (c *Compressed) Ratio() float64 {
 type Encoder struct {
 	opt    Options
 	mesh   *Mesh
-	recipe *core.Recipe // nil iff auto != nil
-	auto   *autoPicker  // candidate recipes for LayoutAuto, else nil
+	recipe *core.Recipe
 	codec  compress.Compressor
 	stats  *encoderStats // nil unless Instrument attached a registry
 }
@@ -224,22 +234,12 @@ func NewEncoderObserved(m *Mesh, opt Options, r *Registry) (*Encoder, error) {
 	if err != nil {
 		return nil, err
 	}
+	if opt.Layout == LayoutAuto {
+		opt.Layout = ResolveAuto(m.Dims(), opt.Codec)
+	}
 	e := &Encoder{opt: opt, mesh: m, codec: codec}
-	if opt.Layout == core.AutoLayout {
-		// One recipe per candidate, all derived up front: the per-field pick
-		// then only trial-compresses, and the recipe cost still amortizes
-		// across every quantity of the checkpoint.
-		recipes := make([]*core.Recipe, len(autoCandidates))
-		for i, layout := range autoCandidates {
-			if recipes[i], err = core.BuildRecipeObserved(m, layout, opt.Curve, 0, r); err != nil {
-				return nil, err
-			}
-		}
-		e.auto = &autoPicker{seed: opt.AutoSeed, recipes: recipes}
-	} else {
-		if e.recipe, err = core.BuildRecipeObserved(m, opt.Layout, opt.Curve, 0, r); err != nil {
-			return nil, err
-		}
+	if e.recipe, err = core.BuildRecipeObserved(m, opt.Layout, opt.Curve, 0, r); err != nil {
+		return nil, err
 	}
 	if r != nil {
 		e.Instrument(r)
@@ -349,7 +349,6 @@ func clampWorkers(workers, jobs int) int {
 type encodeScratch struct {
 	flat    []float64
 	ordered []float64
-	sample  []float64 // auto-picker candidate-ordered stream
 	tac     tacFrameScratch
 }
 
@@ -361,7 +360,6 @@ type encodeScratch struct {
 type Scratch struct {
 	ordered []float64
 	flat    []float64
-	sample  []float64 // auto-picker candidate-ordered stream
 	tac     tacFrameScratch
 }
 
@@ -371,7 +369,7 @@ type Scratch struct {
 // byte buffers (one huge request must not park its buffers in the pool
 // forever).
 func (s *Scratch) PinnedBytes() int {
-	return 8*(cap(s.ordered)+cap(s.flat)+cap(s.sample)) + s.tac.pinnedBytes()
+	return 8*(cap(s.ordered)+cap(s.flat)) + s.tac.pinnedBytes()
 }
 
 // compressWith is CompressField with an explicit codec instance.
@@ -393,15 +391,7 @@ func (e *Encoder) compressInto(codec compress.Compressor, f *Field, bound Bound,
 		s.flatten.Since(t0)
 		t0 = time.Now()
 	}
-	recipe := e.recipe
-	if e.auto != nil {
-		var err error
-		if recipe, err = e.pickAuto(codec, f.Name, scratch.flat, bound, &scratch.sample, &scratch.tac); err != nil {
-			s.fail()
-			return nil, err
-		}
-	}
-	ordered, err := recipe.ApplyTo(scratch.ordered, scratch.flat)
+	ordered, err := e.recipe.ApplyTo(scratch.ordered, scratch.flat)
 	if err != nil {
 		s.fail()
 		return nil, err
@@ -411,20 +401,19 @@ func (e *Encoder) compressInto(codec compress.Compressor, f *Field, bound Bound,
 		s.reorder.Since(t0)
 		t0 = time.Now()
 	}
-	return e.encodeOrdered(codec, recipe, f.Name, ordered, bound, &scratch.tac, t0)
+	return e.encodeOrdered(codec, f.Name, ordered, bound, &scratch.tac, t0)
 }
 
 // encodeOrdered runs the codec and container stages over a stream already
-// reordered by recipe — the shared tail of compressInto and
-// CompressValuesScratch. The recipe is explicit (rather than e.recipe) so the
-// auto-picker can pass the per-field winner; its layout is what the artifact
-// records. t0 is the reorder-stage end time (unused without telemetry).
-func (e *Encoder) encodeOrdered(codec compress.Compressor, recipe *core.Recipe, name string, ordered []float64, bound Bound, tac *tacFrameScratch, t0 time.Time) (*Compressed, error) {
+// reordered by the encoder's recipe — the shared tail of compressInto and
+// CompressValuesScratch. t0 is the reorder-stage end time (unused without
+// telemetry).
+func (e *Encoder) encodeOrdered(codec compress.Compressor, name string, ordered []float64, bound Bound, tac *tacFrameScratch, t0 time.Time) (*Compressed, error) {
 	s := e.stats
 	var payload []byte
 	var err error
-	if recipe.Layout() == core.TAC3D {
-		payload, err = tacEncodeStream(codec, e.mesh.Dims(), recipe.TACPlan(), ordered, bound, tac)
+	if e.opt.Layout == core.TAC3D {
+		payload, err = tacEncodeStream(codec, e.mesh.Dims(), e.recipe.TACPlan(), ordered, bound, tac)
 	} else {
 		payload, err = codec.Compress(ordered, []int{len(ordered)}, bound)
 	}
@@ -450,7 +439,7 @@ func (e *Encoder) encodeOrdered(codec compress.Compressor, recipe *core.Recipe, 
 	}
 	return &Compressed{
 		FieldName: name,
-		Layout:    recipe.Layout(),
+		Layout:    e.opt.Layout,
 		Curve:     e.opt.Curve,
 		Codec:     e.opt.Codec,
 		NumValues: len(ordered),
@@ -474,15 +463,7 @@ func (e *Encoder) CompressValues(name string, values []float64, bound Bound) (*C
 func (e *Encoder) CompressValuesScratch(name string, values []float64, bound Bound, scratch *Scratch) (*Compressed, error) {
 	s := e.stats
 	t0 := stageStart(s != nil)
-	recipe := e.recipe
-	if e.auto != nil {
-		var err error
-		if recipe, err = e.pickAuto(e.codec, name, values, bound, &scratch.sample, &scratch.tac); err != nil {
-			s.fail()
-			return nil, fmt.Errorf("zmesh: field %q: %w", name, err)
-		}
-	}
-	ordered, err := recipe.ApplyTo(scratch.ordered, values)
+	ordered, err := e.recipe.ApplyTo(scratch.ordered, values)
 	if err != nil {
 		s.fail()
 		return nil, fmt.Errorf("zmesh: field %q: %w", name, err)
@@ -492,7 +473,7 @@ func (e *Encoder) CompressValuesScratch(name string, values []float64, bound Bou
 		s.reorder.Since(t0)
 		t0 = time.Now()
 	}
-	return e.encodeOrdered(e.codec, recipe, name, ordered, bound, &scratch.tac, t0)
+	return e.encodeOrdered(e.codec, name, ordered, bound, &scratch.tac, t0)
 }
 
 // Decoder decompresses fields back onto a mesh topology. It can be built
@@ -772,12 +753,8 @@ dispatch:
 }
 
 // Serialize flattens a field in the encoder's layout without compressing —
-// used to measure smoothness of the reordered stream. A LayoutAuto encoder
-// has no single layout to serialize in and returns ErrAutoLayout.
+// used to measure smoothness of the reordered stream.
 func (e *Encoder) Serialize(f *Field) ([]float64, error) {
-	if e.auto != nil {
-		return nil, fmt.Errorf("zmesh: %w", ErrAutoLayout)
-	}
 	flat := amr.Flatten(amr.LevelArrays(f))
 	return e.recipe.Apply(flat)
 }
