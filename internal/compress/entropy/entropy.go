@@ -1,0 +1,126 @@
+// Package entropy is the lossless tail shared by the quantizing codecs (sz,
+// mgl and mgl's progressive tiers): quantization codes go through the
+// canonical Huffman coder, the codec's header, the coded stream and the
+// escaped values form a body, and the body goes through DEFLATE unless that
+// does not shrink it. A marker byte says which: 0 raw, 1 DEFLATE.
+//
+// Every work buffer and both flate states live in a pooled Buf, so a call
+// allocates its result and little else — the codecs run once per TAC box and
+// once per tier, where a flate.NewWriter per call cost more than the coding.
+package entropy
+
+import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+	"slices"
+	"sync"
+
+	"repro/internal/huffman"
+)
+
+// Buf is the pooled work space of one codec call. The exported slices are
+// the codec's to fill; nothing in a Buf may outlive Put.
+type Buf struct {
+	Codes  []int     // one quantization code per value; 0 escapes to Unpred
+	Work   []float64 // per-value scratch (reconstruction, coefficients)
+	Unpred []float64 // escaped values in stream order
+
+	coded, body []byte
+	packed      bytes.Buffer
+	fw          *flate.Writer
+	src         bytes.Reader
+	fr          io.Reader // a flate reader; also a flate.Resetter
+}
+
+var pool = sync.Pool{New: func() any { return new(Buf) }}
+
+// Get returns a Buf with Codes and Work sized to n values (contents
+// unspecified) and Unpred empty.
+func Get(n int) *Buf {
+	b := pool.Get().(*Buf)
+	b.Codes = slices.Grow(b.Codes[:0], n)[:n]
+	b.Work = slices.Grow(b.Work[:0], n)[:n]
+	b.Unpred = b.Unpred[:0]
+	return b
+}
+
+// Put returns b to the pool.
+func (b *Buf) Put() { pool.Put(b) }
+
+// Seal entropy-codes b.Codes over [0, alphabet) and returns the finished
+// payload: the marker byte, then head's output ‖ coded stream ‖ b.Unpred as
+// float64-LE — through DEFLATE when lossless is set and that is smaller.
+// head appends the codec's header to dst given the coded stream's length.
+func (b *Buf) Seal(alphabet int, lossless bool, head func(dst []byte, codedLen int) []byte) ([]byte, error) {
+	var err error
+	if b.coded, err = huffman.Encode(b.coded[:0], b.Codes, alphabet); err != nil {
+		return nil, fmt.Errorf("entropy stage: %w", err)
+	}
+	body := append(head(append(b.body[:0], 0), len(b.coded)), b.coded...)
+	for _, v := range b.Unpred {
+		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
+	}
+	b.body = body
+	if lossless {
+		b.packed.Reset()
+		b.packed.WriteByte(1)
+		if err := b.deflate(&b.packed, body[1:]); err != nil {
+			return nil, err
+		}
+		// Dense Huffman output may not deflate; the marker tells the
+		// decoder which form it got.
+		if b.packed.Len() < len(body) {
+			return bytes.Clone(b.packed.Bytes()), nil
+		}
+	}
+	return bytes.Clone(body), nil
+}
+
+// deflate writes p to w as one DEFLATE stream through the pooled writer.
+func (b *Buf) deflate(w io.Writer, p []byte) error {
+	if b.fw == nil {
+		b.fw, _ = flate.NewWriter(w, flate.DefaultCompression) // errs on a bad level only
+	} else {
+		b.fw.Reset(w)
+	}
+	if _, err := b.fw.Write(p); err != nil {
+		return err
+	}
+	return b.fw.Close()
+}
+
+// Open undoes the marker layer of a payload of at least two bytes and
+// returns the body, which may alias payload or b.
+func (b *Buf) Open(payload []byte) ([]byte, error) {
+	switch payload[0] {
+	case 0:
+		return payload[1:], nil
+	case 1:
+		b.src.Reset(payload[1:])
+		if b.fr == nil {
+			b.fr = flate.NewReader(&b.src)
+		} else if err := b.fr.(flate.Resetter).Reset(&b.src, nil); err != nil {
+			return nil, err
+		}
+		b.packed.Reset()
+		_, err := b.packed.ReadFrom(b.fr)
+		return b.packed.Bytes(), err
+	}
+	return nil, fmt.Errorf("unknown lossless marker %d", payload[0])
+}
+
+// Decode Huffman-decodes coded into b.Codes, which must come to n codes.
+func (b *Buf) Decode(coded []byte, n int) error {
+	codes, err := huffman.Decode(b.Codes, coded)
+	if err != nil {
+		return fmt.Errorf("entropy stage: %w", err)
+	}
+	if b.Codes = codes; len(codes) != n {
+		return fmt.Errorf("%d codes for %d values", len(codes), n)
+	}
+	return nil
+}

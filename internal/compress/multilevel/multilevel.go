@@ -14,16 +14,13 @@
 package multilevel
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/compress"
-	"repro/internal/huffman"
+	"repro/internal/compress/entropy"
 )
 
 const (
@@ -212,177 +209,166 @@ func (c *Compressor) Compress(data []float64, dims []int, bound compress.Bound) 
 	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
 		return nil, fmt.Errorf("mgl: invalid error bound %v", eb)
 	}
-	work := append([]float64(nil), data...)
+	buf := entropy.Get(len(data))
+	defer buf.Put()
+	work, codes := buf.Work, buf.Codes
+	copy(work, data)
 	decompose(work, dims)
 
 	// Quantize coefficients with the amplification-adjusted budget.
 	q := eb / errorAmplification(dims)
 	twoQ := 2 * q
 	radius := c.Intervals / 2
-	codes := make([]int, len(work))
-	var unpred []float64
 	for i, v := range work {
 		k := math.Floor(v/twoQ + 0.5)
-		if math.Abs(k) < float64(radius) {
-			r := k * twoQ
-			if math.Abs(r-v) <= q {
-				codes[i] = int(k) + radius
-				work[i] = r
-				continue
-			}
+		if math.Abs(k) < float64(radius) && math.Abs(k*twoQ-v) <= q {
+			codes[i] = int(k) + radius
+			continue
 		}
 		codes[i] = 0
-		unpred = append(unpred, v)
-		work[i] = v
+		buf.Unpred = append(buf.Unpred, v)
 	}
-	coded, err := huffman.EncodeAll(codes, c.Intervals)
+	out, err := buf.Seal(c.Intervals, true, func(head []byte, codedLen int) []byte {
+		head = binary.AppendUvarint(head, magic)
+		head = binary.AppendUvarint(head, version)
+		head = appendDims(head, dims)
+		head = binary.AppendUvarint(head, uint64(c.Intervals))
+		head = binary.AppendUvarint(head, math.Float64bits(q))
+		head = binary.AppendUvarint(head, uint64(len(buf.Unpred)))
+		return binary.AppendUvarint(head, uint64(codedLen))
+	})
 	if err != nil {
-		return nil, fmt.Errorf("mgl: entropy stage: %w", err)
+		return nil, fmt.Errorf("mgl: %w", err)
 	}
+	return out, nil
+}
 
-	var payload bytes.Buffer
-	head := make([]byte, 0, 64)
-	head = binary.AppendUvarint(head, magic)
-	head = binary.AppendUvarint(head, version)
+// appendDims appends the dimension count and extents as uvarints.
+func appendDims(head []byte, dims []int) []byte {
 	head = binary.AppendUvarint(head, uint64(len(dims)))
 	for _, d := range dims {
 		head = binary.AppendUvarint(head, uint64(d))
 	}
-	head = binary.AppendUvarint(head, uint64(c.Intervals))
-	head = binary.AppendUvarint(head, math.Float64bits(q))
-	head = binary.AppendUvarint(head, uint64(len(unpred)))
-	head = binary.AppendUvarint(head, uint64(len(coded)))
-	payload.Write(head)
-	payload.Write(coded)
-	raw := make([]byte, 8)
-	for _, v := range unpred {
-		binary.LittleEndian.PutUint64(raw, math.Float64bits(v))
-		payload.Write(raw)
-	}
-
-	var out bytes.Buffer
-	out.WriteByte(1)
-	fw, err := flate.NewWriter(&out, flate.DefaultCompression)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fw.Write(payload.Bytes()); err != nil {
-		return nil, err
-	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-	if out.Len() >= payload.Len()+1 {
-		return append([]byte{0}, payload.Bytes()...), nil
-	}
-	return out.Bytes(), nil
+	return head
 }
 
 // ErrCorrupt is returned for malformed payloads.
 var ErrCorrupt = errors.New("mgl: corrupt payload")
 
-// Decompress implements compress.Compressor.
-func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
-	if len(buf) < 2 {
-		return nil, ErrCorrupt
+// stream is one parsed MGL1 or MGLT payload: quantization codes (0 = escape)
+// still in the entropy.Buf that decoded them, and the escaped values.
+type stream struct {
+	tier      int // MGLT only
+	dims      []int
+	radius    int
+	q         float64
+	codes     []int
+	rawUnpred []byte // float64-LE
+}
+
+// parseStream undoes the lossless and entropy stages of a payload with the
+// given magic (tierMagic payloads carry a tier index after the version) and
+// validates every header field against the bytes that remain. The result
+// aliases work and buf.
+func parseStream(work *entropy.Buf, buf []byte, wantMagic uint64) (stream, error) {
+	var st stream
+	if len(buf) < 2 || buf[0] > 1 {
+		return st, ErrCorrupt
 	}
-	marker, body := buf[0], buf[1:]
-	switch marker {
-	case 0:
-	case 1:
-		var err error
-		body, err = io.ReadAll(flate.NewReader(bytes.NewReader(body)))
-		if err != nil {
-			return nil, fmt.Errorf("mgl: lossless stage: %w", err)
-		}
-	default:
-		return nil, ErrCorrupt
+	rd, err := work.Open(buf)
+	if err != nil {
+		return st, fmt.Errorf("mgl: lossless stage: %w", err)
 	}
-	rd := body
-	next := func() (uint64, error) {
+	bad := false
+	next := func() uint64 {
 		v, n := binary.Uvarint(rd)
 		if n <= 0 {
-			return 0, ErrCorrupt
+			bad, n = true, 0
 		}
 		rd = rd[n:]
-		return v, nil
+		return v
 	}
-	mg, err := next()
-	if err != nil || mg != magic {
-		return nil, ErrCorrupt
+	if next() != wantMagic || bad {
+		return st, ErrCorrupt
 	}
-	ver, err := next()
-	if err != nil || ver != version {
-		return nil, fmt.Errorf("mgl: unsupported version %d", ver)
+	if ver := next(); ver != version || bad {
+		return st, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
-	nd, err := next()
-	if err != nil || nd < 1 || nd > 3 {
-		return nil, ErrCorrupt
+	if wantMagic == tierMagic {
+		st.tier = int(next())
 	}
-	dims := make([]int, nd)
-	for i := range dims {
-		d, err := next()
-		if err != nil || d == 0 || d > 1<<40 {
-			return nil, ErrCorrupt
+	nd := next()
+	if bad || nd < 1 || nd > 3 {
+		return st, ErrCorrupt
+	}
+	st.dims = make([]int, nd)
+	for i := range st.dims {
+		d := next()
+		if bad || d == 0 || d > 1<<40 {
+			return st, ErrCorrupt
 		}
-		dims[i] = int(d)
+		st.dims[i] = int(d)
 	}
-	n, err := compress.CheckSize(dims)
+	n, err := compress.CheckSize(st.dims)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return st, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	intervals64, err := next()
-	if err != nil || intervals64 < 4 || intervals64%2 != 0 || intervals64 > 1<<30 {
-		return nil, ErrCorrupt
-	}
-	radius := int(intervals64) / 2
-	qBits, err := next()
-	if err != nil {
-		return nil, err
-	}
-	q := math.Float64frombits(qBits)
-	if q <= 0 || math.IsNaN(q) || math.IsInf(q, 0) {
-		return nil, ErrCorrupt
-	}
-	nUnpred, err := next()
-	if err != nil {
-		return nil, err
-	}
-	codedLen, err := next()
-	if err != nil {
-		return nil, err
+	intervals := next()
+	st.radius = int(intervals / 2)
+	st.q = math.Float64frombits(next())
+	nUnpred, codedLen := next(), next()
+	if bad || intervals < 4 || intervals%2 != 0 || intervals > 1<<30 ||
+		st.q <= 0 || math.IsNaN(st.q) || math.IsInf(st.q, 0) {
+		return st, ErrCorrupt
 	}
 	// Check the section lengths separately: a crafted header could wrap
 	// codedLen+8*nUnpred past the bound and panic the slice expressions.
 	lenRd := uint64(len(rd))
 	if codedLen > lenRd || nUnpred > (lenRd-codedLen)/8 {
-		return nil, ErrCorrupt
+		return st, ErrCorrupt
 	}
-	codes, err := huffman.DecodeAll(rd[:codedLen])
-	if err != nil {
-		return nil, fmt.Errorf("mgl: entropy stage: %w", err)
+	// recompose walks the full dims geometry, so the code count must match.
+	if err := work.Decode(rd[:codedLen], n); err != nil {
+		return st, fmt.Errorf("mgl: %w", err)
 	}
-	if len(codes) != n {
-		return nil, fmt.Errorf("mgl: %d codes for %d values", len(codes), n)
-	}
-	rawUnpred := rd[codedLen : codedLen+8*nUnpred]
-	work := make([]float64, n)
-	ui := 0
-	twoQ := 2 * q
-	for i, code := range codes {
-		if code == 0 {
-			if ui >= int(nUnpred) {
-				return nil, ErrCorrupt
-			}
-			work[i] = math.Float64frombits(binary.LittleEndian.Uint64(rawUnpred[8*ui:]))
-			ui++
+	st.codes, st.rawUnpred = work.Codes, rd[codedLen:codedLen+8*nUnpred]
+	return st, nil
+}
+
+// accumulate adds the stream's dequantized coefficients into coeffs; an
+// escaped coefficient adds its stored value verbatim. Into zeroed coeffs
+// this is assignment, bit for bit: the encoder produces no −0 of either kind.
+func (st *stream) accumulate(coeffs []float64) error {
+	raw, twoQ := st.rawUnpred, 2*st.q
+	for i, code := range st.codes {
+		if code != 0 {
+			coeffs[i] += float64(code-st.radius) * twoQ
 			continue
 		}
-		work[i] = float64(code-radius) * twoQ
+		if len(raw) == 0 {
+			return ErrCorrupt
+		}
+		coeffs[i] += math.Float64frombits(binary.LittleEndian.Uint64(raw))
+		raw = raw[8:]
 	}
-	if ui != int(nUnpred) {
-		return nil, ErrCorrupt
+	if len(raw) != 0 {
+		return ErrCorrupt
 	}
-	recompose(work, dims)
-	return work, nil
+	return nil
+}
+
+// Decompress implements compress.Compressor.
+func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
+	work := entropy.Get(0)
+	defer work.Put()
+	st, err := parseStream(work, buf, magic)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(st.codes))
+	if err := st.accumulate(out); err != nil {
+		return nil, err
+	}
+	recompose(out, st.dims)
+	return out, nil
 }

@@ -1,15 +1,13 @@
 package multilevel
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
+	"slices"
 
 	"repro/internal/compress"
-	"repro/internal/huffman"
+	"repro/internal/compress/entropy"
 )
 
 // Progressive retrieval (Wan et al., "Error-controlled, progressive, and
@@ -57,7 +55,10 @@ func (c *Compressor) CompressProgressive(data []float64, dims []int, mode compre
 		abs[i] = a
 	}
 
-	coeffs := append([]float64(nil), data...)
+	buf := entropy.Get(len(data))
+	defer buf.Put()
+	coeffs, codes := buf.Work, buf.Codes
+	copy(coeffs, data)
 	decompose(coeffs, dims)
 	amp := errorAmplification(dims)
 	reconC := make([]float64, len(coeffs))
@@ -67,8 +68,7 @@ func (c *Compressor) CompressProgressive(data []float64, dims []int, mode compre
 	for ti, bound := range abs {
 		q := bound / amp
 		twoQ := 2 * q
-		codes := make([]int, len(coeffs))
-		var unpred []float64
+		buf.Unpred = buf.Unpred[:0]
 		for i, v := range coeffs {
 			r := v - reconC[i]
 			k := math.Floor(r/twoQ + 0.5)
@@ -81,50 +81,23 @@ func (c *Compressor) CompressProgressive(data []float64, dims []int, mode compre
 				}
 			}
 			codes[i] = 0
-			unpred = append(unpred, r)
+			buf.Unpred = append(buf.Unpred, r)
 			reconC[i] = v
 		}
-		coded, err := huffman.EncodeAll(codes, c.Intervals)
+		payload, err := buf.Seal(c.Intervals, true, func(head []byte, codedLen int) []byte {
+			head = binary.AppendUvarint(head, tierMagic)
+			head = binary.AppendUvarint(head, version)
+			head = binary.AppendUvarint(head, uint64(ti))
+			head = appendDims(head, dims)
+			head = binary.AppendUvarint(head, uint64(c.Intervals))
+			head = binary.AppendUvarint(head, math.Float64bits(q))
+			head = binary.AppendUvarint(head, uint64(len(buf.Unpred)))
+			return binary.AppendUvarint(head, uint64(codedLen))
+		})
 		if err != nil {
-			return nil, fmt.Errorf("mgl: tier %d entropy stage: %w", ti, err)
+			return nil, fmt.Errorf("mgl: tier %d: %w", ti, err)
 		}
-		var payload bytes.Buffer
-		head := make([]byte, 0, 64)
-		head = binary.AppendUvarint(head, tierMagic)
-		head = binary.AppendUvarint(head, version)
-		head = binary.AppendUvarint(head, uint64(ti))
-		head = binary.AppendUvarint(head, uint64(len(dims)))
-		for _, d := range dims {
-			head = binary.AppendUvarint(head, uint64(d))
-		}
-		head = binary.AppendUvarint(head, uint64(c.Intervals))
-		head = binary.AppendUvarint(head, math.Float64bits(q))
-		head = binary.AppendUvarint(head, uint64(len(unpred)))
-		head = binary.AppendUvarint(head, uint64(len(coded)))
-		payload.Write(head)
-		payload.Write(coded)
-		raw := make([]byte, 8)
-		for _, v := range unpred {
-			binary.LittleEndian.PutUint64(raw, math.Float64bits(v))
-			payload.Write(raw)
-		}
-		var out bytes.Buffer
-		out.WriteByte(1)
-		fw, err := flate.NewWriter(&out, flate.DefaultCompression)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := fw.Write(payload.Bytes()); err != nil {
-			return nil, err
-		}
-		if err := fw.Close(); err != nil {
-			return nil, err
-		}
-		final := out.Bytes()
-		if out.Len() >= payload.Len()+1 {
-			final = append([]byte{0}, payload.Bytes()...)
-		}
-		tiers = append(tiers, Tier{Bound: bound, Payload: final})
+		tiers = append(tiers, Tier{Bound: bound, Payload: payload})
 	}
 	return tiers, nil
 }
@@ -135,156 +108,29 @@ func (c *Compressor) DecompressProgressive(tiers []Tier) ([]float64, error) {
 	if len(tiers) == 0 {
 		return nil, fmt.Errorf("mgl: no tiers")
 	}
-	var reconC []float64
+	work := entropy.Get(0)
+	defer work.Put()
+	var out []float64
 	var dims []int
 	for ti, tier := range tiers {
-		codes, unpred, q, radius, tdims, tIdx, err := decodeTier(tier.Payload)
+		st, err := parseStream(work, tier.Payload, tierMagic)
 		if err != nil {
 			return nil, fmt.Errorf("mgl: tier %d: %w", ti, err)
 		}
-		if tIdx != ti {
-			return nil, fmt.Errorf("mgl: tier %d out of order (stream says %d)", ti, tIdx)
+		if st.tier != ti {
+			return nil, fmt.Errorf("mgl: tier %d out of order (stream says %d)", ti, st.tier)
 		}
 		if dims == nil {
-			dims = tdims
-			reconC = make([]float64, len(codes))
-		} else if !sameDims(dims, tdims) {
-			return nil, fmt.Errorf("mgl: tier %d dims %v mismatch %v", ti, tdims, dims)
+			dims = st.dims
+			out = make([]float64, len(st.codes))
+		} else if !slices.Equal(dims, st.dims) {
+			return nil, fmt.Errorf("mgl: tier %d dims %v mismatch %v", ti, st.dims, dims)
 		}
-		if len(codes) != len(reconC) {
-			return nil, ErrCorrupt
-		}
-		ui := 0
-		twoQ := 2 * q
-		for i, code := range codes {
-			if code == 0 {
-				// Unpredictable: the raw residual makes the coefficient
-				// exact from this tier on.
-				if ui >= len(unpred) {
-					return nil, ErrCorrupt
-				}
-				reconC[i] += unpred[ui]
-				ui++
-				continue
-			}
-			reconC[i] += float64(code-radius) * twoQ
-		}
-		if ui != len(unpred) {
-			return nil, ErrCorrupt
+		// A raw residual makes its coefficient exact from this tier on.
+		if err := st.accumulate(out); err != nil {
+			return nil, err
 		}
 	}
-	out := append([]float64(nil), reconC...)
 	recompose(out, dims)
 	return out, nil
-}
-
-func sameDims(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// decodeTier parses one tier payload, returning the alphabet codes
-// (0 = unpredictable), raw residuals, quantum, radius, dims and tier index.
-func decodeTier(buf []byte) (codes []int, unpred []float64, q float64, radius int, dims []int, tierIdx int, err error) {
-	fail := func(e error) ([]int, []float64, float64, int, []int, int, error) {
-		return nil, nil, 0, 0, nil, 0, e
-	}
-	if len(buf) < 2 {
-		return fail(ErrCorrupt)
-	}
-	marker, body := buf[0], buf[1:]
-	switch marker {
-	case 0:
-	case 1:
-		body, err = io.ReadAll(flate.NewReader(bytes.NewReader(body)))
-		if err != nil {
-			return fail(err)
-		}
-	default:
-		return fail(ErrCorrupt)
-	}
-	rd := body
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(rd)
-		if n <= 0 {
-			return 0, ErrCorrupt
-		}
-		rd = rd[n:]
-		return v, nil
-	}
-	mg, err := next()
-	if err != nil || mg != tierMagic {
-		return fail(ErrCorrupt)
-	}
-	ver, err := next()
-	if err != nil || ver != version {
-		return fail(ErrCorrupt)
-	}
-	t64, err := next()
-	if err != nil {
-		return fail(err)
-	}
-	nd, err := next()
-	if err != nil || nd < 1 || nd > 3 {
-		return fail(ErrCorrupt)
-	}
-	dims = make([]int, nd)
-	for i := range dims {
-		d, err := next()
-		if err != nil || d == 0 || d > 1<<40 {
-			return fail(ErrCorrupt)
-		}
-		dims[i] = int(d)
-	}
-	n, err := compress.CheckSize(dims)
-	if err != nil {
-		return fail(ErrCorrupt)
-	}
-	intervals, err := next()
-	if err != nil || intervals < 4 || intervals%2 != 0 || intervals > 1<<30 {
-		return fail(ErrCorrupt)
-	}
-	qb, err := next()
-	if err != nil {
-		return fail(err)
-	}
-	q = math.Float64frombits(qb)
-	if q <= 0 || math.IsNaN(q) || math.IsInf(q, 0) {
-		return fail(ErrCorrupt)
-	}
-	nUnpred, err := next()
-	if err != nil {
-		return fail(err)
-	}
-	codedLen, err := next()
-	if err != nil {
-		return fail(err)
-	}
-	// Per-section bounds checks; summing the uint64 lengths first could
-	// wrap and pass, panicking the slice expressions below.
-	lenRd := uint64(len(rd))
-	if codedLen > lenRd || nUnpred > (lenRd-codedLen)/8 {
-		return fail(ErrCorrupt)
-	}
-	codes, err = huffman.DecodeAll(rd[:codedLen])
-	if err != nil {
-		return fail(err)
-	}
-	// recompose walks the full dims geometry; a code stream of any other
-	// length would index out of range.
-	if len(codes) != n {
-		return fail(ErrCorrupt)
-	}
-	unpred = make([]float64, nUnpred)
-	for i := range unpred {
-		unpred[i] = math.Float64frombits(binary.LittleEndian.Uint64(rd[codedLen+uint64(8*i):]))
-	}
-	return codes, unpred, q, int(intervals) / 2, dims, int(t64), nil
 }

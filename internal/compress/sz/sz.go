@@ -13,17 +13,14 @@
 package sz
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/bitstream"
 	"repro/internal/compress"
-	"repro/internal/huffman"
+	"repro/internal/compress/entropy"
 )
 
 const (
@@ -134,9 +131,11 @@ func (c *Compressor) Compress(data []float64, dims []int, bound compress.Bound) 
 	radius := c.Intervals / 2
 	twoEb := 2 * eb
 
-	codes := make([]int, n)
-	recon := make([]float64, n)
-	var unpred []float64
+	buf := entropy.Get(n)
+	defer buf.Put()
+	// Every cell's code and reconstruction are written before any predictor
+	// reads them, so the pooled arrays need no clearing.
+	codes, recon, unpred := buf.Codes, buf.Work, buf.Unpred
 
 	quantize := func(idx int, pred float64) {
 		v := data[idx]
@@ -193,57 +192,27 @@ func (c *Compressor) Compress(data []float64, dims []int, bound compress.Bound) 
 		}
 	}
 
-	coded, err := huffman.EncodeAll(codes, c.Intervals)
+	buf.Unpred = unpred
+	out, err := buf.Seal(c.Intervals, !c.DisableLossless, func(head []byte, codedLen int) []byte {
+		head = binary.AppendUvarint(head, magic)
+		head = binary.AppendUvarint(head, version)
+		head = binary.AppendUvarint(head, uint64(len(dims)))
+		for _, d := range dims {
+			head = binary.AppendUvarint(head, uint64(d))
+		}
+		head = binary.AppendUvarint(head, uint64(predOrder))
+		head = binary.AppendUvarint(head, uint64(scheme))
+		head = binary.AppendUvarint(head, uint64(c.Intervals))
+		head = binary.AppendUvarint(head, math.Float64bits(eb))
+		head = binary.AppendUvarint(head, uint64(len(unpred)))
+		head = binary.AppendUvarint(head, uint64(codedLen))
+		head = binary.AppendUvarint(head, uint64(len(selBytes)))
+		return append(head, selBytes...)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("sz: entropy stage: %w", err)
+		return nil, fmt.Errorf("sz: %w", err)
 	}
-
-	// Assemble payload: header, huffman blob, unpredictable values.
-	var payload bytes.Buffer
-	head := make([]byte, 0, 64)
-	head = binary.AppendUvarint(head, magic)
-	head = binary.AppendUvarint(head, version)
-	head = binary.AppendUvarint(head, uint64(len(dims)))
-	for _, d := range dims {
-		head = binary.AppendUvarint(head, uint64(d))
-	}
-	head = binary.AppendUvarint(head, uint64(predOrder))
-	head = binary.AppendUvarint(head, uint64(scheme))
-	head = binary.AppendUvarint(head, uint64(c.Intervals))
-	head = binary.AppendUvarint(head, math.Float64bits(eb))
-	head = binary.AppendUvarint(head, uint64(len(unpred)))
-	head = binary.AppendUvarint(head, uint64(len(coded)))
-	head = binary.AppendUvarint(head, uint64(len(selBytes)))
-	payload.Write(head)
-	payload.Write(selBytes)
-	payload.Write(coded)
-	raw := make([]byte, 8)
-	for _, v := range unpred {
-		binary.LittleEndian.PutUint64(raw, math.Float64bits(v))
-		payload.Write(raw)
-	}
-
-	if c.DisableLossless {
-		return append([]byte{0}, payload.Bytes()...), nil
-	}
-	var out bytes.Buffer
-	out.WriteByte(1) // lossless stage marker
-	fw, err := flate.NewWriter(&out, flate.DefaultCompression)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fw.Write(payload.Bytes()); err != nil {
-		return nil, err
-	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-	// If DEFLATE did not help (already dense Huffman output), keep the raw
-	// payload; the marker byte tells the decoder which path was taken.
-	if out.Len() >= payload.Len()+1 {
-		return append([]byte{0}, payload.Bytes()...), nil
-	}
-	return out.Bytes(), nil
+	return out, nil
 }
 
 // blockedEncode2D runs the per-block Lorenzo/regression selection over a
@@ -416,20 +385,14 @@ var ErrCorrupt = errors.New("sz: corrupt payload")
 
 // Decompress implements compress.Compressor.
 func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
-	if len(buf) < 2 {
+	if len(buf) < 2 || buf[0] > 1 {
 		return nil, ErrCorrupt
 	}
-	marker, body := buf[0], buf[1:]
-	switch marker {
-	case 0:
-	case 1:
-		var err error
-		body, err = io.ReadAll(flate.NewReader(bytes.NewReader(body)))
-		if err != nil {
-			return nil, fmt.Errorf("sz: lossless stage: %w", err)
-		}
-	default:
-		return nil, ErrCorrupt
+	work := entropy.Get(0)
+	defer work.Put()
+	body, err := work.Open(buf)
+	if err != nil {
+		return nil, fmt.Errorf("sz: lossless stage: %w", err)
 	}
 
 	rd := body
@@ -515,13 +478,10 @@ func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
 	coded := rd[selLen64 : selLen64+codedLen64]
 	rawUnpred := rd[selLen64+codedLen64 : selLen64+codedLen64+8*nUnpred64]
 
-	codes, err := huffman.DecodeAll(coded)
-	if err != nil {
-		return nil, fmt.Errorf("sz: entropy stage: %w", err)
+	if err := work.Decode(coded, n); err != nil {
+		return nil, fmt.Errorf("sz: %w", err)
 	}
-	if len(codes) != n {
-		return nil, fmt.Errorf("sz: %d codes for %d values", len(codes), n)
-	}
+	codes := work.Codes
 	unpred := make([]float64, nUnpred64)
 	for i := range unpred {
 		unpred[i] = math.Float64frombits(binary.LittleEndian.Uint64(rawUnpred[8*i:]))

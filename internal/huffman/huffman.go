@@ -1,21 +1,40 @@
 // Package huffman implements a canonical Huffman coder over dense integer
-// alphabets. It is the entropy backend of the SZ-like compressor, which
-// encodes quantization codes drawn from a bounded alphabet (the quantization
-// radius). Only code lengths are serialized; canonical code assignment makes
-// the table reconstruction deterministic and compact.
+// alphabets. It is the entropy backend of the SZ-like and multilevel
+// compressors, which encode quantization codes drawn from a bounded alphabet
+// (the quantization radius). Only code lengths are serialized; canonical code
+// assignment makes the table reconstruction deterministic and compact.
+//
+// The alphabet is large (65 536 by default) and a stream uses a sliver of it:
+// a cluster of codes around the radius plus the escape symbol 0. Every table
+// here is therefore built from the symbols that occur — their span on the
+// encode side, the nonzero entries of the serialized table on the decode
+// side — so a call costs O(values + span), never O(alphabet). The bytes are
+// those of the full-alphabet coder kept in oracle_test.go.
 package huffman
 
 import (
-	"container/heap"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"repro/internal/bitstream"
 )
 
-// MaxCodeLen bounds code lengths; lengths are depth-limited by construction
-// because the alphabet is bounded, but we guard anyway.
-const MaxCodeLen = 58
+const (
+	// MaxCodeLen bounds code lengths, so that a code and its 6-bit length
+	// share one 64-bit table entry.
+	MaxCodeLen = 58
+	// maxAlphabet is the largest alphabet a table may declare.
+	maxAlphabet = 1 << 28
+	// maxLookupBits caps the decode acceleration table at 2^12 entries.
+	maxLookupBits = 12
+	// maxZeroRun is the longest run of unused symbols one table token covers.
+	maxZeroRun = 0xffff
+)
 
 var (
 	// ErrBadTable is returned when a serialized code-length table is invalid.
@@ -24,318 +43,193 @@ var (
 	ErrBadSymbol = errors.New("huffman: undecodable bit pattern")
 )
 
-// Encoder holds canonical codes for symbols 0..n-1.
-type Encoder struct {
-	codes   []uint64 // bit-reversed canonical code, LSB-first ready
-	lengths []uint8
+// treeNode is one node of the Huffman tree: leaves sorted by (freq, symbol)
+// first, then internal nodes in creation order.
+type treeNode struct {
+	freq   uint64
+	sym    int32 // leaves only
+	parent int32
+	depth  uint8
 }
 
-// node is a Huffman tree node used only during length computation.
-type node struct {
-	freq        uint64
-	symbol      int // -1 for internal
-	left, right int // indices into the node arena
-	order       int // tie-breaker for deterministic trees
+// encScratch is the pooled encoder state. tab is indexed by symbol and holds
+// the symbol's frequency while counting, its code length while the tree is
+// built and code<<6|length while coding. Invariant: tab is all-zero outside
+// a call, which is what lets a call touch only the span it uses.
+type encScratch struct {
+	tab   []uint64
+	used  []int32 // symbols that occur, ascending
+	nodes []treeNode
 }
 
-type nodeHeap struct {
-	arena *[]node
-	idx   []int
+var encPool = sync.Pool{New: func() any { return new(encScratch) }}
+
+// bitWriter appends bits LSB-first to a byte slice in little-endian 64-bit
+// words: the byte layout of bitstream.Writer without the intermediate words.
+type bitWriter struct {
+	buf []byte
+	acc uint64
+	n   uint // bits used in acc, 0..63
 }
 
-func (h nodeHeap) Len() int { return len(h.idx) }
-func (h nodeHeap) Less(i, j int) bool {
-	a, b := (*h.arena)[h.idx[i]], (*h.arena)[h.idx[j]]
-	if a.freq != b.freq {
-		return a.freq < b.freq
+// put appends the low l bits of v; v < 1<<l and l <= MaxCodeLen.
+func (w *bitWriter) put(v uint64, l uint) {
+	w.acc |= v << w.n
+	if w.n += l; w.n >= 64 {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, w.acc)
+		w.n -= 64
+		w.acc = v >> (l - w.n)
 	}
-	return a.order < b.order
-}
-func (h nodeHeap) Swap(i, j int)       { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *nodeHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := h.idx
-	n := len(old)
-	v := old[n-1]
-	h.idx = old[:n-1]
-	return v
 }
 
-// CodeLengths computes Huffman code lengths for the given symbol frequencies.
-// Symbols with zero frequency get length 0 (no code). If only one symbol has
-// nonzero frequency it is assigned length 1.
-func CodeLengths(freqs []uint64) []uint8 {
-	lengths := make([]uint8, len(freqs))
-	arena := make([]node, 0, 2*len(freqs))
-	h := nodeHeap{arena: &arena}
-	for sym, f := range freqs {
-		if f == 0 {
-			continue
+// bytes flushes the partial word, zero-padded to a whole byte.
+func (w *bitWriter) bytes() []byte {
+	var tail [8]byte
+	binary.LittleEndian.PutUint64(tail[:], w.acc)
+	return append(w.buf, tail[:(w.n+7)/8]...)
+}
+
+// zeros emits the table tokens for a run of unused symbols: flag bit 0 and a
+// 16-bit run length, as many times as the run needs.
+func (w *bitWriter) zeros(run int) {
+	for ; run > 0; run -= min(run, maxZeroRun) {
+		w.put(uint64(min(run, maxZeroRun))<<1, 17)
+	}
+}
+
+// setLengths turns leaves (one treeNode per occurring symbol, ascending) into
+// a Huffman tree and records every leaf's depth. Always merging the two
+// smallest nodes under the total order (freq, creation index) fixes the tree,
+// so the two-queue construction below yields the depths of the oracle's heap.
+func setLengths(nodes []treeNode) []treeNode {
+	k := len(nodes)
+	if k == 1 {
+		nodes[0].depth = 1
+		return nodes
+	}
+	slices.SortFunc(nodes, func(a, b treeNode) int {
+		return cmp.Or(cmp.Compare(a.freq, b.freq), cmp.Compare(a.sym, b.sym))
+	})
+	leaf, inner := 0, k
+	next := func() int {
+		// A leaf wins a frequency tie: it was created before any merge.
+		if leaf < k && (inner == len(nodes) || nodes[leaf].freq <= nodes[inner].freq) {
+			leaf++
+			return leaf - 1
 		}
-		arena = append(arena, node{freq: f, symbol: sym, left: -1, right: -1, order: len(arena)})
-		h.idx = append(h.idx, len(arena)-1)
+		inner++
+		return inner - 1
 	}
-	switch len(h.idx) {
-	case 0:
-		return lengths
-	case 1:
-		lengths[arena[h.idx[0]].symbol] = 1
-		return lengths
+	for len(nodes) < 2*k-1 {
+		a, b := next(), next()
+		nodes[a].parent, nodes[b].parent = int32(len(nodes)), int32(len(nodes))
+		nodes = append(nodes, treeNode{freq: nodes[a].freq + nodes[b].freq})
 	}
-	heap.Init(&h)
-	for h.Len() > 1 {
-		a := heap.Pop(&h).(int)
-		b := heap.Pop(&h).(int)
-		arena = append(arena, node{
-			freq:   arena[a].freq + arena[b].freq,
-			symbol: -1, left: a, right: b, order: len(arena),
-		})
-		h.arena = &arena
-		heap.Push(&h, len(arena)-1)
+	for i := len(nodes) - 2; i >= 0; i-- { // a parent always follows its children
+		nodes[i].depth = nodes[nodes[i].parent].depth + 1
 	}
-	root := h.idx[0]
-	// Iterative depth-first walk assigning depths.
-	type frame struct {
-		n     int
-		depth uint8
+	return nodes
+}
+
+// Encode Huffman-codes symbols, each in [0, alphabet), with a table built from
+// their observed frequencies, and appends the table, the symbol count and the
+// coded stream to dst.
+func Encode(dst []byte, symbols []int, alphabet int) ([]byte, error) {
+	if uint(alphabet) > maxAlphabet {
+		return nil, fmt.Errorf("huffman: alphabet %d outside [0, %d]", alphabet, maxAlphabet)
 	}
-	stack := []frame{{root, 0}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := arena[f.n]
-		if nd.symbol >= 0 {
-			lengths[nd.symbol] = f.depth
-			continue
+	// Symbol 0 is the callers' escape code and sits half an alphabet away
+	// from the cluster of real codes, so it is kept out of the span.
+	lo, hi := alphabet, 0
+	for _, s := range symbols {
+		if uint(s) >= uint(alphabet) {
+			return nil, fmt.Errorf("huffman: symbol %d outside alphabet %d", s, alphabet)
 		}
-		stack = append(stack, frame{nd.left, f.depth + 1}, frame{nd.right, f.depth + 1})
+		if s != 0 {
+			lo, hi = min(lo, s), max(hi, s)
+		}
 	}
-	return lengths
-}
-
-// reverseBits reverses the low n bits of v.
-func reverseBits(v uint64, n uint8) uint64 {
-	var r uint64
-	for i := uint8(0); i < n; i++ {
-		r = (r << 1) | (v & 1)
-		v >>= 1
+	sc := encPool.Get().(*encScratch)
+	if len(sc.tab) <= hi { // the old table is all-zero: nothing to carry over
+		sc.tab = make([]uint64, max(hi+1, 2*len(sc.tab)))
 	}
-	return r
-}
+	tab := sc.tab
+	defer func() {
+		tab[0] = 0
+		if lo <= hi {
+			clear(tab[lo : hi+1])
+		}
+		encPool.Put(sc)
+	}()
+	for _, s := range symbols {
+		tab[s]++
+	}
+	nodes, used := sc.nodes[:0], sc.used[:0]
+	if tab[0] != 0 {
+		nodes, used = append(nodes, treeNode{freq: tab[0]}), append(used, 0)
+	}
+	for s := lo; s <= hi; s++ {
+		if tab[s] != 0 {
+			nodes, used = append(nodes, treeNode{freq: tab[s], sym: int32(s)}), append(used, int32(s))
+		}
+	}
+	nodes = setLengths(nodes)
+	sc.nodes, sc.used = nodes, used
 
-// canonicalCodes assigns canonical codes from lengths. Returned codes are
-// bit-reversed so they can be emitted LSB-first by the bitstream writer.
-func canonicalCodes(lengths []uint8) ([]uint64, error) {
-	maxLen := uint8(0)
-	for _, l := range lengths {
-		if l > MaxCodeLen {
+	var count, next [MaxCodeLen + 1]uint64 // per length: symbols, next canonical code
+	for _, nd := range nodes[:len(used)] {
+		if nd.depth > MaxCodeLen {
 			return nil, ErrBadTable
 		}
-		if l > maxLen {
-			maxLen = l
-		}
+		tab[nd.sym] = uint64(nd.depth)
+		count[nd.depth]++
 	}
-	codes := make([]uint64, len(lengths))
-	if maxLen == 0 {
-		return codes, nil
+	for l := 1; l <= MaxCodeLen; l++ {
+		next[l] = (next[l-1] + count[l-1]) << 1
 	}
-	// Count codes of each length, then derive first code per length.
-	count := make([]uint64, maxLen+1)
-	for _, l := range lengths {
-		if l > 0 {
-			count[l]++
-		}
-	}
-	firstCode := make([]uint64, maxLen+2)
-	var code uint64
-	for l := uint8(1); l <= maxLen; l++ {
-		code = (code + count[l-1]) << 1
-		firstCode[l] = code
-	}
-	// Kraft check: assigning all codes must not overflow the space.
-	next := make([]uint64, maxLen+1)
-	copy(next, firstCode[:maxLen+1])
-	for sym, l := range lengths {
-		if l == 0 {
-			continue
-		}
-		c := next[l]
+
+	// One ascending pass writes the table and swaps each length in tab for
+	// its bit-reversed (LSB-first ready) canonical code.
+	w := bitWriter{buf: dst}
+	w.put(uint64(alphabet), 32)
+	at := 0
+	for _, s := range used {
+		w.zeros(int(s) - at)
+		l := tab[s]
+		w.put(l<<1|1, 7)
+		tab[s] = bits.Reverse64(next[l])>>(64-l)<<6 | l
 		next[l]++
-		if c >= (1 << l) {
-			return nil, ErrBadTable
-		}
-		codes[sym] = reverseBits(c, l)
+		at = int(s) + 1
 	}
-	return codes, nil
+	w.zeros(alphabet - at)
+	w.put(uint64(len(symbols)), 40)
+	for _, s := range symbols {
+		w.put(tab[s]>>6, uint(tab[s]&63))
+	}
+	return w.bytes(), nil
 }
 
-// NewEncoder builds an encoder from symbol frequencies.
-func NewEncoder(freqs []uint64) (*Encoder, error) {
-	lengths := CodeLengths(freqs)
-	codes, err := canonicalCodes(lengths)
+// decScratch is the pooled decoder state; every field is rebuilt per call.
+type decScratch struct {
+	used   []uint64 // symbol<<6|length per coded symbol, ascending
+	sorted []int    // symbols ordered by (length, symbol)
+	lookup [1 << maxLookupBits]uint64
+}
+
+var decPool = sync.Pool{New: func() any { return new(decScratch) }}
+
+// readTable parses a serialized code-length table into symbol<<6|length
+// entries for the symbols that have a code. It holds one entry per 7 table
+// bits and nothing per unused symbol, so the declared alphabet sizes nothing.
+func readTable(r *bitstream.Reader, used []uint64) ([]uint64, error) {
+	n, err := r.ReadBits(32)
 	if err != nil {
 		return nil, err
 	}
-	return &Encoder{codes: codes, lengths: lengths}, nil
-}
-
-// Encode appends the code for sym to the writer.
-func (e *Encoder) Encode(w *bitstream.Writer, sym int) error {
-	if sym < 0 || sym >= len(e.lengths) || e.lengths[sym] == 0 {
-		return fmt.Errorf("huffman: symbol %d has no code", sym)
-	}
-	w.WriteBits(e.codes[sym], uint(e.lengths[sym]))
-	return nil
-}
-
-// Lengths exposes the code-length table for serialization.
-func (e *Encoder) Lengths() []uint8 { return e.lengths }
-
-// WriteTable serializes the code-length table. Lengths fit in 6 bits
-// (MaxCodeLen < 64); a simple run-length scheme compresses the zero runs
-// that dominate sparse alphabets.
-func (e *Encoder) WriteTable(w *bitstream.Writer) {
-	w.WriteBits(uint64(len(e.lengths)), 32)
-	i := 0
-	for i < len(e.lengths) {
-		if e.lengths[i] == 0 {
-			// zero run: flag bit 0 + 16-bit run length
-			run := 0
-			for i+run < len(e.lengths) && e.lengths[i+run] == 0 && run < 0xffff {
-				run++
-			}
-			w.WriteBit(0)
-			w.WriteBits(uint64(run), 16)
-			i += run
-			continue
-		}
-		w.WriteBit(1)
-		w.WriteBits(uint64(e.lengths[i]), 6)
-		i++
-	}
-}
-
-// Decoder performs canonical Huffman decoding using the classic
-// firstCode/count walk: one comparison per bit, no table lookups beyond a
-// final indexed load into the length-sorted symbol list.
-type Decoder struct {
-	maxLen    uint8
-	firstCode []uint64 // firstCode[l]: canonical code of the first length-l symbol
-	count     []uint64 // count[l]: number of length-l symbols
-	offset    []int    // offset[l]: index of first length-l symbol in sorted
-	sorted    []int    // symbols ordered by (length, symbol)
-
-	// lookup accelerates DecodeAll: indexed by the next lookupBits stream
-	// bits (LSB-first); entry = symbol<<6 | codeLen, 0 = no short code.
-	lookupBits uint
-	lookup     []uint64
-}
-
-// maxLookupBits caps the acceleration table at 2^12 entries.
-const maxLookupBits = 12
-
-// buildLookup fills the short-code table from the length list.
-func (d *Decoder) buildLookup(lengths []uint8) {
-	lb := uint(d.maxLen)
-	if lb > maxLookupBits {
-		lb = maxLookupBits
-	}
-	if lb == 0 {
-		lb = 1
-	}
-	d.lookupBits = lb
-	d.lookup = make([]uint64, 1<<lb)
-	// Recompute each symbol's canonical code (as canonicalCodes does) and
-	// splat every possible suffix of the bit-reversed code.
-	next := make([]uint64, d.maxLen+1)
-	copy(next, d.firstCode[:d.maxLen+1])
-	for sym, l := range lengths {
-		if l == 0 {
-			continue
-		}
-		c := next[l]
-		next[l]++
-		if uint(l) > lb {
-			continue
-		}
-		rev := reverseBits(c, l)
-		step := uint64(1) << uint(l)
-		entry := uint64(sym)<<6 | uint64(l)
-		for idx := rev; idx < uint64(len(d.lookup)); idx += step {
-			d.lookup[idx] = entry
-		}
-	}
-}
-
-// NewDecoder rebuilds decoding state from a code-length table.
-func NewDecoder(lengths []uint8) (*Decoder, error) {
-	if _, err := canonicalCodes(lengths); err != nil {
-		return nil, err
-	}
-	d := &Decoder{}
-	for _, l := range lengths {
-		if l > d.maxLen {
-			d.maxLen = l
-		}
-	}
-	d.count = make([]uint64, d.maxLen+1)
-	for _, l := range lengths {
-		if l > 0 {
-			d.count[l]++
-		}
-	}
-	d.firstCode = make([]uint64, d.maxLen+2)
-	d.offset = make([]int, d.maxLen+2)
-	var code uint64
-	total := 0
-	for l := uint8(1); l <= d.maxLen; l++ {
-		code = (code + d.count[l-1]) << 1
-		d.firstCode[l] = code
-		d.offset[l] = total
-		total += int(d.count[l])
-	}
-	d.sorted = make([]int, total)
-	next := make([]int, d.maxLen+1)
-	copy(next, d.offset[:d.maxLen+1])
-	for sym, l := range lengths {
-		if l == 0 {
-			continue
-		}
-		d.sorted[next[l]] = sym
-		next[l]++
-	}
-	return d, nil
-}
-
-// Decode consumes one code from the reader and returns its symbol.
-func (d *Decoder) Decode(r *bitstream.Reader) (int, error) {
-	var code uint64
-	for l := uint8(1); l <= d.maxLen; l++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		code = (code << 1) | uint64(b)
-		if rel := code - d.firstCode[l]; code >= d.firstCode[l] && rel < d.count[l] {
-			return d.sorted[d.offset[l]+int(rel)], nil
-		}
-	}
-	return 0, ErrBadSymbol
-}
-
-// ReadTable deserializes a table written by WriteTable.
-func ReadTable(r *bitstream.Reader) ([]uint8, error) {
-	n64, err := r.ReadBits(32)
-	if err != nil {
-		return nil, err
-	}
-	n := int(n64)
-	if n < 0 || n > 1<<28 {
+	if n > maxAlphabet {
 		return nil, ErrBadTable
 	}
-	lengths := make([]uint8, n)
-	i := 0
-	for i < n {
+	for sym := uint64(0); sym < n; {
 		flag, err := r.ReadBit()
 		if err != nil {
 			return nil, err
@@ -345,137 +239,148 @@ func ReadTable(r *bitstream.Reader) ([]uint8, error) {
 			if err != nil {
 				return nil, err
 			}
-			if run == 0 || i+int(run) > n {
+			if run == 0 || sym+run > n {
 				return nil, ErrBadTable
 			}
-			i += int(run)
+			sym += run
 			continue
 		}
 		l, err := r.ReadBits(6)
 		if err != nil {
 			return nil, err
 		}
-		lengths[i] = uint8(l)
-		i++
+		if l != 0 {
+			used = append(used, sym<<6|l)
+		}
+		sym++
 	}
-	return lengths, nil
+	return used, nil
 }
 
-// EncodeAll Huffman-encodes symbols (building the table from their observed
-// frequencies), writes the table followed by the symbol count and the coded
-// stream, and returns the serialized bytes.
-func EncodeAll(symbols []int, alphabet int) ([]byte, error) {
-	freqs := make([]uint64, alphabet)
-	for _, s := range symbols {
-		if s < 0 || s >= alphabet {
-			return nil, fmt.Errorf("huffman: symbol %d outside alphabet %d", s, alphabet)
-		}
-		freqs[s]++
-	}
-	enc, err := NewEncoder(freqs)
-	if err != nil {
-		return nil, err
-	}
-	w := bitstream.NewWriter(len(symbols) * 8)
-	enc.WriteTable(w)
-	w.WriteBits(uint64(len(symbols)), 40)
-	for _, s := range symbols {
-		if err := enc.Encode(w, s); err != nil {
-			return nil, err
-		}
-	}
-	return w.Bytes(), nil
-}
-
-// DecodeAll reverses EncodeAll. It decodes with a one-level lookup table
-// over the next lookupBits bits (codes longer than that fall back to the
-// canonical bit-by-bit walk), reading the byte slice directly.
-func DecodeAll(data []byte) ([]int, error) {
+// Decode reverses Encode, appending the symbols to dst[:0]. Codes of up to
+// maxLookupBits bits resolve through one table load on the next stream bits;
+// longer ones fall back to the canonical firstCode/count walk, bit by bit.
+func Decode(dst []int, data []byte) ([]int, error) {
+	sc := decPool.Get().(*decScratch)
+	defer decPool.Put(sc)
 	r := bitstream.NewReader(data)
-	lengths, err := ReadTable(r)
+	used, err := readTable(r, sc.used[:0])
 	if err != nil {
 		return nil, err
 	}
-	dec, err := NewDecoder(lengths)
+	sc.used = used
+
+	// Canonical decoding state per length l: first code, symbol count, and
+	// the index in sorted of the first symbol. A level that needs more codes
+	// than l bits offer oversubscribes the code space (Kraft).
+	var first, count [MaxCodeLen + 2]uint64
+	var offset [MaxCodeLen + 2]int
+	maxLen := uint64(0)
+	for _, e := range used {
+		l := e & 63
+		if l > MaxCodeLen {
+			return nil, ErrBadTable
+		}
+		count[l]++
+		maxLen = max(maxLen, l)
+	}
+	for l := uint64(1); l <= maxLen; l++ {
+		first[l] = (first[l-1] + count[l-1]) << 1
+		offset[l] = offset[l-1] + int(count[l-1])
+		if first[l]+count[l] > 1<<l {
+			return nil, ErrBadTable
+		}
+	}
+	lb := min(max(uint(maxLen), 1), maxLookupBits)
+	lookup := sc.lookup[:1<<lb]
+	clear(lookup)
+	sorted := slices.Grow(sc.sorted[:0], len(used))[:len(used)]
+	sc.sorted = sorted
+	next, slot := first, offset
+	for _, e := range used {
+		l := e & 63
+		c := next[l]
+		next[l]++
+		sorted[slot[l]] = int(e >> 6)
+		slot[l]++
+		if uint(l) <= lb { // splat the entry over every suffix of the reversed code
+			for idx := bits.Reverse64(c) >> (64 - l); idx < 1<<lb; idx += 1 << l {
+				lookup[idx] = e
+			}
+		}
+	}
+
+	n, err := r.ReadBits(40)
 	if err != nil {
 		return nil, err
 	}
-	n64, err := r.ReadBits(40)
-	if err != nil {
-		return nil, err
-	}
-	if n64 > 1<<34 {
+	if n > 1<<34 {
 		return nil, ErrBadTable
 	}
 	// Every symbol costs at least one bit, so a count exceeding the bits
 	// left in the stream is a forged header — reject it before allocating
 	// the output array.
-	pos := r.BitsRead()
-	totalBits := uint64(len(data)) * 8
-	if n64 > totalBits-pos {
+	pos, totalBits := r.BitsRead(), uint64(len(data))*8
+	if n > totalBits-pos {
 		return nil, bitstream.ErrShortStream
 	}
-	out := make([]int, n64)
-	if n64 == 0 {
-		return out, nil
-	}
-	dec.buildLookup(lengths)
+	dst = slices.Grow(dst[:0], int(n))[:n]
 
-	// Switch to direct byte-addressed decoding at the current bit offset.
-	// The bitstream convention is LSB-first within little-endian words, so
-	// stream bit k lives at byte k/8, bit k%8.
-	peek := func(p uint64, n uint) uint64 {
-		bi := int(p >> 3)
-		shift := p & 7
+	// Decode by byte address from here on. Bits are LSB-first within
+	// little-endian words, so stream bit k is bit k%8 of byte k/8.
+	peek := func(p uint64) uint64 {
+		if bi := int(p >> 3); bi+8 <= len(data) {
+			return binary.LittleEndian.Uint64(data[bi:]) >> (p & 7)
+		}
 		var v uint64
-		if bi+8 <= len(data) {
-			v = uint64(data[bi]) | uint64(data[bi+1])<<8 | uint64(data[bi+2])<<16 |
-				uint64(data[bi+3])<<24 | uint64(data[bi+4])<<32 | uint64(data[bi+5])<<40 |
-				uint64(data[bi+6])<<48 | uint64(data[bi+7])<<56
-		} else {
-			for o := 0; bi+o < len(data) && o < 8; o++ {
-				v |= uint64(data[bi+o]) << (8 * uint(o))
-			}
+		for o, b := range data[p>>3:] {
+			v |= uint64(b) << (8 * uint(o))
 		}
-		v >>= shift
-		if n < 64 {
-			v &= (1 << n) - 1
-		}
-		return v
+		return v >> (p & 7)
 	}
-	lb := dec.lookupBits
-	for i := range out {
-		if pos >= totalBits {
+	mask := uint64(1)<<lb - 1
+	for i := 0; i < len(dst); {
+		if bi := int(pos >> 3); bi+8 <= len(data) {
+			// One load holds 57 or more stream bits: four lookups, no checks.
+			v := binary.LittleEndian.Uint64(data[bi:]) >> (pos & 7)
+			for k := 0; k < 4 && i < len(dst) && lookup[v&mask] != 0; k++ {
+				e := lookup[v&mask]
+				dst[i] = int(e >> 6)
+				i++
+				v >>= e & 63
+				pos += e & 63
+			}
+			if i == len(dst) || lookup[v&mask] != 0 {
+				continue
+			}
+		} else if pos >= totalBits {
 			return nil, bitstream.ErrShortStream
-		}
-		if entry := dec.lookup[peek(pos, lb)]; entry != 0 {
-			l := uint64(entry & 0x3f)
-			if pos+l > totalBits {
+		} else if e := lookup[peek(pos)&mask]; e != 0 {
+			if pos += e & 63; pos > totalBits {
 				return nil, bitstream.ErrShortStream
 			}
-			out[i] = int(entry >> 6)
-			pos += l
+			dst[i] = int(e >> 6)
+			i++
 			continue
 		}
-		// Slow path: canonical walk bit by bit (codes longer than the
-		// lookup width, or an invalid prefix).
+		// Slow path: a code longer than the lookup width, or no code at all.
 		var code uint64
-		matched := false
-		for l := uint8(1); l <= dec.maxLen; l++ {
+		l := uint64(1)
+		for ; l <= maxLen; l++ {
 			if pos >= totalBits {
 				return nil, bitstream.ErrShortStream
 			}
-			code = (code << 1) | peek(pos, 1)
+			code = code<<1 | peek(pos)&1
 			pos++
-			if rel := code - dec.firstCode[l]; code >= dec.firstCode[l] && rel < dec.count[l] {
-				out[i] = dec.sorted[dec.offset[l]+int(rel)]
-				matched = true
+			if rel := code - first[l]; code >= first[l] && rel < count[l] {
+				dst[i] = sorted[offset[l]+int(rel)]
+				i++
 				break
 			}
 		}
-		if !matched {
+		if l > maxLen {
 			return nil, ErrBadSymbol
 		}
 	}
-	return out, nil
+	return dst, nil
 }

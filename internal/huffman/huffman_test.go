@@ -1,6 +1,7 @@
 package huffman
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,11 +40,11 @@ func TestSingleSymbol(t *testing.T) {
 	if lengths[2] != 1 {
 		t.Fatalf("single symbol length = %d, want 1", lengths[2])
 	}
-	data, err := EncodeAll([]int{2, 2, 2, 2}, 4)
+	data, err := Encode(nil, []int{2, 2, 2, 2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeAll(data)
+	got, err := Decode(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +56,11 @@ func TestSingleSymbol(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	data, err := EncodeAll(nil, 16)
+	data, err := Encode(nil, nil, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeAll(data)
+	got, err := Decode(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestRoundTripSkewed(t *testing.T) {
 			symbols[i] = rng.Intn(1024)
 		}
 	}
-	data, err := EncodeAll(symbols, 1024)
+	data, err := Encode(nil, symbols, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestRoundTripSkewed(t *testing.T) {
 	if bits := float64(len(data)*8) / float64(len(symbols)); bits > 3 {
 		t.Fatalf("skewed stream coded at %.2f bits/symbol, want < 3", bits)
 	}
-	got, err := DecodeAll(data)
+	got, err := Decode(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +113,11 @@ func TestRoundTripUniform(t *testing.T) {
 	for i := range symbols {
 		symbols[i] = rng.Intn(256)
 	}
-	data, err := EncodeAll(symbols, 256)
+	data, err := Encode(nil, symbols, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeAll(data)
+	got, err := Decode(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +129,10 @@ func TestRoundTripUniform(t *testing.T) {
 }
 
 func TestOutOfAlphabet(t *testing.T) {
-	if _, err := EncodeAll([]int{0, 1, 99}, 10); err == nil {
+	if _, err := Encode(nil, []int{0, 1, 99}, 10); err == nil {
 		t.Fatal("expected error for out-of-alphabet symbol")
 	}
-	if _, err := EncodeAll([]int{-1}, 10); err == nil {
+	if _, err := Encode(nil, []int{-1}, 10); err == nil {
 		t.Fatal("expected error for negative symbol")
 	}
 }
@@ -168,14 +169,24 @@ func TestBadTableRejected(t *testing.T) {
 	if _, err := NewDecoder([]uint8{1, 1, 1}); err == nil {
 		t.Fatal("expected Kraft violation to be rejected")
 	}
+	w := bitWriter{}
+	w.put(3, 32) // alphabet of three
+	for i := 0; i < 3; i++ {
+		w.put(1<<1|1, 7) // each of length 1
+	}
+	w.put(1, 40) // one symbol follows
+	w.put(0, 8)
+	if _, err := Decode(nil, w.bytes()); !errors.Is(err, ErrBadTable) {
+		t.Fatalf("Decode of an oversubscribed table: %v, want ErrBadTable", err)
+	}
 }
 
 func TestCorruptStream(t *testing.T) {
-	data, err := EncodeAll([]int{1, 2, 3, 4, 5}, 8)
+	data, err := Encode(nil, []int{1, 2, 3, 4, 5}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeAll(data[:len(data)/2]); err == nil {
+	if _, err := Decode(nil, data[:len(data)/2]); err == nil {
 		t.Fatal("expected error for truncated stream")
 	}
 }
@@ -190,11 +201,11 @@ func TestRoundTripQuick(t *testing.T) {
 		for i := range symbols {
 			symbols[i] = rng.Intn(alphabet)
 		}
-		data, err := EncodeAll(symbols, alphabet)
+		data, err := Encode(nil, symbols, alphabet)
 		if err != nil {
 			return false
 		}
-		got, err := DecodeAll(data)
+		got, err := Decode(nil, data)
 		if err != nil || len(got) != count {
 			return false
 		}
@@ -255,29 +266,44 @@ func TestNearEntropy(t *testing.T) {
 	}
 }
 
-func BenchmarkEncodeAll(b *testing.B) {
+// benchSymbols is a 64 Ki-symbol stream clustered like quantization codes.
+func benchSymbols() []int {
 	rng := rand.New(rand.NewSource(1))
 	symbols := make([]int, 1<<16)
 	for i := range symbols {
 		symbols[i] = 512 + int(rng.NormFloat64()*3)
 	}
+	return symbols
+}
+
+// BenchmarkEncode and BenchmarkDecode time the coder; the Oracle pair times
+// the full-alphabet reference on the same stream.
+func BenchmarkEncode(b *testing.B) {
+	benchEncode(b, func(s []int) ([]byte, error) { return Encode(nil, s, 1024) })
+}
+func BenchmarkOracleEncodeAll(b *testing.B) {
+	benchEncode(b, func(s []int) ([]byte, error) { return EncodeAll(s, 1024) })
+}
+func BenchmarkDecode(b *testing.B) {
+	benchDecode(b, func(d []byte) ([]int, error) { return Decode(nil, d) })
+}
+func BenchmarkOracleDecodeAll(b *testing.B) { benchDecode(b, DecodeAll) }
+
+func benchEncode(b *testing.B, encode func([]int) ([]byte, error)) {
+	symbols := benchSymbols()
 	b.SetBytes(int64(len(symbols) * 8))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeAll(symbols, 1024); err != nil {
+		if _, err := encode(symbols); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkDecodeAll(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	symbols := make([]int, 1<<16)
-	for i := range symbols {
-		symbols[i] = 512 + int(rng.NormFloat64()*3)
-	}
-	data, err := EncodeAll(symbols, 1024)
+func benchDecode(b *testing.B, decode func([]byte) ([]int, error)) {
+	symbols := benchSymbols()
+	data, err := Encode(nil, symbols, 1024)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -285,7 +311,7 @@ func BenchmarkDecodeAll(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeAll(data); err != nil {
+		if _, err := decode(data); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -115,6 +115,7 @@ func snapParam(r *http.Request, frames int) (int, error) {
 // manifest row. Store-side failures are 500s: the seal proved these bytes
 // decodable.
 func (s *Server) loadFrame(mf *wire.ManifestFrame) (*wire.TemporalFrame, error) {
+	s.mStore.objectGets.Inc()
 	raw, err := s.artifacts.GetObject(mf.Object)
 	if err != nil {
 		return nil, storeErr(err)
@@ -126,16 +127,33 @@ func (s *Server) loadFrame(mf *wire.ManifestFrame) (*wire.TemporalFrame, error) 
 	return frame, nil
 }
 
-// replayField replays frames 0..snap of one persisted stream through a
-// fresh decoder and returns the snapshot's reconstruction.
+// lastKeyframe is the index of the most recent keyframe at or before snap.
+// ParseManifest enforces keyframe-first, so a miss means the store served a
+// manifest the seal path could not have written.
+func lastKeyframe(f *wire.ManifestField, snap int) (int, error) {
+	for i := snap; i >= 0; i-- {
+		if f.Frames[i].Keyframe {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("checkpoint field %q has no keyframe at or before snapshot %d", f.Name, snap)
+}
+
+// replayField replays one persisted stream through a fresh decoder, from the
+// last keyframe at or before snap (a keyframe resets all decoder state, so
+// nothing earlier can matter), and returns the snapshot's reconstruction.
 func (s *Server) replayField(f *wire.ManifestField, snap int) (*zmesh.Field, *zmesh.Mesh, error) {
 	layout, err := core.ParseLayout(f.Layout)
 	if err != nil {
 		return nil, nil, fmt.Errorf("manifest layout: %w", err)
 	}
+	key, err := lastKeyframe(f, snap)
+	if err != nil {
+		return nil, nil, err
+	}
 	dec := zmesh.NewTemporalDecoder()
 	var field *zmesh.Field
-	for i := 0; i <= snap; i++ {
+	for i := key; i <= snap; i++ {
 		frame, err := s.loadFrame(&f.Frames[i])
 		if err != nil {
 			return nil, nil, err
@@ -184,17 +202,9 @@ func (s *Server) handleCheckpointStructure(w http.ResponseWriter, r *http.Reques
 	if err != nil {
 		return err
 	}
-	key := -1
-	for i := snap; i >= 0; i-- {
-		if f.Frames[i].Keyframe {
-			key = i
-			break
-		}
-	}
-	if key < 0 {
-		// ParseManifest enforces keyframe-first; reaching here means the
-		// store served a manifest the seal path could not have written.
-		return fmt.Errorf("checkpoint field %q has no keyframe at or before snapshot %d", name, snap)
+	key, err := lastKeyframe(f, snap)
+	if err != nil {
+		return err
 	}
 	frame, err := s.loadFrame(&f.Frames[key])
 	if err != nil {

@@ -59,6 +59,7 @@ type storeMetrics struct {
 	artifactBytes *telemetry.Counter
 	dedupHits     *telemetry.Counter
 	checkpoints   *telemetry.Counter
+	objectGets    *telemetry.Counter // frame objects fetched by reads
 	reads         *telemetry.Counter
 	levelReads    *telemetry.Counter
 	tierReads     *telemetry.Counter
@@ -70,6 +71,7 @@ func newStoreMetrics(r *zmesh.Registry) *storeMetrics {
 		artifactBytes: r.Counter("server.store.artifact_bytes"),
 		dedupHits:     r.Counter("server.store.dedup_hits"),
 		checkpoints:   r.Counter("server.store.checkpoints"),
+		objectGets:    r.Counter("server.store.object_gets"),
 		reads:         r.Counter("server.store.reads"),
 		levelReads:    r.Counter("server.store.level_reads"),
 		tierReads:     r.Counter("server.store.tier_reads"),

@@ -253,6 +253,68 @@ func newRestartableServer(t testing.TB, cfg Config) *restartableServer {
 // directory — exactly what a SIGTERM + re-exec does to session state.
 func (rs *restartableServer) restart() { rs.cur.Store(New(rs.cfg)) }
 
+// TestReadReplaysFromLastKeyframe streams a run whose topology changes half
+// way (keyframes at snapshots 0 and 3) and requires every read to be
+// bit-exact while fetching only the frames from the governing keyframe on: a
+// keyframe resets all decoder state, so nothing before it can matter.
+func TestReadReplaysFromLastKeyframe(t *testing.T) {
+	coarse, _ := testMesh(t)
+	fine, _ := testMesh(t)
+	if err := fine.Refine(fine.Roots()[1]); err != nil {
+		t.Fatal(err)
+	}
+	s, cl := newTestServer(t, temporalConfig(t))
+	ctx := context.Background()
+	sess, err := cl.NewTemporalSession(ctx, temporalOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const snaps, regrid = 6, 3
+	mirror := mirrorDecoders{}
+	var want [][]float64
+	for si := 0; si < snaps; si++ {
+		m := coarse
+		if si >= regrid {
+			m = fine
+		}
+		res, err := sess.Append(ctx, snapField(m, "dens", 0.2*float64(si)), zmesh.AbsBound(1e-3))
+		if err != nil {
+			t.Fatalf("append snap %d: %v", si, err)
+		}
+		if res.Keyframe != (si == 0 || si == regrid) {
+			t.Fatalf("append snap %d: keyframe=%v", si, res.Keyframe)
+		}
+		want = append(want, mirror.apply(t, "dens", res.Frame))
+	}
+	ckpt, err := sess.Seal(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gets := s.Registry().Counter("server.store.object_gets")
+	for si := range want {
+		before := gets.Load()
+		got, err := cl.ReadField(ctx, ckpt, "dens", si)
+		if err != nil {
+			t.Fatalf("read snap %d: %v", si, err)
+		}
+		assertBitExact(t, fmt.Sprintf("snap %d", si), got, want[si])
+		if fetched, need := gets.Load()-before, int64(si%regrid+1); fetched != need {
+			t.Errorf("read of snap %d fetched %d frame objects, want %d (from its keyframe on)", si, fetched, need)
+		}
+	}
+	// The progressive shapes replay through the same path.
+	before := gets.Load()
+	if _, err := cl.ReadFieldLevels(ctx, ckpt, "dens", snaps-1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.ReadFieldTiers(ctx, ckpt, "dens", snaps-1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if fetched := gets.Load() - before; fetched != 2*(snaps-regrid) {
+		t.Errorf("levels + tiers reads of the last snap fetched %d frame objects, want %d", fetched, 2*(snaps-regrid))
+	}
+}
+
 // TestCheckpointSurvivesRestart seals a run, restarts the daemon over the
 // same store directory, and requires every read to stay bit-exact.
 func TestCheckpointSurvivesRestart(t *testing.T) {

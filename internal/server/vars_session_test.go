@@ -77,6 +77,7 @@ func TestVarsTemporalKeyShape(t *testing.T) {
 		"server.store.artifact_bytes",
 		"server.store.dedup_hits",
 		"server.store.checkpoints",
+		"server.store.object_gets",
 		"server.store.reads",
 		"server.store.level_reads",
 		"server.store.tier_reads",
@@ -106,6 +107,7 @@ func TestVarsTemporalKeyShape(t *testing.T) {
 		"server.session.dangling_deltas":  0,
 		"server.store.objects":            2,
 		"server.store.checkpoints":        1,
+		"server.store.object_gets":        6, // three reads of snapshot 1: its keyframe and one delta each
 		"server.store.reads":              3,
 		"server.store.level_reads":        1,
 		"server.store.tier_reads":         1,

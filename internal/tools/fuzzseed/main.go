@@ -25,6 +25,7 @@ import (
 	zmesh "repro"
 
 	"repro/internal/amr"
+	"repro/internal/bitstream"
 	"repro/internal/compress"
 	"repro/internal/compress/chunked"
 	"repro/internal/compress/container"
@@ -123,6 +124,10 @@ func run() error {
 		}
 	}
 
+	if err := forgedTableSeeds(); err != nil {
+		return err
+	}
+
 	// Progressive multilevel decode shares the multilevel payload format.
 	mglPayload, err := multilevel.New().Compress(vals, dims, bound)
 	if err != nil {
@@ -195,6 +200,44 @@ func run() error {
 		return err
 	}
 	return tacSeeds()
+}
+
+// forgedTableSeeds writes, for each decoder behind the shared entropy stage
+// (sz, mgl, mgl tiers), an otherwise well-formed raw payload whose Huffman
+// table is 8 bytes declaring 2^28 symbols. The table reader must fail on the
+// truncated table without sizing anything from the declared alphabet (the
+// full-alphabet reader allocated 256 MiB here).
+func forgedTableSeeds() error {
+	w := bitstream.NewWriter(0)
+	w.WriteBits(1<<28, 32) // declared alphabet
+	for i := 0; i < 2; i++ {
+		w.WriteBits(5<<1|1, 7)     // one symbol of length 5
+		w.WriteBits(0xffff<<1, 17) // one maximal zero run
+	}
+	table := w.Bytes()
+	body := func(fields ...uint64) []byte {
+		b := []byte{0} // marker: raw, no DEFLATE
+		for _, f := range fields {
+			b = binary.AppendUvarint(b, f)
+		}
+		return append(b, table...)
+	}
+	const values, intervals = 64, 65536
+	bound, coded := math.Float64bits(1e-3), uint64(len(table))
+	seeds := []struct {
+		dir     string
+		payload []byte
+	}{ // magic, version, [tier,] ndims, extent, [predictor, scheme,] intervals, bound, escapes, coded length[, selection length]
+		{"internal/compress/sz/testdata/fuzz/FuzzDecompress", body(0x535a4731, 1, 1, values, 1, 0, intervals, bound, 0, coded, 0)},
+		{"internal/compress/multilevel/testdata/fuzz/FuzzDecompress", body(0x4d474c31, 1, 1, values, intervals, bound, 0, coded)},
+		{"internal/compress/multilevel/testdata/fuzz/FuzzDecompressProgressive", body(0x4d474c54, 1, 0, 1, values, intervals, bound, 0, coded)},
+	}
+	for _, s := range seeds {
+		if err := write(s.dir, "seed-forged-table", corpusEntry(s.payload)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // resealWire frames a hand-built body in the shared ZMT1/ZMM1 envelope
