@@ -9,7 +9,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/report"
 )
 
 func main() {
@@ -27,33 +25,7 @@ func main() {
 	depth := flag.Int("depth", 4, "maximum AMR refinement depth")
 	problems := flag.String("problems", "", "comma-separated problem subset (default: all)")
 	fields := flag.String("fields", "", "comma-separated field subset (default: dens,pres,velx)")
-	recipeBench := flag.Bool("recipebench", false, "time serial vs parallel recipe construction and write a JSON report")
-	recipeOut := flag.String("recipe-out", "BENCH_recipe.json", "output path for the -recipebench report")
-	workers := flag.Int("workers", 0, "worker count for -recipebench (0 = GOMAXPROCS)")
-	telemetryOut := flag.String("telemetry", "", "write a full layout×curve×codec telemetry run report (ratios, smoothness, per-stage timings) to this JSON file")
-	codecs := flag.String("codecs", "sz,zfp", "comma-separated codec list for -telemetry")
-	bound := flag.Float64("bound", 1e-4, "relative error bound for -telemetry")
 	flag.Parse()
-
-	if *recipeBench {
-		if err := runRecipeBench(*recipeOut, *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "zmesh-bench: recipebench: %v\n", err)
-			os.Exit(1)
-		}
-		if !*all && *exp == "" && *telemetryOut == "" {
-			return
-		}
-	}
-
-	if *telemetryOut != "" {
-		if err := runTelemetryReport(*telemetryOut, *codecs, *bound, *res, *depth, *problems, *fields); err != nil {
-			fmt.Fprintf(os.Stderr, "zmesh-bench: telemetry: %v\n", err)
-			os.Exit(1)
-		}
-		if !*all && *exp == "" {
-			return
-		}
-	}
 
 	if !*all && *exp == "" {
 		flag.Usage()
@@ -84,64 +56,4 @@ func main() {
 		fmt.Println(tbl.String())
 		fmt.Printf("(%s completed in %.1fs)\n\n", id, time.Since(start).Seconds())
 	}
-}
-
-// runTelemetryReport runs the instrumented layout × curve × codec sweep and
-// writes the consolidated run report as JSON.
-func runTelemetryReport(out, codecs string, bound float64, res, depth int, problems, fields string) error {
-	start := time.Now()
-	cfg := experiments.DefaultConfig()
-	cfg.Resolution = res
-	cfg.MaxDepth = depth
-	if problems != "" {
-		cfg.Problems = strings.Split(problems, ",")
-	}
-	if fields != "" {
-		cfg.Fields = strings.Split(fields, ",")
-	}
-	suite := experiments.NewSuite(cfg)
-	rep, err := report.Telemetry(suite, strings.Split(codecs, ","), bound)
-	if err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, p := range rep.Points {
-		fmt.Printf("telemetry %-8s %-12s %-8s %-5s ratio=%6.2f smooth=%+6.1f%% comp=%7.1fMB/s decomp=%7.1fMB/s recipe=%6.2fms\n",
-			p.Problem, p.Layout, p.Curve, p.Codec,
-			p.Ratio, p.SmoothnessPct, p.CompressMBps, p.DecompressMBps, float64(p.RecipeNs)/1e6)
-	}
-	fmt.Printf("(telemetry: %d points, wrote %s in %.1fs)\n\n",
-		len(rep.Points), out, time.Since(start).Seconds())
-	return nil
-}
-
-// runRecipeBench sweeps recipe construction (serial vs parallel) over
-// layout × curve × depth and writes the trajectory as JSON.
-func runRecipeBench(out string, workers int) error {
-	start := time.Now()
-	report, err := experiments.RunRecipeBench(nil, workers, 3)
-	if err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, p := range report.Points {
-		fmt.Printf("recipe %-12s %-8s depth=%d cells=%-8d serial=%8.2fms parallel=%8.2fms speedup=%.2fx\n",
-			p.Layout, p.Curve, p.Depth, p.Cells,
-			float64(p.SerialNs)/1e6, float64(p.ParallelNs)/1e6, p.Speedup)
-	}
-	fmt.Printf("(recipebench: %d points, workers=%d, wrote %s in %.1fs)\n\n",
-		len(report.Points), report.Workers, out, time.Since(start).Seconds())
-	return nil
 }

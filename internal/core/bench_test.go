@@ -7,8 +7,7 @@ import (
 
 // BenchmarkBuildRecipe sweeps the parallel builder over layout × curve ×
 // depth on the ring-front mesh (see parallel_test.go). Compare against
-// BenchmarkBuildRecipeSerial for the parallelization + radix-sort speedup;
-// cmd/zmesh-bench -recipebench emits the same sweep as BENCH_recipe.json.
+// BenchmarkBuildRecipeSerial for the parallelization + radix-sort speedup.
 func BenchmarkBuildRecipe(b *testing.B) {
 	for _, depth := range []int{2, 4, 5} {
 		m := ringMesh(b, 2, depth)

@@ -1,11 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"testing"
 
 	zmesh "repro"
 	"repro/internal/compress"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -78,6 +83,61 @@ func TestServerStreamAllocs(t *testing.T) {
 		}
 	}); allocs > budget {
 		t.Fatalf("steady-state decompress allocates %v per request, budget %d", allocs, budget)
+	}
+}
+
+// TestServerExchangeAllocs pins the steady-state heap-allocation count of
+// one full compress + decompress exchange through the handler with the real
+// sz codec and warm caches (105 when pinned, on the golden ratio table's
+// sedov density field). Machine speed does not move it; losing the scratch
+// pool or the zero-copy views shows up as a jump of hundreds. The slack
+// (25 % + 8) absorbs GC emptying the pools mid-measure, nothing more.
+func TestServerExchangeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	ck, err := sim.GenerateCheckpoint("sedov", sim.CheckpointOptions{
+		Resolution: 64, TScale: 1, BlockSize: 8, RootDims: [3]int{2, 2, 1}, MaxDepth: 3, Threshold: 0.35,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dens, ok := ck.Field("dens")
+	if !ok {
+		t.Fatal("dens missing from the sedov checkpoint")
+	}
+	h := New(Config{}).Handler()
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", wire.ContentTypeBinary)
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, req)
+		if rw.Code/100 != 2 {
+			t.Fatalf("POST %s: status %d (%s)", path, rw.Code, rw.Body.String())
+		}
+		return rw
+	}
+	structure := ck.Mesh.Structure()
+	post(wire.PathMeshes, structure)
+	id := MeshID(structure)
+	pipeline := url.Values{
+		wire.ParamField:  {"dens"},
+		wire.ParamLayout: {zmesh.LayoutZMesh.String()},
+		wire.ParamCurve:  {"hilbert"},
+	}
+	decompressPath := wire.DecompressPath(id) + "?" + pipeline.Encode()
+	pipeline.Set(wire.ParamCodec, "sz")
+	pipeline.Set(wire.ParamBound, wire.FormatBound(zmesh.RelBound(1e-4)))
+	compressPath := wire.CompressPath(id) + "?" + pipeline.Encode()
+	body := wire.AppendFloats(nil, zmesh.FieldValues(dens))
+
+	const budget = 105*1.25 + 8
+	allocs := testing.AllocsPerRun(30, func() {
+		post(decompressPath, post(compressPath, body).Body.Bytes())
+	})
+	t.Logf("compress + decompress exchange: %v allocs/op", allocs)
+	if allocs > budget {
+		t.Fatalf("compress + decompress exchange allocates %v per op, budget %v", allocs, budget)
 	}
 }
 

@@ -417,19 +417,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.Snapshot())
 }
 
-// StageTotals flattens the snapshot's timers into a name → total-ns map,
-// the shape run reports embed per configuration.
-func (s Snapshot) StageTotals() map[string]int64 {
-	if len(s.Timers) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(s.Timers))
-	for name, t := range s.Timers {
-		out[name] = t.TotalNs
-	}
-	return out
-}
-
 // Names returns the sorted union of metric names, for stable iteration in
 // reports and tests.
 func (s Snapshot) Names() []string {

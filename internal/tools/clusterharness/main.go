@@ -29,7 +29,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -43,9 +42,8 @@ import (
 	zmesh "repro"
 	"repro/client"
 	"repro/internal/cluster"
-	"repro/internal/server"
 	"repro/internal/telemetry"
-	"repro/internal/wire"
+	"repro/internal/tools/harness"
 )
 
 func main() {
@@ -224,18 +222,18 @@ func run(ctx context.Context, bin string, nReplicas, nWriters, nMeshes, replicat
 	fmt.Printf("clusterharness: %d replicas, R=%d, %d meshes, %d writers (victim=%d storm=%d)\n",
 		nReplicas, replication, nMeshes, nWriters, victim, storm)
 
-	for _, r := range reps {
-		if err := r.start(nodes, replication, cluster.DefaultVNodes); err != nil {
-			return err
-		}
-	}
 	defer func() {
 		for _, r := range reps {
-			if r.cmd != nil {
-				_ = r.cmd.Process.Kill()
+			if r.d != nil {
+				r.d.Kill()
 			}
 		}
 	}()
+	for _, r := range reps {
+		if err := r.start(ctx, nodes, replication, cluster.DefaultVNodes); err != nil {
+			return err
+		}
+	}
 	for _, r := range reps {
 		if err := r.awaitHealthy(15 * time.Second); err != nil {
 			return err
@@ -301,7 +299,7 @@ func run(ctx context.Context, bin string, nReplicas, nWriters, nMeshes, replicat
 					var vals []float64
 					vals, err = cc.Decompress(ctx, u.id, u.artifact)
 					if err == nil {
-						err = bitExact(vals, u.decoded)
+						err = harness.BitExact(vals, u.decoded)
 					}
 				case 5: // TAC compress
 					var comp *zmesh.Compressed
@@ -316,7 +314,7 @@ func run(ctx context.Context, bin string, nReplicas, nWriters, nMeshes, replicat
 					var vals []float64
 					vals, err = cc.Decompress(ctx, u.id, u.tacArt)
 					if err == nil {
-						err = bitExact(vals, u.tacDec)
+						err = harness.BitExact(vals, u.tacDec)
 					}
 				default: // checkpoint batch
 					var arts []*zmesh.Compressed
@@ -362,9 +360,7 @@ func run(ctx context.Context, bin string, nReplicas, nWriters, nMeshes, replicat
 	// Phase 2: SIGKILL the victim mid-run (writers are mid-compress and
 	// mid-checkpoint right now) and require progress while it is down.
 	killedAt := opsDone.Load()
-	if err := reps[victim].sigkill(); err != nil {
-		return err
-	}
+	reps[victim].d.Kill()
 	fmt.Printf("clusterharness: SIGKILLed replica %d at %d ops\n", victim, killedAt)
 	if err := waitOps(killedAt+int64(3*nWriters), "failing over around the dead primary"); err != nil {
 		return err
@@ -372,7 +368,7 @@ func run(ctx context.Context, bin string, nReplicas, nWriters, nMeshes, replicat
 
 	// Phase 3: restart the victim empty; it must heal the probed mesh via a
 	// peer structure fetch, bit-exactly.
-	if err := reps[victim].start(nodes, replication, cluster.DefaultVNodes); err != nil {
+	if err := reps[victim].start(ctx, nodes, replication, cluster.DefaultVNodes); err != nil {
 		return fmt.Errorf("restarting victim: %w", err)
 	}
 	if err := reps[victim].awaitHealthy(15 * time.Second); err != nil {
@@ -388,7 +384,7 @@ func run(ctx context.Context, bin string, nReplicas, nWriters, nMeshes, replicat
 	if !bytes.Equal(comp.Payload, work[0].artifact.Payload) {
 		return fmt.Errorf("post-restart probe artifact differs from library")
 	}
-	victimSnap, err := scrapeReplicaVars(ctx, reps[victim])
+	victimSnap, err := reps[victim].vars(ctx)
 	if err != nil {
 		return err
 	}
@@ -461,7 +457,7 @@ func run(ctx context.Context, bin string, nReplicas, nWriters, nMeshes, replicat
 	// /debug/vars key.
 	survivorBuilds, survivorEncBuilds := int64(0), int64(0)
 	for _, r := range reps {
-		snap, err := scrapeReplicaVars(ctx, r)
+		snap, err := r.vars(ctx)
 		if err != nil {
 			return err
 		}
@@ -502,54 +498,15 @@ func run(ctx context.Context, bin string, nReplicas, nWriters, nMeshes, replicat
 
 	// Clean shutdown: every replica drains on SIGTERM.
 	for _, r := range reps {
-		if err := r.sigterm(20 * time.Second); err != nil {
+		drainCtx, cancel := context.WithTimeout(ctx, 20*time.Second)
+		err := r.d.Stop(drainCtx)
+		cancel()
+		if err != nil {
 			return fmt.Errorf("replica %d: %w", r.idx, err)
 		}
 	}
 	fmt.Println("clusterharness: all replicas drained cleanly")
 	return nil
-}
-
-// bitExact compares two float streams at the bit level.
-func bitExact(got, want []float64) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%d values, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			return fmt.Errorf("value %d differs: %x vs %x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-		}
-	}
-	return nil
-}
-
-// scrapeReplicaVars fetches one replica's /debug/vars through its proxy and
-// returns the snapshot under its namespaced key (server.VarsKey of the real
-// listen address) — asserting, as it goes, that the key exists at all.
-func scrapeReplicaVars(ctx context.Context, r *replica) (*telemetry.Snapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.proxy.url()+wire.PathVars, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("replica %d: scraping vars: %w", r.idx, err)
-	}
-	defer resp.Body.Close()
-	var page map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-		return nil, fmt.Errorf("replica %d: parsing vars: %w", r.idx, err)
-	}
-	key := server.VarsKey(r.procAddr)
-	raw, ok := page[key]
-	if !ok {
-		return nil, fmt.Errorf("replica %d: /debug/vars has no namespaced key %q", r.idx, key)
-	}
-	var snap telemetry.Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("replica %d: parsing snapshot under %q: %w", r.idx, key, err)
-	}
-	return &snap, nil
 }
 
 // snapShed sums the shed counters across endpoints.

@@ -1,17 +1,18 @@
 package main
 
 import (
-	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"os/exec"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
+
+	"repro/internal/server"
+	"repro/internal/telemetry"
+	"repro/internal/tools/harness"
 )
 
 // faultProxy is the fault-injection point of the harness: every replica's
@@ -111,13 +112,12 @@ type replica struct {
 	proxy     *faultProxy
 	extraArgs []string
 
-	cmd      *exec.Cmd
-	procAddr string // real listen address of the current process
+	d *harness.Daemon // the current process; nil before the first start
 }
 
 // start boots the zmeshd process, waits for its listen announcement, and
 // points the proxy at it. clusterNodes/self are advertised (proxy) URLs.
-func (r *replica) start(clusterNodes []string, replication, vnodes int) error {
+func (r *replica) start(ctx context.Context, clusterNodes []string, replication, vnodes int) error {
 	args := []string{
 		"-addr", "127.0.0.1:0",
 		"-cluster-nodes", strings.Join(clusterNodes, ","),
@@ -128,62 +128,24 @@ func (r *replica) start(clusterNodes []string, replication, vnodes int) error {
 		"-retry-after", "100ms",
 		"-drain-timeout", "10s",
 	}
-	args = append(args, r.extraArgs...)
-	cmd := exec.Command(r.bin, args...)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
+	d, err := harness.Start(ctx, r.bin, append(args, r.extraArgs...)...)
 	if err != nil {
-		return err
+		return fmt.Errorf("replica %d: %w", r.idx, err)
 	}
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("replica %d: starting %s: %w", r.idx, r.bin, err)
-	}
-	addrc := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			if u, ok := strings.CutPrefix(line, "zmeshd: listening on http://"); ok {
-				addrc <- strings.TrimSpace(u)
-			}
-		}
-	}()
-	select {
-	case addr := <-addrc:
-		r.cmd = cmd
-		r.procAddr = addr
-		r.proxy.setBackend(addr)
-	case <-time.After(15 * time.Second):
-		_ = cmd.Process.Kill()
-		return fmt.Errorf("replica %d never announced its address", r.idx)
-	}
+	r.d = d
+	r.proxy.setBackend(d.Addr())
 	return nil
 }
 
-// sigkill hard-kills the process — the mid-checkpoint crash fault. The
-// proxy keeps accepting; forwards fail until restart.
-func (r *replica) sigkill() error {
-	if err := r.cmd.Process.Kill(); err != nil {
-		return err
+// vars scrapes the replica's /debug/vars through its proxy and returns the
+// snapshot under its namespaced key (server.VarsKey of the real listen
+// address) — asserting, as it goes, that the key exists at all.
+func (r *replica) vars(ctx context.Context) (*telemetry.Snapshot, error) {
+	snap, err := harness.Vars(ctx, r.proxy.url(), server.VarsKey(r.d.Addr()))
+	if err != nil {
+		return nil, fmt.Errorf("replica %d: %w", r.idx, err)
 	}
-	_, _ = r.cmd.Process.Wait()
-	return nil
-}
-
-// sigterm asks for a graceful drain and waits for a clean exit.
-func (r *replica) sigterm(timeout time.Duration) error {
-	if err := r.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- r.cmd.Wait() }()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(timeout):
-		_ = r.cmd.Process.Kill()
-		return fmt.Errorf("replica %d did not drain within %s", r.idx, timeout)
-	}
+	return snap, nil
 }
 
 // awaitHealthy polls the replica's /healthz through the proxy — the

@@ -12,27 +12,19 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
-	"net/http"
 	"os"
-	"os/exec"
-	"strings"
-	"syscall"
 	"time"
 
 	zmesh "repro"
 	"repro/client"
-	"repro/internal/telemetry"
+	"repro/internal/server"
+	"repro/internal/tools/harness"
 	"repro/internal/wire"
 )
-
-const listenPrefix = "zmeshd: listening on "
 
 func main() {
 	var (
@@ -55,38 +47,13 @@ func main() {
 }
 
 func run(ctx context.Context, bin, problem string) error {
-	cmd := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0")
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
+	d, err := harness.Start(ctx, bin, "-addr", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("starting %s: %w", bin, err)
-	}
 	// If we bail out early for any reason, don't leave an orphan daemon.
-	defer func() { _ = cmd.Process.Kill() }()
-
-	// The daemon prints its bound address to stdout once the listener is up.
-	baseURL := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Println(line)
-			if u, ok := strings.CutPrefix(line, listenPrefix); ok {
-				baseURL <- strings.TrimSpace(u)
-			}
-		}
-	}()
-	var base string
-	select {
-	case base = <-baseURL:
-	case <-ctx.Done():
-		return fmt.Errorf("daemon never announced its address: %w", ctx.Err())
-	case <-time.After(15 * time.Second):
-		return fmt.Errorf("daemon never announced its address within 15s")
-	}
+	defer d.Kill()
+	base := d.URL
 	fmt.Printf("e2esmoke: daemon up at %s\n", base)
 
 	if err := roundTrip(ctx, base, problem); err != nil {
@@ -103,18 +70,8 @@ func run(ctx context.Context, bin, problem string) error {
 	}
 
 	// Graceful shutdown: SIGTERM must drain and exit 0.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return fmt.Errorf("signaling daemon: %w", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("daemon exited uncleanly after SIGTERM: %w", err)
-		}
-	case <-ctx.Done():
-		return fmt.Errorf("daemon did not exit after SIGTERM: %w", ctx.Err())
+	if err := d.Stop(ctx); err != nil {
+		return err
 	}
 	fmt.Println("e2esmoke: daemon drained cleanly")
 	return nil
@@ -165,15 +122,8 @@ func roundTrip(ctx context.Context, base, problem string) error {
 		if err != nil {
 			return fmt.Errorf("server decompress %s: %w", f.Name, err)
 		}
-		wantValues := zmesh.FieldValues(wantField)
-		if len(values) != len(wantValues) {
-			return fmt.Errorf("field %s: %d values from server, library has %d", f.Name, len(values), len(wantValues))
-		}
-		for i := range values {
-			if math.Float64bits(values[i]) != math.Float64bits(wantValues[i]) {
-				return fmt.Errorf("field %s: value %d differs: server %x, library %x",
-					f.Name, i, math.Float64bits(values[i]), math.Float64bits(wantValues[i]))
-			}
+		if err := harness.BitExact(values, zmesh.FieldValues(wantField)); err != nil {
+			return fmt.Errorf("field %s: server vs library: %w", f.Name, err)
 		}
 		fmt.Printf("e2esmoke: field %-8s round-tripped bit-exact (%d values, %d byte artifact)\n",
 			f.Name, len(values), len(got.Payload))
@@ -232,11 +182,8 @@ func streamRoundTrip(ctx context.Context, base, problem string) error {
 	if err != nil {
 		return err
 	}
-	wantValues := zmesh.FieldValues(wantField)
-	for i := range wantValues {
-		if math.Float64bits(streamed[i]) != math.Float64bits(wantValues[i]) {
-			return fmt.Errorf("field %s: streamed value %d differs", f.Name, i)
-		}
+	if err := harness.BitExact(streamed, zmesh.FieldValues(wantField)); err != nil {
+		return fmt.Errorf("field %s: streamed vs library: %w", f.Name, err)
 	}
 	fmt.Printf("e2esmoke: field %-8s round-tripped bit-exact via chunked streaming (%d values)\n", f.Name, n)
 	return nil
@@ -299,34 +246,11 @@ func checkpointRoundTrip(ctx context.Context, base, problem string) error {
 
 // scrapeCounter reads one counter from /debug/vars.
 func scrapeCounter(ctx context.Context, base, name string) (int64, error) {
-	snap, err := scrapeVars(ctx, base)
+	snap, err := harness.Vars(ctx, base, server.ExpvarName)
 	if err != nil {
 		return 0, err
 	}
 	return snap.Counters[name], nil
-}
-
-// scrapeVars fetches and parses the daemon's telemetry snapshot.
-func scrapeVars(ctx context.Context, base string) (*telemetry.Snapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+wire.PathVars, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("scraping %s: %w", wire.PathVars, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s returned %d", wire.PathVars, resp.StatusCode)
-	}
-	var vars struct {
-		Zmeshd telemetry.Snapshot `json:"zmeshd"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", wire.PathVars, err)
-	}
-	return &vars.Zmeshd, nil
 }
 
 // checkVars scrapes /debug/vars and requires the daemon's telemetry to show
@@ -334,7 +258,7 @@ func scrapeVars(ctx context.Context, base string) (*telemetry.Snapshot, error) {
 // (including the streaming and checkpoint ones), recipes built, cache hits
 // from the second-and-later fields reusing the encoder.
 func checkVars(ctx context.Context, base string) error {
-	snap, err := scrapeVars(ctx, base)
+	snap, err := harness.Vars(ctx, base, server.ExpvarName)
 	if err != nil {
 		return err
 	}

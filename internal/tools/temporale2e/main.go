@@ -22,28 +22,20 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
-	"net/http"
 	"os"
-	"os/exec"
-	"strings"
-	"syscall"
 	"time"
 
 	zmesh "repro"
 	"repro/client"
 	"repro/internal/amr"
+	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
-	"repro/internal/wire"
+	"repro/internal/tools/harness"
 )
-
-const listenPrefix = "zmeshd: listening on "
 
 func main() {
 	var (
@@ -63,63 +55,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("temporale2e: PASS")
-}
-
-// daemon is one running zmeshd process plus its scraped base URL.
-type daemon struct {
-	cmd  *exec.Cmd
-	base string
-}
-
-func startDaemon(ctx context.Context, bin, addr, storeDir string) (*daemon, error) {
-	cmd := exec.CommandContext(ctx, bin, "-addr", addr, "-store", storeDir)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("starting %s: %w", bin, err)
-	}
-	baseURL := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Println(line)
-			if u, ok := strings.CutPrefix(line, listenPrefix); ok {
-				baseURL <- strings.TrimSpace(u)
-			}
-		}
-	}()
-	select {
-	case base := <-baseURL:
-		return &daemon{cmd: cmd, base: base}, nil
-	case <-ctx.Done():
-		_ = cmd.Process.Kill()
-		return nil, fmt.Errorf("daemon never announced its address: %w", ctx.Err())
-	case <-time.After(15 * time.Second):
-		_ = cmd.Process.Kill()
-		return nil, fmt.Errorf("daemon never announced its address within 15s")
-	}
-}
-
-// stop SIGTERMs the daemon and requires a clean drain (exit 0).
-func (d *daemon) stop(ctx context.Context) error {
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return fmt.Errorf("signaling daemon: %w", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- d.cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("daemon exited uncleanly after SIGTERM: %w", err)
-		}
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("daemon did not exit after SIGTERM: %w", ctx.Err())
-	}
 }
 
 // snapshots runs the 3-D Sedov blast to three successive times and samples
@@ -172,17 +107,17 @@ func run(ctx context.Context, bin string, res int) error {
 	fmt.Printf("temporale2e: mesh has %d levels, %d blocks, %d values/quantity\n",
 		mesh.MaxLevel()+1, mesh.NumBlocks(), mesh.NumBlocks()*mesh.CellsPerBlock())
 
-	d, err := startDaemon(ctx, bin, "127.0.0.1:0", storeDir)
+	d, err := harness.Start(ctx, bin, "-addr", "127.0.0.1:0", "-store", storeDir)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = d.cmd.Process.Kill() }()
-	fmt.Printf("temporale2e: daemon up at %s (store %s)\n", d.base, storeDir)
+	defer d.Kill()
+	fmt.Printf("temporale2e: daemon up at %s (store %s)\n", d.URL, storeDir)
 
 	// Stream the run: one temporal session, one stream per quantity, a
 	// client-side mirror decoder tracking the exact reconstruction every
 	// accepted frame commits the server to.
-	cl := client.New(d.base)
+	cl := client.New(d.URL)
 	opt := zmesh.Options{Layout: zmesh.LayoutZMesh, Curve: "hilbert", Codec: "sz"}
 	bound := zmesh.AbsBound(1e-3)
 	sess, err := cl.NewTemporalSession(ctx, opt)
@@ -230,7 +165,7 @@ func run(ctx context.Context, bin string, res int) error {
 		return err
 	}
 
-	snap, err := scrapeVars(ctx, d.base)
+	snap, err := harness.Vars(ctx, d.URL, server.ExpvarName)
 	if err != nil {
 		return err
 	}
@@ -249,15 +184,15 @@ func run(ctx context.Context, bin string, res int) error {
 	// same store directory — rebound to the same address, so the clients
 	// (including the orphaned session) keep talking to "the daemon" the way
 	// a supervised restart looks from a simulation's side.
-	if err := d.stop(ctx); err != nil {
+	if err := d.Stop(ctx); err != nil {
 		return err
 	}
 	fmt.Println("temporale2e: daemon drained cleanly, restarting over the same store")
-	d, err = startDaemon(ctx, bin, strings.TrimPrefix(d.base, "http://"), storeDir)
+	d, err = harness.Start(ctx, bin, "-addr", d.Addr(), "-store", storeDir)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = d.cmd.Process.Kill() }()
+	defer d.Kill()
 
 	// Bit-exact full reads of everything the sealed checkpoint persisted.
 	for _, q := range []string{"dens", "pres"} {
@@ -266,7 +201,7 @@ func run(ctx context.Context, bin string, res int) error {
 			if err != nil {
 				return fmt.Errorf("post-restart read %s snapshot %d: %w", q, si, err)
 			}
-			if err := assertBitExact(got, want[q][si]); err != nil {
+			if err := harness.BitExact(got, want[q][si]); err != nil {
 				return fmt.Errorf("%s snapshot %d: %w", q, si, err)
 			}
 		}
@@ -311,7 +246,7 @@ func run(ctx context.Context, bin string, res int) error {
 			if err != nil {
 				return fmt.Errorf("levels=%d read of %s: %w", k, q, err)
 			}
-			if err := assertBitExact(ld.Values, full[:len(ld.Values)]); err != nil {
+			if err := harness.BitExact(ld.Values, full[:len(ld.Values)]); err != nil {
 				return fmt.Errorf("%s levels=%d prefix: %w", q, k, err)
 			}
 			rec, err := zmesh.ReconstructPartialLevels(rmesh, q, ld.Values, k)
@@ -361,7 +296,7 @@ func run(ctx context.Context, bin string, res int) error {
 		len(td.Bounds), td.Bounds, maxErr)
 
 	// Post-restart telemetry: the read counters live on the new process.
-	snap, err = scrapeVars(ctx, d.base)
+	snap, err = harness.Vars(ctx, d.URL, server.ExpvarName)
 	if err != nil {
 		return err
 	}
@@ -375,44 +310,9 @@ func run(ctx context.Context, bin string, res int) error {
 		}
 	}
 
-	if err := d.stop(ctx); err != nil {
+	if err := d.Stop(ctx); err != nil {
 		return err
 	}
 	fmt.Println("temporale2e: daemon drained cleanly")
 	return nil
-}
-
-func assertBitExact(got, want []float64) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%d values, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			return fmt.Errorf("value %d: %x != %x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-		}
-	}
-	return nil
-}
-
-// scrapeVars fetches and parses the daemon's telemetry snapshot.
-func scrapeVars(ctx context.Context, base string) (*telemetry.Snapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+wire.PathVars, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("scraping %s: %w", wire.PathVars, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s returned %d", wire.PathVars, resp.StatusCode)
-	}
-	var vars struct {
-		Zmeshd telemetry.Snapshot `json:"zmeshd"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", wire.PathVars, err)
-	}
-	return &vars.Zmeshd, nil
 }

@@ -1,10 +1,9 @@
 package zmesh
 
-// Shared dataset for the internal-package pipeline benchmarks
-// (parallel_test.go, telemetry_integration_test.go). The external benchmark
-// harness in bench_test.go has its own copy via the experiments suite; this
-// package cannot use that suite because internal/experiments imports the
-// public API for the T16 comparison.
+// Shared dataset for the in-package pipeline benchmarks (parallel_test.go,
+// telemetry_integration_test.go). Built straight from internal/sim: this
+// package cannot use the experiments suite, because internal/experiments
+// imports the public API for the T16 comparison.
 
 import (
 	"sync"
@@ -20,7 +19,7 @@ var (
 )
 
 // pipelineData returns the sedov benchmark checkpoint (128² solve, depth-3
-// hierarchy — the same scale bench_test.go uses) and its density field.
+// hierarchy) and its density field.
 func pipelineData(b *testing.B) (*Checkpoint, *Field) {
 	b.Helper()
 	pipelineOnce.Do(func() {
