@@ -1,10 +1,10 @@
 package zmesh
 
 // Golden compression-ratio table: layout × codec on one fixed 2-D sedov
-// hierarchy. Compression is deterministic, so the committed values compare
-// exactly, in both directions and row for row — a ratio that moves at all is
-// a format or pipeline change and is reviewed as one. Regenerate together
-// with the rest of the fixtures:
+// hierarchy, and two sod rows. Compression is deterministic, so the
+// committed values compare exactly, in both directions and row for row — a
+// ratio that moves at all is a format or pipeline change and is reviewed as
+// one. Regenerate together with the rest of the fixtures:
 //
 //	go test -run TestGolden -update .
 //
@@ -42,13 +42,12 @@ func ratioKey(layout core.Layout, codec string) string {
 	return fmt.Sprintf("%s/hilbert/%s", layout, codec)
 }
 
-// measureRatios compresses the table's dataset — small enough to run in
-// seconds, structured enough (shock front, multi-level refinement) that
-// layout and codec changes move the ratio — under every layout × codec and
-// returns the ratio aggregated over the dens and pres fields.
-func measureRatios(t *testing.T) map[string]float64 {
+// ratioCheckpoint runs one solver problem at the table's configuration:
+// small enough to run in seconds, structured enough (shock front,
+// multi-level refinement) that layout and codec changes move the ratio.
+func ratioCheckpoint(t *testing.T, problem string) *Checkpoint {
 	t.Helper()
-	ck, err := sim.GenerateCheckpoint("sedov", sim.CheckpointOptions{
+	ck, err := sim.GenerateCheckpoint(problem, sim.CheckpointOptions{
 		Resolution: 64,
 		TScale:     1,
 		BlockSize:  8,
@@ -59,29 +58,50 @@ func measureRatios(t *testing.T) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := RelBound(1e-4)
+	return ck
+}
+
+// fieldsRatio returns the compression ratio of ck under layout × codec,
+// aggregated over the dens and pres fields.
+func fieldsRatio(t *testing.T, ck *Checkpoint, layout core.Layout, codec string) float64 {
+	t.Helper()
+	enc, err := NewEncoder(ck.Mesh, Options{Layout: layout, Curve: "hilbert", Codec: codec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw, comp int
+	for _, name := range []string{"dens", "pres"} {
+		f, ok := ck.Field(name)
+		if !ok {
+			t.Fatalf("field %q missing from the checkpoint", name)
+		}
+		c, err := enc.CompressField(f, RelBound(1e-4))
+		if err != nil {
+			t.Fatalf("%s: %v", ratioKey(layout, codec), err)
+		}
+		raw += c.NumValues * 8
+		comp += len(c.Payload)
+	}
+	return float64(raw) / float64(comp)
+}
+
+// measureRatios compresses sedov under every layout × codec, and sod under
+// level and zmesh × sz. sod is planar: its rows repeat bit for bit, their
+// quantization codes with them, and what repeats at that distance is found
+// by DEFLATE's thorough level only. The sod rows are what the entropy
+// stage's second DEFLATE pass is for; they drop by a tenth without it.
+func measureRatios(t *testing.T) map[string]float64 {
+	t.Helper()
 	ratios := make(map[string]float64)
+	sedov := ratioCheckpoint(t, "sedov")
 	for _, layout := range append([]core.Layout{core.ZMeshBlock, core.AutoLayout}, ratioStaticLayouts...) {
 		for _, codec := range ratioCodecs {
-			enc, err := NewEncoder(ck.Mesh, Options{Layout: layout, Curve: "hilbert", Codec: codec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var raw, comp int
-			for _, name := range []string{"dens", "pres"} {
-				f, ok := ck.Field(name)
-				if !ok {
-					t.Fatalf("field %q missing from the sedov checkpoint", name)
-				}
-				c, err := enc.CompressField(f, bound)
-				if err != nil {
-					t.Fatalf("%s: %v", ratioKey(layout, codec), err)
-				}
-				raw += c.NumValues * 8
-				comp += len(c.Payload)
-			}
-			ratios[ratioKey(layout, codec)] = float64(raw) / float64(comp)
+			ratios[ratioKey(layout, codec)] = fieldsRatio(t, sedov, layout, codec)
 		}
+	}
+	sod := ratioCheckpoint(t, "sod")
+	for _, layout := range []core.Layout{core.LevelOrder, core.ZMesh} {
+		ratios["sod:"+ratioKey(layout, "sz")] = fieldsRatio(t, sod, layout, "sz")
 	}
 	return ratios
 }

@@ -1,10 +1,17 @@
 // Package entropy is the lossless tail shared by the quantizing codecs (sz,
 // mgl and mgl's progressive tiers): quantization codes go through the
-// canonical Huffman coder, the codec's header, the coded stream and the
-// escaped values form a body, and the body goes through DEFLATE unless that
-// does not shrink it. A marker byte says which: 0 raw, 1 DEFLATE.
+// run-folding canonical Huffman coder, the codec's header, the coded stream
+// and the escaped values form a body, and the body goes through DEFLATE
+// where that shrinks it. A marker byte says which: 0 raw, 1 DEFLATE.
 //
-// Every work buffer and both flate states live in a pooled Buf, so a call
+// The coder has already folded the zero-residual runs, which is what DEFLATE
+// used to find in a coded stream; what is left for it are bodies that repeat
+// whole stretches of bits (planar-symmetric fields, whose rows quantize
+// alike) and bodies that carry many escaped values, raw float64s. So the
+// body is tried at flate.BestSpeed first, and the thorough level only runs
+// on a body the fast one shrank at all or one that is escapes in good part.
+//
+// Every work buffer and every flate state live in a pooled Buf, so a call
 // allocates its result and little else — the codecs run once per TAC box and
 // once per tier, where a flate.NewWriter per call cost more than the coding.
 package entropy
@@ -29,11 +36,28 @@ type Buf struct {
 	Work   []float64 // per-value scratch (reconstruction, coefficients)
 	Unpred []float64 // escaped values in stream order
 
-	coded, body []byte
-	packed      bytes.Buffer
-	fw          *flate.Writer
-	src         bytes.Reader
-	fr          io.Reader // a flate reader; also a flate.Resetter
+	coded, body  []byte
+	packed, fast bytes.Buffer
+	fw           [2]*flate.Writer // by pass: BestSpeed, DefaultCompression
+	thorough     int              // second passes run so far; tests read it
+	src          bytes.Reader
+	fr           io.Reader // a flate reader; also a flate.Resetter
+}
+
+// passLevels are the DEFLATE levels of the first and the second pass.
+var passLevels = [2]int{flate.BestSpeed, flate.DefaultCompression}
+
+// worthThorough is the rule for the second pass: the first one took at least
+// half a percent off the body, or escaped values are an eighth of it or more.
+// BestSpeed is all or nothing: it probes for 4-byte matches at strides that
+// grow over input it cannot match, and the coded stream comes first; it
+// Huffman-codes literals only where that saves a sixteenth. So a body that
+// does not repeat comes out of it stored, a few bytes longer than it went
+// in — also one that ends in escapes, raw float64s, though neighbours on a
+// field share their upper bytes and the thorough level takes a fifth to a
+// third off a tight-bound body with them.
+func worthThorough(body, fast, escaped int) bool {
+	return 200*(body-fast) >= body || 8*escaped >= body
 }
 
 var pool = sync.Pool{New: func() any { return new(Buf) }}
@@ -53,7 +77,8 @@ func (b *Buf) Put() { pool.Put(b) }
 
 // Seal entropy-codes b.Codes over [0, alphabet) and returns the finished
 // payload: the marker byte, then head's output ‖ coded stream ‖ b.Unpred as
-// float64-LE — through DEFLATE when lossless is set and that is smaller.
+// float64-LE — through DEFLATE when lossless is set and that is smaller, at
+// whichever of the two levels is smallest.
 // head appends the codec's header to dst given the coded stream's length.
 func (b *Buf) Seal(alphabet int, lossless bool, head func(dst []byte, codedLen int) []byte) ([]byte, error) {
 	var err error
@@ -65,32 +90,42 @@ func (b *Buf) Seal(alphabet int, lossless bool, head func(dst []byte, codedLen i
 		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
 	}
 	b.body = body
+	best := body // the marker tells the decoder which form it got
 	if lossless {
-		b.packed.Reset()
-		b.packed.WriteByte(1)
-		if err := b.deflate(&b.packed, body[1:]); err != nil {
-			return nil, err
-		}
-		// Dense Huffman output may not deflate; the marker tells the
-		// decoder which form it got.
-		if b.packed.Len() < len(body) {
-			return bytes.Clone(b.packed.Bytes()), nil
+		for pass, out := range [2]*bytes.Buffer{&b.fast, &b.packed} {
+			if pass == 1 {
+				if !worthThorough(len(body), b.fast.Len(), 8*len(b.Unpred)) {
+					break
+				}
+				b.thorough++
+			}
+			out.Reset()
+			out.WriteByte(1)
+			if err := b.deflate(out, pass, body[1:]); err != nil {
+				return nil, err
+			}
+			if out.Len() < len(best) {
+				best = out.Bytes()
+			}
 		}
 	}
-	return bytes.Clone(body), nil
+	return bytes.Clone(best), nil
 }
 
-// deflate writes p to w as one DEFLATE stream through the pooled writer.
-func (b *Buf) deflate(w io.Writer, p []byte) error {
-	if b.fw == nil {
-		b.fw, _ = flate.NewWriter(w, flate.DefaultCompression) // errs on a bad level only
+// deflate writes p to w as one DEFLATE stream through the pooled writer of
+// the given pass.
+func (b *Buf) deflate(w io.Writer, pass int, p []byte) error {
+	fw := b.fw[pass]
+	if fw == nil {
+		fw, _ = flate.NewWriter(w, passLevels[pass]) // errs on a bad level only
+		b.fw[pass] = fw
 	} else {
-		b.fw.Reset(w)
+		fw.Reset(w)
 	}
-	if _, err := b.fw.Write(p); err != nil {
+	if _, err := fw.Write(p); err != nil {
 		return err
 	}
-	return b.fw.Close()
+	return fw.Close()
 }
 
 // Open undoes the marker layer of a payload of at least two bytes and

@@ -32,8 +32,10 @@ func fill(b *Buf, rng *rand.Rand, spread float64) (head []byte) {
 	return binary.AppendUvarint([]byte("HDR"), uint64(len(b.Codes)))
 }
 
-// reference assembles the payload the way each codec did before the tail was
-// shared: a fresh flate.Writer per call, raw kept when DEFLATE does not help.
+// reference assembles the payload from the rule as written down: a fresh
+// flate.Writer per pass, BestSpeed always, DefaultCompression when BestSpeed
+// took half a percent off or an eighth of the body is escaped values, the
+// smallest of raw and the passes run kept.
 func reference(t *testing.T, b *Buf, head []byte, lossless bool) []byte {
 	t.Helper()
 	coded, err := huffman.Encode(nil, b.Codes, alphabet)
@@ -41,19 +43,26 @@ func reference(t *testing.T, b *Buf, head []byte, lossless bool) []byte {
 		t.Error(err) // not Fatal: the concurrent test calls this off the test goroutine
 		return nil
 	}
-	body := append(binary.AppendUvarint(slices.Clone(head), uint64(len(coded))), coded...)
+	raw := append(binary.AppendUvarint(append([]byte{0}, head...), uint64(len(coded))), coded...)
 	for _, v := range b.Unpred {
-		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
 	}
-	var out bytes.Buffer
-	out.WriteByte(1)
-	fw, _ := flate.NewWriter(&out, flate.DefaultCompression)
-	fw.Write(body)
-	fw.Close()
-	if !lossless || out.Len() >= len(body)+1 {
-		return append([]byte{0}, body...)
+	if !lossless {
+		return raw
 	}
-	return out.Bytes()
+	pack := func(level int) []byte {
+		var out bytes.Buffer
+		out.WriteByte(1)
+		fw, _ := flate.NewWriter(&out, level)
+		fw.Write(raw[1:])
+		fw.Close()
+		return out.Bytes()
+	}
+	forms := [][]byte{raw, pack(flate.BestSpeed)}
+	if float64(len(raw)-len(forms[1])) >= 0.005*float64(len(raw)) || 8*len(b.Unpred) >= len(raw)/8 {
+		forms = append(forms, pack(flate.DefaultCompression))
+	}
+	return slices.MinFunc(forms, func(x, y []byte) int { return len(x) - len(y) })
 }
 
 func seal(b *Buf, head []byte, lossless bool) ([]byte, error) {
@@ -72,7 +81,7 @@ func roundTrip(t *testing.T, b *Buf, head []byte, lossless bool) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("%d codes: pooled tail diverges from a fresh flate.Writer (%d vs %d bytes, marker %d vs %d)",
+		t.Fatalf("%d codes: pooled tail diverges from fresh flate.Writers (%d vs %d bytes, marker %d vs %d)",
 			len(b.Codes), len(got), len(want), got[0], want[0])
 	}
 	r := Get(0)
@@ -97,15 +106,89 @@ func roundTrip(t *testing.T, b *Buf, head []byte, lossless bool) {
 	}
 }
 
-// Sizes alternate through one pool, with and without DEFLATE: a flate state
-// or buffer that survived Reset would change the next call's bytes.
+// Sizes alternate through one pool, with and without DEFLATE, bodies that
+// repeat (both passes) between bodies that do not (one): a flate state or
+// buffer that survived Reset would change the next call's bytes.
 func TestSealMatchesFreshWriter(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i, n := range []int{0, 1, 64, 40000, 7, 4096, 64, 100000, 3} {
 		b := Get(n)
 		head := fill(b, rng, []float64{0.7, 4, 300}[i%3])
+		if i%2 == 1 {
+			b.Unpred = repeated(rng, 2+i)
+		}
 		roundTrip(t, b, head, i%4 != 3)
 		b.Put()
+	}
+}
+
+// repeated returns one 4 KiB block of random float64s, times over. (A body
+// carries as many escaped values as it is given; the decoder under test
+// here stops at the codes.)
+func repeated(rng *rand.Rand, times int) []float64 {
+	block := make([]float64, 4096/8)
+	for i := range block {
+		block[i] = rng.NormFloat64()
+	}
+	var out []float64
+	for ; times > 0; times-- {
+		out = append(out, block...)
+	}
+	return out
+}
+
+// The traffic that pays for the second DEFLATE pass, and the traffic that
+// must not pay for it. A coded stream that does not repeat comes out of
+// BestSpeed no smaller: the thorough pass is never run and the body stays
+// raw. A body made of one 4 KiB block repeated — what the rows of a
+// planar-symmetric field quantize to — shrinks under BestSpeed, so the
+// thorough pass runs too and the smallest form is kept. A body that is
+// escaped values in good part — a tight bound on a rough field — means
+// nothing to BestSpeed, and the thorough pass runs on the escapes' account.
+// Deleting the second pass, or running it always, fails here.
+func TestThoroughPassRunsWhereItPays(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	b := Get(50000)
+	defer b.Put()
+	head := fill(b, rng, 300)
+	sealed := func(name string, wantThorough int, wantMarker byte) []byte {
+		t.Helper()
+		before, want := b.thorough, reference(t, b, head, true)
+		got, err := seal(b, head, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.thorough-before != wantThorough || got[0] != wantMarker {
+			t.Fatalf("%s: %d thorough passes, marker %d; want %d, %d", name, b.thorough-before, got[0], wantThorough, wantMarker)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: sealed to %d bytes, smallest form is %d", name, len(got), len(want))
+		}
+		return got
+	}
+	plain := sealed("non-repeating body", 0, 0)
+
+	b.Unpred = repeated(rng, 16)
+	if got := sealed("repeating body", 1, 1); len(got) >= len(plain)+16*4096/4 {
+		t.Fatalf("repeating body sealed to %d bytes; 15 of its 16 blocks should be gone (non-repeating part: %d)", len(got), len(plain))
+	}
+
+	// A body small enough to be one DEFLATE block, so that the escapes do
+	// not get a block of their own for BestSpeed to Huffman-code.
+	b.Codes, b.Unpred = b.Codes[:20000], b.Unpred[:0]
+	for i := 0; i < 1000; i++ { // neighbours on a field: the upper half shared, noise below it
+		b.Unpred = append(b.Unpred, 1+1e-6*rng.Float64())
+	}
+	raw := reference(t, b, head, false)
+	var fast bytes.Buffer
+	fw, _ := flate.NewWriter(&fast, flate.BestSpeed)
+	fw.Write(raw[1:])
+	fw.Close()
+	if fast.Len() < len(raw)-len(raw)/200 {
+		t.Fatalf("BestSpeed shrinks this body (%d of %d bytes): it no longer tests the second trigger", fast.Len(), len(raw))
+	}
+	if got := sealed("body of escapes", 1, 1); len(raw)-len(got) < 8*len(b.Unpred)/10 {
+		t.Fatalf("body of escapes sealed to %d of %d bytes; a tenth of its %d escape bytes should be gone", len(got), len(raw), 8*len(b.Unpred))
 	}
 }
 
@@ -129,9 +212,12 @@ func TestFailedCallLeavesPoolClean(t *testing.T) {
 
 	noise := make([]byte, 1<<16)
 	rng.Read(noise)
-	if err := b.deflate(&failAfter{n: 100}, noise); err == nil {
-		t.Fatal("injected write error not reported")
+	for pass := range passLevels {
+		if err := b.deflate(&failAfter{n: 100}, pass, noise); err == nil {
+			t.Fatalf("pass %d: injected write error not reported", pass)
+		}
 	}
+	b.Unpred = repeated(rng, 8) // through both writers again
 	roundTrip(t, b, head, true)
 
 	good := b.Codes[7]

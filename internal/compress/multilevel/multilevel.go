@@ -25,7 +25,7 @@ import (
 
 const (
 	magic   = 0x4d474c31 // "MGL1"
-	version = 1
+	version = 2
 )
 
 // DefaultIntervals is the quantization capacity (Huffman alphabet size).

@@ -3,6 +3,7 @@ package multilevel
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -196,6 +197,33 @@ func TestCorrupt(t *testing.T) {
 	}
 	if _, err := c.Decompress(buf[:len(buf)/2]); err == nil {
 		t.Fatal("truncated accepted")
+	}
+}
+
+// No version 1 decoder is kept: see sz.TestVersion1Rejected.
+func TestVersion1Rejected(t *testing.T) {
+	c := New()
+	data := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	buf, err := c.Compress(data, []int{8}, compress.AbsBound(1e-3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiers, err := c.CompressProgressive(data, []int{8}, compress.Abs, []float64{1e-1, 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const versionAt = 1 + 5 // marker, then the magic as a 5-byte uvarint
+	for _, p := range [][]byte{buf, tiers[0].Payload} {
+		if p[0] != 0 || p[versionAt] != version {
+			t.Fatalf("payload starts % x: expected a raw body with the version at byte %d", p[:versionAt+1], versionAt)
+		}
+		p[versionAt] = 1
+	}
+	if _, err := c.Decompress(buf); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version 1 payload: %v, want unsupported version", err)
+	}
+	if _, err := c.DecompressProgressive(tiers); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version 1 tier: %v, want unsupported version", err)
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 
 const (
 	magic   = 0x535a4731 // "SZG1"
-	version = 1
+	version = 2
 )
 
 // Prediction schemes for 2-D/3-D data.

@@ -3,6 +3,7 @@ package sz
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -261,6 +262,25 @@ func TestCorruptPayload(t *testing.T) {
 	garbage := append([]byte{0}, 0xde, 0xad, 0xbe, 0xef)
 	if _, err := c.Decompress(garbage); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// The entropy stage changed between stream versions 1 and 2 and no version 1
+// decoder is kept: a version 1 header must be refused by name, not decoded
+// with the wrong coder.
+func TestVersion1Rejected(t *testing.T) {
+	c := &Compressor{Intervals: DefaultIntervals, DisableLossless: true} // header in the clear
+	buf, err := c.Compress(smoothSignal(100), []int{100}, compress.AbsBound(1e-3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const versionAt = 1 + 5 // marker, then the magic as a 5-byte uvarint
+	if buf[versionAt] != version {
+		t.Fatalf("byte %d is %d, expected the version", versionAt, buf[versionAt])
+	}
+	buf[versionAt] = 1
+	if _, err := c.Decompress(buf); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version 1 payload: %v, want unsupported version", err)
 	}
 }
 

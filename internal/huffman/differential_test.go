@@ -2,16 +2,18 @@ package huffman
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bitstream"
 )
 
-// checkDifferential holds Encode/Decode to the full-alphabet oracle on one
+// checkDifferential holds Encode/Decode to the plain reference on one
 // stream: same error verdict, same bytes, and both decoders return symbols.
 func checkDifferential(t testing.TB, symbols []int, alphabet int) {
 	t.Helper()
@@ -59,7 +61,10 @@ func TestEncodeDifferential(t *testing.T) {
 		}
 		return out
 	}
-	const wide = 2*maxZeroRun + 70000 // zero runs of three tokens
+	const wide = 200000                             // gaps of 17 and more bits in the table
+	centreRun := func(n int, around ...int) []int { // n centre codes of alphabet 1024 after and before the given ones
+		return slices.Concat(around, repeat([]int{512}, n), around)
+	}
 	cases := []struct {
 		name     string
 		symbols  []int
@@ -77,8 +82,20 @@ func TestEncodeDifferential(t *testing.T) {
 		{"alphabet 65536 dense", uniform(200000, 65536), 65536},
 		{"ends of a wide alphabet", []int{1, wide - 1, 1, 1, wide - 1, 0}, wide},
 		{"cluster in a wide alphabet", quantLike(rng, 2000, wide, 40, 0.01), wide},
-		{"run of exactly one token", []int{maxZeroRun, maxZeroRun}, maxZeroRun + 1},
-		{"run of one token plus one", []int{maxZeroRun + 1, 0}, maxZeroRun + 2},
+		{"run of exactly one token", centreRun(maxRun, 500), 1024},
+		{"run of one token plus one", centreRun(maxRun+1, 500), 1024},
+		{"run of one token less one", centreRun(maxRun-1, 500), 1024},
+		{"run of several tokens", centreRun(3*maxRun+maxRun/2, 0, 513), 1024},
+		{"run ending the stream", append(centreRun(0, 7, 9), centreRun(77)...), 1024},
+		{"full token ending the stream", append(centreRun(0, 7), centreRun(maxRun)...), 1024},
+		{"all centre", centreRun(100000), 1024},
+		{"one centre", centreRun(1), 1024},
+		{"runs of two only", repeat([]int{512, 512, 3}, 50), 1024}, // RUNB without RUNA
+		{"escapes only", make([]int, 300), 65536},
+		{"alphabet 2", uniform(300, 2), 2}, // below minFoldAlphabet: the centre is a literal
+		{"alphabet 3", uniform(300, 3), 3},
+		{"alphabet 6", uniform(3000, 6), 6},
+		{"alphabet 4, long runs", slices.Concat(repeat([]int{2}, 2000), uniform(50, 4), repeat([]int{2}, 511)), 4},
 		{"out of alphabet", []int{1, 2, 9}, 9},
 		{"negative", []int{1, -1}, 9},
 		{"skewed, long codes", func() []int {
@@ -115,7 +132,8 @@ func TestEncodeDifferentialQuick(t *testing.T) {
 }
 
 // scratchIsZero reports whether the encoder table the pool hands out next is
-// all-zero, the invariant that makes span-wise work sound.
+// all-zero, the invariant that makes span-wise work sound; RUNB's slot and
+// the escape's sit outside the span and are part of it.
 func scratchIsZero() bool {
 	sc := encPool.Get().(*encScratch)
 	defer encPool.Put(sc)
@@ -126,8 +144,8 @@ func scratchIsZero() bool {
 // after a full stream of good ones.
 func TestRejectedStreamLeavesScratchZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	good := quantLike(rng, 4000, 65536, 30, 0.05)
-	checkDifferential(t, good, 65536) // the pool now holds a table of 64 Ki entries
+	good := quantLike(rng, 4000, 65536, 1.5, 0.05) // narrow: centre runs, both digits in use
+	checkDifferential(t, good, 65536)              // the pool now holds a table of 64 Ki entries
 	for _, bad := range []int{65536, -1, 1 << 40} {
 		if _, err := Encode(nil, append(slices.Clone(good), bad), 65536); err == nil {
 			t.Fatalf("symbol %d accepted", bad)
@@ -151,7 +169,7 @@ func TestPoolsConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 40 && !t.Failed(); i++ {
-				alphabet := []int{4, 256, 65536, 3 * maxZeroRun}[(g+i)%4]
+				alphabet := []int{4, 256, 65536, 200000}[(g+i)%4]
 				symbols := quantLike(rng, 1+rng.Intn(2000), alphabet, float64(1+rng.Intn(300)), 0.02)
 				want, err := EncodeAll(symbols, alphabet)
 				if err != nil {
@@ -173,39 +191,94 @@ func TestPoolsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// forgedTable is a 12-byte stream declaring 2^28 symbols and describing the
-// first few: the oracle's ReadTable sizes 256 MiB from it.
+// forgedTable is a 10-byte stream declaring 2^28 symbols and 2^15 table
+// entries and breaking off in the second.
 func forgedTable() []byte {
 	w := bitWriter{}
 	w.put(maxAlphabet, 32)
-	w.put(5<<1|1, 7) // symbol 0: length 5
-	w.zeros(maxZeroRun)
-	w.put(5<<1|1, 7)
+	w.gamma(1<<15 + 1)
+	w.gamma(1) // symbol 0
+	w.gamma(zigzag(5) + 1)
+	w.gamma(2)
 	return w.bytes()
 }
 
-// A hostile table must not size an allocation: memory is bounded by the bits
-// that encode the table, whatever alphabet it declares.
-func TestForgedTableAllocatesNothing(t *testing.T) {
-	data := forgedTable()
-	if len(data) > 16 {
-		t.Fatalf("forged table is %d bytes, want <= 16", len(data))
-	}
-	Decode(nil, data) // warm the pool
+// allocatedBy reports the bytes one call of f allocates, after a warm-up
+// call that fills the pools.
+func allocatedBy(f func()) uint64 {
+	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := Decode(nil, data)
+	f()
 	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A hostile table must not size an allocation: memory is bounded by the bits
+// that encode the table, whatever alphabet and entry count it declares.
+func TestForgedTableAllocatesNothing(t *testing.T) {
+	data := forgedTable()
+	if len(data) > 10 {
+		t.Fatalf("forged table is %d bytes, want <= 10", len(data))
+	}
+	var err error
+	got := allocatedBy(func() { _, err = Decode(nil, data) })
 	if err == nil {
 		t.Fatal("forged table accepted")
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+	if got >= 64<<10 {
 		t.Fatalf("forged %d-byte table allocated %d bytes, want < 64 KiB", len(data), got)
 	}
 }
 
+// A hostile value count sizes the output, and a folded stream may hold more
+// values than bits — but not more than maxValuesPerBit a bit. The stream
+// below is a table of RUNB alone and zeros: the densest there is, 510 values
+// to the byte. The largest count the guard lets through costs one int per
+// value, 8·maxValuesPerBit·8 bytes per stream byte, and runs out of stream
+// short of it; one more is refused before anything is sized.
+func TestForgedCountAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not byte-exact in a race build")
+	}
+	const size = 1 << 12
+	forged := func(n uint64) []byte {
+		w := bitWriter{}
+		w.put(65536, 32)
+		w.gamma(1 + 1)
+		w.gamma(65536 + 1) // RUNB
+		w.gamma(zigzag(1) + 1)
+		w.put(n, 40)
+		return append(w.bytes(), make([]byte, size-len(w.buf)-int(w.n+7)/8)...)
+	}
+	tableBits := uint64(32 + 3 + 33 + 3 + 40)
+	fits := (size*8 - tableBits) * maxValuesPerBit
+	for _, c := range []struct {
+		n     uint64
+		limit uint64
+	}{
+		{fits, 8 * maxValuesPerBit * 8 * size},
+		{fits + 1, 0},
+	} {
+		data := forged(c.n)
+		var err error
+		got := allocatedBy(func() { _, err = Decode(nil, data) })
+		if !errors.Is(err, bitstream.ErrShortStream) {
+			t.Fatalf("count %d in %d bytes: err %v, want ErrShortStream", c.n, len(data), err)
+		}
+		if got > c.limit+64<<10 {
+			t.Fatalf("count %d in %d bytes: %d bytes allocated, want <= %d + 64 KiB", c.n, len(data), got, c.limit)
+		}
+	}
+	// The same stream with a count it does hold decodes, 510 values a byte.
+	n := uint64(size*8-tableBits) / runDigits * maxRun
+	if got, err := Decode(nil, forged(n)); err != nil || uint64(len(got)) != n {
+		t.Fatalf("count %d: %d values, err %v", n, len(got), err)
+	}
+}
+
 // FuzzEncodeAllDifferential derives a symbol stream and an alphabet from the
-// input and holds Encode/Decode to the oracle; it then feeds the raw input
+// input and holds Encode/Decode to the reference; it then feeds the raw input
 // to both decoders, which must agree on the verdict and on the symbols.
 func FuzzEncodeAllDifferential(f *testing.F) {
 	f.Add([]byte{}, uint8(15), uint16(0))
@@ -217,8 +290,8 @@ func FuzzEncodeAllDifferential(f *testing.F) {
 		f.Add(valid, uint8(15), uint16(9))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, alphaBits uint8, spread uint16) {
-		// Mostly small alphabets: the oracle's cost is the alphabet's size.
-		alphabet := []int{2, 4, 12, 256, 1024, 65536, 65536, 3 * maxZeroRun}[alphaBits%8]
+		// Mostly small alphabets: the reference's cost is the alphabet's size.
+		alphabet := []int{2, 4, 12, 256, 1024, 65536, 65536, 200000}[alphaBits%8]
 		symbols := make([]int, 0, len(data))
 		for i, b := range data {
 			switch {
@@ -226,18 +299,13 @@ func FuzzEncodeAllDifferential(f *testing.F) {
 				symbols = append(symbols, 0) // escape
 			case spread == 0: // anywhere in the alphabet
 				symbols = append(symbols, (int(b)<<8|int(data[(i+1)%len(data)]))*257%alphabet)
-			default: // cluster around the radius
+			default: // cluster around the radius, with centre runs
 				s := alphabet/2 + (int(b)-128)*int(spread)/64
 				symbols = append(symbols, min(max(s, 0), alphabet-1))
 			}
 		}
 		checkDifferential(t, symbols, alphabet)
 
-		// The oracle sizes its table from the declared alphabet; keep the
-		// fuzzer's memory for inputs that declare a modest one.
-		if len(data) < 4 || binary.LittleEndian.Uint32(data) > 1<<20 {
-			return
-		}
 		want, werr := DecodeAll(data)
 		got, gerr := Decode(nil, data)
 		if (werr == nil) != (gerr == nil) {
@@ -247,4 +315,42 @@ func FuzzEncodeAllDifferential(f *testing.F) {
 			t.Fatalf("decoders disagree on %d symbols", len(want))
 		}
 	})
+}
+
+// FuzzDecode feeds raw bytes to Decode: no panic, and no more values than
+// maxValuesPerBit for every bit given.
+func FuzzDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(forgedTable())
+	rng := rand.New(rand.NewSource(3))
+	for _, symbols := range [][]int{
+		quantLike(rng, 600, 65536, 1.2, 0.03),
+		quantLike(rng, 200, 1024, 40, 0),
+		repeat([]int{8}, 5000),
+		{0, 1, 1, 0, 1},
+	} {
+		valid, err := Encode(nil, symbols, 2*slices.Max(symbols))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(valid)
+		f.Add(valid[:len(valid)/2])
+		valid[len(valid)/3] ^= 0x10
+		f.Add(valid)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Decode(nil, data)
+		if err == nil && len(got) > maxValuesPerBit*8*len(data) {
+			t.Fatalf("%d values from %d bytes", len(got), len(data))
+		}
+	})
+}
+
+// repeat is slices.Repeat, which go.mod's Go version predates.
+func repeat(pattern []int, n int) []int {
+	out := make([]int, 0, n*len(pattern))
+	for ; n > 0; n-- {
+		out = append(out, pattern...)
+	}
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -137,47 +138,94 @@ func TestOutOfAlphabet(t *testing.T) {
 	}
 }
 
+// The reference's table writer against the production reader: every used
+// symbol comes back with its length, whatever the gaps between them.
 func TestTableRoundTrip(t *testing.T) {
-	freqs := make([]uint64, 2048)
+	freqs := make([]uint64, 2049)
+	freqs[0] = 3
 	freqs[3] = 100
 	freqs[1000] = 50
 	freqs[1001] = 25
+	freqs[1024] = 40 // the centre: RUNA
 	freqs[2047] = 10
-	enc, err := NewEncoder(freqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	freqs[2048] = 7 // RUNB
+	lengths := CodeLengths(freqs)
 	w := bitstream.NewWriter(0)
-	enc.WriteTable(w)
-	r := bitstream.NewReader(w.Bytes())
-	lengths, err := ReadTable(r)
-	if err != nil {
-		t.Fatal(err)
+	w.WriteBits(2048, 32)
+	writeTable(w, lengths)
+	data := w.Bytes()
+	used, alphabet, err := readTable(bitstream.NewReader(data), nil, uint64(len(data))*8)
+	if err != nil || alphabet != 2048 {
+		t.Fatalf("readTable: alphabet %d, err %v", alphabet, err)
 	}
-	if len(lengths) != len(enc.Lengths()) {
-		t.Fatalf("table length %d, want %d", len(lengths), len(enc.Lengths()))
-	}
-	for i := range lengths {
-		if lengths[i] != enc.Lengths()[i] {
-			t.Fatalf("length[%d] = %d, want %d", i, lengths[i], enc.Lengths()[i])
+	got := make([]uint8, len(freqs))
+	for _, e := range used {
+		sym := e >> entrySymShift
+		got[sym] = uint8(e & entryLenMask)
+		wantDigit := map[uint64]uint64{1024: 1, 2048: 2}[sym]
+		if d := e >> entryDigitShift & 3; d != wantDigit {
+			t.Fatalf("symbol %d read as digit %d, want %d", sym, d, wantDigit)
 		}
+	}
+	if !slices.Equal(got, lengths) {
+		t.Fatalf("table read back as %v, want %v", used, lengths)
 	}
 }
 
+// stream hand-assembles a Huffman stream: the alphabet, a table declaring
+// count entries of which (gap, zigzag length delta) pairs are given, then
+// the value count.
+func stream(alphabet, count uint64, n uint64, entries ...[2]uint64) []byte {
+	w := bitWriter{}
+	w.put(alphabet, 32)
+	w.gamma(count + 1)
+	for _, e := range entries {
+		w.gamma(e[0])
+		w.gamma(e[1] + 1)
+	}
+	w.put(n, 40)
+	w.put(0, 16)
+	return w.bytes()
+}
+
 func TestBadTableRejected(t *testing.T) {
-	// Oversubscribed code: three symbols of length 1 violate Kraft.
-	if _, err := NewDecoder([]uint8{1, 1, 1}); err == nil {
+	if _, err := canonicalCodes([]uint8{1, 1, 1}); err == nil {
 		t.Fatal("expected Kraft violation to be rejected")
 	}
-	w := bitWriter{}
-	w.put(3, 32) // alphabet of three
-	for i := 0; i < 3; i++ {
-		w.put(1<<1|1, 7) // each of length 1
+	const up1 = 2 // zigzag(+1)
+	cases := []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"three codes of length 1", stream(8, 3, 1, [2]uint64{1, up1}, [2]uint64{1, 0}, [2]uint64{1, 0}), ErrBadTable},
+		{"symbol past RUNB", stream(8, 1, 1, [2]uint64{10, up1}), ErrBadTable},
+		{"RUNB in an alphabet of 2", stream(2, 1, 1, [2]uint64{3, up1}), ErrBadTable},
+		{"length 0", stream(8, 1, 1, [2]uint64{1, 0}), ErrBadTable},
+		{"length 59", stream(8, 1, 1, [2]uint64{1, 2 * 59}), ErrBadTable},
+		{"more entries than symbols", stream(8, 10, 0), ErrBadTable},
+		{"more entries than bits", stream(1<<20, 1<<10, 0), ErrBadTable},
+		{"alphabet above the cap", stream(maxAlphabet+1, 0, 0), ErrBadTable},
+		{"gamma prefix of 41 zeros", append(stream(8, 0, 0)[:4], 0, 0, 0, 0, 0, 2, 0xff, 0xff), ErrBadTable},
+		{"run past the count", stream(8, 1, 1, [2]uint64{9, up1}), ErrBadSymbol}, // RUNB = 2 values, one declared
+		// stream ends in sixteen zero bits and up to seven of padding.
+		{"count the bits cannot hold", stream(8, 1, 24*maxValuesPerBit, [2]uint64{9, up1}), bitstream.ErrShortStream},
+		{"stream ends before the count", stream(8, 1, 24, [2]uint64{1, up1}), bitstream.ErrShortStream},
+		{"no code for the bits", stream(8, 0, 1), ErrBadSymbol},
 	}
-	w.put(1, 40) // one symbol follows
-	w.put(0, 8)
-	if _, err := Decode(nil, w.bytes()); !errors.Is(err, ErrBadTable) {
-		t.Fatalf("Decode of an oversubscribed table: %v, want ErrBadTable", err)
+	for _, c := range cases {
+		if _, err := Decode(nil, c.data); !errors.Is(err, c.want) {
+			t.Errorf("%s: Decode = %v, want %v", c.name, err, c.want)
+		}
+		if _, err := DecodeAll(c.data); err == nil {
+			t.Errorf("%s: accepted by the reference decoder", c.name)
+		}
+	}
+	// The accepted side of the same grammar: four RUNB digits are 2+4+8+16
+	// values, and the group ends where they reach the count.
+	ok := stream(8, 1, 30, [2]uint64{9, up1})
+	if got, err := Decode(nil, ok); err != nil || !slices.Equal(got, repeat([]int{4}, 30)) {
+		t.Fatalf("four RUNB digits: %v, err %v", got, err)
 	}
 }
 
@@ -247,15 +295,10 @@ func TestNearEntropy(t *testing.T) {
 		p := float64(f) / n
 		entropy += -p * math.Log2(p)
 	}
-	enc, err := NewEncoder(freqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lengths := CodeLengths(freqs)
 	var codedBits float64
 	for s, f := range freqs {
-		if f > 0 {
-			codedBits += float64(f) * float64(enc.Lengths()[s])
-		}
+		codedBits += float64(f) * float64(lengths[s])
 	}
 	bitsPerSym := codedBits / n
 	if bitsPerSym < entropy-1e-9 {
@@ -277,7 +320,7 @@ func benchSymbols() []int {
 }
 
 // BenchmarkEncode and BenchmarkDecode time the coder; the Oracle pair times
-// the full-alphabet reference on the same stream.
+// the plain reference on the same stream.
 func BenchmarkEncode(b *testing.B) {
 	benchEncode(b, func(s []int) ([]byte, error) { return Encode(nil, s, 1024) })
 }

@@ -1,9 +1,10 @@
 package huffman
 
-// The full-alphabet reference coder: the implementation Encode and Decode
-// replaced, kept verbatim as their differential oracle. It sizes every table
-// to the declared alphabet — 7 MB and most of a millisecond per call at
-// 65 536 symbols, which is why it is test-only — and its bytes are the format.
+// The plain reference coder for the v2 stream: fold the centre runs, count
+// over the whole alphabet, take code lengths from a container/heap tree,
+// write the gamma table and the codes one bit at a time. No pooling, no
+// spans, no lookup table — it sizes everything to the declared alphabet,
+// which is why it is test-only — and its bytes are the format.
 
 import (
 	"container/heap"
@@ -11,12 +12,6 @@ import (
 
 	"repro/internal/bitstream"
 )
-
-// Encoder holds canonical codes for symbols 0..n-1.
-type Encoder struct {
-	codes   []uint64 // bit-reversed canonical code, LSB-first ready
-	lengths []uint8
-}
 
 // node is a Huffman tree node used only during length computation.
 type node struct {
@@ -101,365 +96,280 @@ func CodeLengths(freqs []uint64) []uint8 {
 	return lengths
 }
 
-// reverseBits reverses the low n bits of v.
-func reverseBits(v uint64, n uint8) uint64 {
-	var r uint64
-	for i := uint8(0); i < n; i++ {
-		r = (r << 1) | (v & 1)
-		v >>= 1
-	}
-	return r
-}
-
-// canonicalCodes assigns canonical codes from lengths. Returned codes are
-// bit-reversed so they can be emitted LSB-first by the bitstream writer.
+// canonicalCodes assigns canonical codes from lengths: within a length in
+// symbol order, each length starting where the previous one's codes end.
 func canonicalCodes(lengths []uint8) ([]uint64, error) {
-	maxLen := uint8(0)
+	var count [MaxCodeLen + 1]uint64
 	for _, l := range lengths {
 		if l > MaxCodeLen {
 			return nil, ErrBadTable
 		}
-		if l > maxLen {
-			maxLen = l
-		}
-	}
-	codes := make([]uint64, len(lengths))
-	if maxLen == 0 {
-		return codes, nil
-	}
-	// Count codes of each length, then derive first code per length.
-	count := make([]uint64, maxLen+1)
-	for _, l := range lengths {
 		if l > 0 {
 			count[l]++
 		}
 	}
-	firstCode := make([]uint64, maxLen+2)
-	var code uint64
-	for l := uint8(1); l <= maxLen; l++ {
-		code = (code + count[l-1]) << 1
-		firstCode[l] = code
+	var next [MaxCodeLen + 1]uint64
+	for l := 1; l <= MaxCodeLen; l++ {
+		next[l] = (next[l-1] + count[l-1]) << 1
 	}
-	// Kraft check: assigning all codes must not overflow the space.
-	next := make([]uint64, maxLen+1)
-	copy(next, firstCode[:maxLen+1])
+	codes := make([]uint64, len(lengths))
 	for sym, l := range lengths {
 		if l == 0 {
 			continue
 		}
-		c := next[l]
-		next[l]++
-		if c >= (1 << l) {
-			return nil, ErrBadTable
+		if codes[sym] = next[l]; codes[sym] >= 1<<l {
+			return nil, ErrBadTable // Kraft: the lengths oversubscribe the code space
 		}
-		codes[sym] = reverseBits(c, l)
+		next[l]++
 	}
 	return codes, nil
 }
 
-// NewEncoder builds an encoder from symbol frequencies.
-func NewEncoder(freqs []uint64) (*Encoder, error) {
+// foldRuns rewrites symbols over [0, alphabet]: every maximal run of the
+// centre code becomes the bijective base-2 digits of its length, least
+// significant first, digit 1 the centre itself and digit 2 the symbol
+// alphabet, in groups of at most maxRun values.
+func foldRuns(symbols []int, alphabet int) []int {
+	if alphabet < minFoldAlphabet {
+		return symbols
+	}
+	centre := alphabet / 2
+	var out []int
+	for i := 0; i < len(symbols); {
+		if symbols[i] != centre {
+			out = append(out, symbols[i])
+			i++
+			continue
+		}
+		run := 0
+		for ; i < len(symbols) && symbols[i] == centre; i++ {
+			run++
+		}
+		for run > 0 {
+			group := min(run, maxRun)
+			run -= group
+			for ; group > 0; group = (group - 1) / 2 {
+				if group%2 == 1 {
+					out = append(out, centre)
+				} else {
+					out = append(out, alphabet)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// gammaOf reads one Elias-gamma code: zeros counted up to the cap, the one,
+// then as many bits as there were zeros.
+func gammaOf(r *bitstream.Reader) (uint64, error) {
+	zeros := uint(0)
+	for {
+		b, err := r.ReadBit()
+		if err != nil {
+			return 0, err
+		}
+		if b == 1 {
+			break
+		}
+		if zeros++; zeros > maxGammaZeros {
+			return 0, ErrBadTable
+		}
+	}
+	v := uint64(1) << zeros
+	for i := uint(0); i < zeros; i++ {
+		b, err := r.ReadBit()
+		if err != nil {
+			return 0, err
+		}
+		v += uint64(b) << i
+	}
+	return v, nil
+}
+
+func writeGamma(w *bitstream.Writer, v uint64) {
+	n := uint(0)
+	for v>>(n+1) != 0 {
+		n++
+	}
+	w.WriteBits(0, n)
+	w.WriteBit(1)
+	w.WriteBits(v, n) // the n bits below the leading one
+}
+
+// writeTable serializes the used symbols of a code-length table.
+func writeTable(w *bitstream.Writer, lengths []uint8) {
+	used := 0
+	for _, l := range lengths {
+		if l != 0 {
+			used++
+		}
+	}
+	writeGamma(w, uint64(used)+1)
+	prev, prevLen := -1, 0
+	for sym, l := range lengths {
+		if l == 0 {
+			continue
+		}
+		writeGamma(w, uint64(sym-prev))
+		if d := int(l) - prevLen; d >= 0 {
+			writeGamma(w, uint64(2*d)+1)
+		} else {
+			writeGamma(w, uint64(-2*d-1)+1)
+		}
+		prev, prevLen = sym, int(l)
+	}
+}
+
+// EncodeAll is the reference for Encode.
+func EncodeAll(symbols []int, alphabet int) ([]byte, error) {
+	if alphabet < 0 || alphabet > maxAlphabet {
+		return nil, fmt.Errorf("huffman: alphabet %d outside [0, %d]", alphabet, maxAlphabet)
+	}
+	for _, s := range symbols {
+		if s < 0 || s >= alphabet {
+			return nil, fmt.Errorf("huffman: symbol %d outside alphabet %d", s, alphabet)
+		}
+	}
+	folded := foldRuns(symbols, alphabet)
+	freqs := make([]uint64, alphabet+1)
+	for _, s := range folded {
+		freqs[s]++
+	}
 	lengths := CodeLengths(freqs)
 	codes, err := canonicalCodes(lengths)
 	if err != nil {
 		return nil, err
 	}
-	return &Encoder{codes: codes, lengths: lengths}, nil
-}
-
-// Encode appends the code for sym to the writer.
-func (e *Encoder) Encode(w *bitstream.Writer, sym int) error {
-	if sym < 0 || sym >= len(e.lengths) || e.lengths[sym] == 0 {
-		return fmt.Errorf("huffman: symbol %d has no code", sym)
-	}
-	w.WriteBits(e.codes[sym], uint(e.lengths[sym]))
-	return nil
-}
-
-// Lengths exposes the code-length table for serialization.
-func (e *Encoder) Lengths() []uint8 { return e.lengths }
-
-// WriteTable serializes the code-length table. Lengths fit in 6 bits
-// (MaxCodeLen < 64); a simple run-length scheme compresses the zero runs
-// that dominate sparse alphabets.
-func (e *Encoder) WriteTable(w *bitstream.Writer) {
-	w.WriteBits(uint64(len(e.lengths)), 32)
-	i := 0
-	for i < len(e.lengths) {
-		if e.lengths[i] == 0 {
-			// zero run: flag bit 0 + 16-bit run length
-			run := 0
-			for i+run < len(e.lengths) && e.lengths[i+run] == 0 && run < 0xffff {
-				run++
-			}
-			w.WriteBit(0)
-			w.WriteBits(uint64(run), 16)
-			i += run
-			continue
-		}
-		w.WriteBit(1)
-		w.WriteBits(uint64(e.lengths[i]), 6)
-		i++
-	}
-}
-
-// Decoder performs canonical Huffman decoding using the classic
-// firstCode/count walk: one comparison per bit, no table lookups beyond a
-// final indexed load into the length-sorted symbol list.
-type Decoder struct {
-	maxLen    uint8
-	firstCode []uint64 // firstCode[l]: canonical code of the first length-l symbol
-	count     []uint64 // count[l]: number of length-l symbols
-	offset    []int    // offset[l]: index of first length-l symbol in sorted
-	sorted    []int    // symbols ordered by (length, symbol)
-
-	// lookup accelerates DecodeAll: indexed by the next lookupBits stream
-	// bits (LSB-first); entry = symbol<<6 | codeLen, 0 = no short code.
-	lookupBits uint
-	lookup     []uint64
-}
-
-// buildLookup fills the short-code table from the length list.
-func (d *Decoder) buildLookup(lengths []uint8) {
-	lb := uint(d.maxLen)
-	if lb > maxLookupBits {
-		lb = maxLookupBits
-	}
-	if lb == 0 {
-		lb = 1
-	}
-	d.lookupBits = lb
-	d.lookup = make([]uint64, 1<<lb)
-	// Recompute each symbol's canonical code (as canonicalCodes does) and
-	// splat every possible suffix of the bit-reversed code.
-	next := make([]uint64, d.maxLen+1)
-	copy(next, d.firstCode[:d.maxLen+1])
-	for sym, l := range lengths {
-		if l == 0 {
-			continue
-		}
-		c := next[l]
-		next[l]++
-		if uint(l) > lb {
-			continue
-		}
-		rev := reverseBits(c, l)
-		step := uint64(1) << uint(l)
-		entry := uint64(sym)<<6 | uint64(l)
-		for idx := rev; idx < uint64(len(d.lookup)); idx += step {
-			d.lookup[idx] = entry
-		}
-	}
-}
-
-// NewDecoder rebuilds decoding state from a code-length table.
-func NewDecoder(lengths []uint8) (*Decoder, error) {
-	if _, err := canonicalCodes(lengths); err != nil {
-		return nil, err
-	}
-	d := &Decoder{}
-	for _, l := range lengths {
-		if l > d.maxLen {
-			d.maxLen = l
-		}
-	}
-	d.count = make([]uint64, d.maxLen+1)
-	for _, l := range lengths {
-		if l > 0 {
-			d.count[l]++
-		}
-	}
-	d.firstCode = make([]uint64, d.maxLen+2)
-	d.offset = make([]int, d.maxLen+2)
-	var code uint64
-	total := 0
-	for l := uint8(1); l <= d.maxLen; l++ {
-		code = (code + d.count[l-1]) << 1
-		d.firstCode[l] = code
-		d.offset[l] = total
-		total += int(d.count[l])
-	}
-	d.sorted = make([]int, total)
-	next := make([]int, d.maxLen+1)
-	copy(next, d.offset[:d.maxLen+1])
-	for sym, l := range lengths {
-		if l == 0 {
-			continue
-		}
-		d.sorted[next[l]] = sym
-		next[l]++
-	}
-	return d, nil
-}
-
-// Decode consumes one code from the reader and returns its symbol.
-func (d *Decoder) Decode(r *bitstream.Reader) (int, error) {
-	var code uint64
-	for l := uint8(1); l <= d.maxLen; l++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		code = (code << 1) | uint64(b)
-		if rel := code - d.firstCode[l]; code >= d.firstCode[l] && rel < d.count[l] {
-			return d.sorted[d.offset[l]+int(rel)], nil
-		}
-	}
-	return 0, ErrBadSymbol
-}
-
-// ReadTable deserializes a table written by WriteTable.
-func ReadTable(r *bitstream.Reader) ([]uint8, error) {
-	n64, err := r.ReadBits(32)
-	if err != nil {
-		return nil, err
-	}
-	n := int(n64)
-	if n < 0 || n > 1<<28 {
-		return nil, ErrBadTable
-	}
-	lengths := make([]uint8, n)
-	i := 0
-	for i < n {
-		flag, err := r.ReadBit()
-		if err != nil {
-			return nil, err
-		}
-		if flag == 0 {
-			run, err := r.ReadBits(16)
-			if err != nil {
-				return nil, err
-			}
-			if run == 0 || i+int(run) > n {
-				return nil, ErrBadTable
-			}
-			i += int(run)
-			continue
-		}
-		l, err := r.ReadBits(6)
-		if err != nil {
-			return nil, err
-		}
-		lengths[i] = uint8(l)
-		i++
-	}
-	return lengths, nil
-}
-
-// EncodeAll Huffman-encodes symbols (building the table from their observed
-// frequencies), writes the table followed by the symbol count and the coded
-// stream, and returns the serialized bytes.
-func EncodeAll(symbols []int, alphabet int) ([]byte, error) {
-	freqs := make([]uint64, alphabet)
-	for _, s := range symbols {
-		if s < 0 || s >= alphabet {
-			return nil, fmt.Errorf("huffman: symbol %d outside alphabet %d", s, alphabet)
-		}
-		freqs[s]++
-	}
-	enc, err := NewEncoder(freqs)
-	if err != nil {
-		return nil, err
-	}
-	w := bitstream.NewWriter(len(symbols) * 8)
-	enc.WriteTable(w)
+	w := bitstream.NewWriter(0)
+	w.WriteBits(uint64(alphabet), 32)
+	writeTable(w, lengths)
 	w.WriteBits(uint64(len(symbols)), 40)
-	for _, s := range symbols {
-		if err := enc.Encode(w, s); err != nil {
-			return nil, err
+	for _, s := range folded {
+		for b := int(lengths[s]) - 1; b >= 0; b-- {
+			w.WriteBit(uint(codes[s] >> b & 1))
 		}
 	}
 	return w.Bytes(), nil
 }
 
-// DecodeAll reverses EncodeAll. It decodes with a one-level lookup table
-// over the next lookupBits bits (codes longer than that fall back to the
-// canonical bit-by-bit walk), reading the byte slice directly.
+// DecodeAll is the reference for Decode: the same grammar and the same
+// rejections, read one bit at a time.
 func DecodeAll(data []byte) ([]int, error) {
 	r := bitstream.NewReader(data)
-	lengths, err := ReadTable(r)
+	totalBits := uint64(len(data)) * 8
+	a, err := r.ReadBits(32)
 	if err != nil {
 		return nil, err
 	}
-	dec, err := NewDecoder(lengths)
-	if err != nil {
-		return nil, err
-	}
-	n64, err := r.ReadBits(40)
-	if err != nil {
-		return nil, err
-	}
-	if n64 > 1<<34 {
+	if a > maxAlphabet {
 		return nil, ErrBadTable
 	}
-	// Every symbol costs at least one bit, so a count exceeding the bits
-	// left in the stream is a forged header — reject it before allocating
-	// the output array.
-	pos := r.BitsRead()
-	totalBits := uint64(len(data)) * 8
-	if n64 > totalBits-pos {
+	alphabet, symbols, centre := int(a), int(a), -1
+	if alphabet >= minFoldAlphabet {
+		symbols, centre = alphabet+1, alphabet/2
+	}
+	k, err := gammaOf(r)
+	if err != nil {
+		return nil, err
+	}
+	if k--; k > uint64(symbols) || k > (totalBits-r.BitsRead())/2 {
+		return nil, ErrBadTable
+	}
+	type entry struct{ sym, length int }
+	entries := make([]entry, 0, k)
+	sym, length, maxLen := -1, 0, 0
+	kraft := uint64(0) // in units of 2^-MaxCodeLen
+	for ; k > 0; k-- {
+		gap, err := gammaOf(r)
+		if err != nil {
+			return nil, err
+		}
+		if gap > uint64(symbols) {
+			return nil, ErrBadTable
+		}
+		if sym += int(gap); sym >= symbols {
+			return nil, ErrBadTable
+		}
+		z, err := gammaOf(r)
+		if err != nil {
+			return nil, err
+		}
+		if z--; z > 4*MaxCodeLen {
+			return nil, ErrBadTable
+		}
+		if z%2 == 0 {
+			length += int(z / 2)
+		} else {
+			length -= int(z/2) + 1
+		}
+		if length < 1 || length > MaxCodeLen {
+			return nil, ErrBadTable
+		}
+		if kraft += 1 << (MaxCodeLen - length); kraft > 1<<MaxCodeLen {
+			return nil, ErrBadTable
+		}
+		entries = append(entries, entry{sym, length})
+		maxLen = max(maxLen, length)
+	}
+	// Canonical codes in (length, symbol) order; entries ascend by symbol.
+	type key struct {
+		length int
+		code   uint64
+	}
+	symbolOf := map[key]int{}
+	code := uint64(0)
+	for l := 1; l <= maxLen; l++ {
+		for _, e := range entries {
+			if e.length == l {
+				symbolOf[key{l, code}] = e.sym
+				code++
+			}
+		}
+		code <<= 1
+	}
+
+	n, err := r.ReadBits(40)
+	if err != nil {
+		return nil, err
+	}
+	if n > (totalBits-r.BitsRead())*maxValuesPerBit {
 		return nil, bitstream.ErrShortStream
 	}
-	out := make([]int, n64)
-	if n64 == 0 {
-		return out, nil
-	}
-	dec.buildLookup(lengths)
-
-	// Switch to direct byte-addressed decoding at the current bit offset.
-	// The bitstream convention is LSB-first within little-endian words, so
-	// stream bit k lives at byte k/8, bit k%8.
-	peek := func(p uint64, n uint) uint64 {
-		bi := int(p >> 3)
-		shift := p & 7
-		var v uint64
-		if bi+8 <= len(data) {
-			v = uint64(data[bi]) | uint64(data[bi+1])<<8 | uint64(data[bi+2])<<16 |
-				uint64(data[bi+3])<<24 | uint64(data[bi+4])<<32 | uint64(data[bi+5])<<40 |
-				uint64(data[bi+6])<<48 | uint64(data[bi+7])<<56
-		} else {
-			for o := 0; bi+o < len(data) && o < 8; o++ {
-				v |= uint64(data[bi+o]) << (8 * uint(o))
+	out := make([]int, 0, n)
+	run, digits := uint64(0), 0
+	for uint64(len(out)) < n {
+		k, s, found := key{}, 0, false
+		for !found {
+			if k.length == maxLen {
+				return nil, ErrBadSymbol
+			}
+			b, err := r.ReadBit()
+			if err != nil {
+				return nil, err
+			}
+			k = key{k.length + 1, k.code<<1 | uint64(b)}
+			s, found = symbolOf[k]
+		}
+		if s == centre || s == alphabet {
+			d := uint64(1)
+			if s == alphabet {
+				d = 2
+			}
+			run += d << digits
+			digits++
+			if left := n - uint64(len(out)); run > left {
+				return nil, ErrBadSymbol
+			} else if digits < runDigits && run < left {
+				continue
 			}
 		}
-		v >>= shift
-		if n < 64 {
-			v &= (1 << n) - 1
+		for ; run > 0; run-- {
+			out = append(out, centre)
 		}
-		return v
-	}
-	lb := dec.lookupBits
-	for i := range out {
-		if pos >= totalBits {
-			return nil, bitstream.ErrShortStream
-		}
-		if entry := dec.lookup[peek(pos, lb)]; entry != 0 {
-			l := uint64(entry & 0x3f)
-			if pos+l > totalBits {
-				return nil, bitstream.ErrShortStream
-			}
-			out[i] = int(entry >> 6)
-			pos += l
-			continue
-		}
-		// Slow path: canonical walk bit by bit (codes longer than the
-		// lookup width, or an invalid prefix).
-		var code uint64
-		matched := false
-		for l := uint8(1); l <= dec.maxLen; l++ {
-			if pos >= totalBits {
-				return nil, bitstream.ErrShortStream
-			}
-			code = (code << 1) | peek(pos, 1)
-			pos++
-			if rel := code - dec.firstCode[l]; code >= dec.firstCode[l] && rel < dec.count[l] {
-				out[i] = dec.sorted[dec.offset[l]+int(rel)]
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			return nil, ErrBadSymbol
+		digits = 0
+		if s != centre && s != alphabet {
+			out = append(out, s)
 		}
 	}
 	return out, nil

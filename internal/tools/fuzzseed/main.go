@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -204,16 +205,22 @@ func run() error {
 
 // forgedTableSeeds writes, for each decoder behind the shared entropy stage
 // (sz, mgl, mgl tiers), an otherwise well-formed raw payload whose Huffman
-// table is 8 bytes declaring 2^28 symbols. The table reader must fail on the
-// truncated table without sizing anything from the declared alphabet (the
-// full-alphabet reader allocated 256 MiB here).
+// stream is 10 bytes declaring 2^28 symbols and 2^15 table entries and
+// breaking off in the second. The table reader must fail on the count
+// without sizing anything from it or from the declared alphabet.
 func forgedTableSeeds() error {
+	gamma := func(w *bitstream.Writer, v uint64) { // Elias-gamma, as internal/huffman reads it
+		n := uint(bits.Len64(v)) - 1
+		w.WriteBits(0, n)
+		w.WriteBit(1)
+		w.WriteBits(v, n)
+	}
 	w := bitstream.NewWriter(0)
 	w.WriteBits(1<<28, 32) // declared alphabet
-	for i := 0; i < 2; i++ {
-		w.WriteBits(5<<1|1, 7)     // one symbol of length 5
-		w.WriteBits(0xffff<<1, 17) // one maximal zero run
-	}
+	gamma(w, 1<<15+1)      // declared entries
+	gamma(w, 1)            // symbol 0 …
+	gamma(w, 2*5+1)        // … of length 5
+	gamma(w, 2)            // symbol 2, and nothing more
 	table := w.Bytes()
 	body := func(fields ...uint64) []byte {
 		b := []byte{0} // marker: raw, no DEFLATE
@@ -228,9 +235,9 @@ func forgedTableSeeds() error {
 		dir     string
 		payload []byte
 	}{ // magic, version, [tier,] ndims, extent, [predictor, scheme,] intervals, bound, escapes, coded length[, selection length]
-		{"internal/compress/sz/testdata/fuzz/FuzzDecompress", body(0x535a4731, 1, 1, values, 1, 0, intervals, bound, 0, coded, 0)},
-		{"internal/compress/multilevel/testdata/fuzz/FuzzDecompress", body(0x4d474c31, 1, 1, values, intervals, bound, 0, coded)},
-		{"internal/compress/multilevel/testdata/fuzz/FuzzDecompressProgressive", body(0x4d474c54, 1, 0, 1, values, intervals, bound, 0, coded)},
+		{"internal/compress/sz/testdata/fuzz/FuzzDecompress", body(0x535a4731, 2, 1, values, 1, 0, intervals, bound, 0, coded, 0)},
+		{"internal/compress/multilevel/testdata/fuzz/FuzzDecompress", body(0x4d474c31, 2, 1, values, intervals, bound, 0, coded)},
+		{"internal/compress/multilevel/testdata/fuzz/FuzzDecompressProgressive", body(0x4d474c54, 2, 0, 1, values, intervals, bound, 0, coded)},
 	}
 	for _, s := range seeds {
 		if err := write(s.dir, "seed-forged-table", corpusEntry(s.payload)); err != nil {

@@ -3,11 +3,7 @@ package zmesh
 import "testing"
 
 func TestLevelPrefixCells(t *testing.T) {
-	ck, err := Generate("sedov", GenerateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := ck.Mesh
+	m := checkpoint(t).Mesh
 	if m.MaxLevel() < 1 {
 		t.Fatalf("sedov mesh did not refine (max level %d)", m.MaxLevel())
 	}
@@ -35,12 +31,13 @@ func TestLevelPrefixCells(t *testing.T) {
 func TestReconstructPartialLevelsMonotone(t *testing.T) {
 	// blast refines four levels deep and its level-prefix reconstructions
 	// improve strictly at every step (see progressive.go for why that is an
-	// empirical property of the data rather than an unconditional one).
-	ck, err := Generate("blast", GenerateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// empirical property of the data rather than an unconditional one). The
+	// small solver run of the ratio golden keeps both properties.
+	ck := ratioCheckpoint(t, "blast")
 	m := ck.Mesh
+	if m.MaxLevel() != 3 {
+		t.Fatalf("blast mesh has max level %d, want 3", m.MaxLevel())
+	}
 	for _, f := range ck.Fields {
 		stream := FieldValues(f)
 		prevErr := -1.0
@@ -69,11 +66,7 @@ func TestReconstructPartialLevelsMonotone(t *testing.T) {
 }
 
 func TestReconstructPartialLevelsLengthCheck(t *testing.T) {
-	ck, err := Generate("sedov", GenerateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReconstructPartialLevels(ck.Mesh, "x", []float64{1, 2, 3}, 1); err == nil {
+	if _, err := ReconstructPartialLevels(checkpoint(t).Mesh, "x", []float64{1, 2, 3}, 1); err == nil {
 		t.Fatal("short prefix accepted")
 	}
 }
