@@ -1,12 +1,13 @@
 package zmesh
 
-// Decode-path hardening tests: container envelope verification, legacy
-// bare-payload compatibility, concurrent Decoder use (meaningful under
+// Decode-path hardening tests: container envelope verification, bare
+// codec payloads refused, concurrent Decoder use (meaningful under
 // `go test -race`), and the concurrent DecompressFields/CompressFields
 // worker pools.
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -44,34 +45,25 @@ func TestPayloadIsContainerWrapped(t *testing.T) {
 	}
 }
 
-func TestLegacyBarePayloadStillDecodes(t *testing.T) {
-	// Artifacts written before the envelope existed carry the codec's raw
-	// framing; the decoder must keep accepting them.
-	c, ck := compressedFor(t, DefaultOptions())
-	env, err := container.Unwrap(c.Payload)
+// stripEnvelope returns the bare codec payload inside a container envelope.
+func stripEnvelope(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	env, err := container.Unwrap(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := *c
-	legacy.Payload = env.Payload // bare codec output, no envelope
+	return env.Payload
+}
 
-	dec := NewDecoder(ck.Mesh)
-	wrapped, err := dec.DecompressField(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare, err := dec.DecompressField(&legacy)
-	if err != nil {
-		t.Fatalf("legacy payload rejected: %v", err)
-	}
-	wv, bv := FieldValues(wrapped), FieldValues(bare)
-	if len(wv) != len(bv) {
-		t.Fatalf("value count %d vs %d", len(wv), len(bv))
-	}
-	for i := range wv {
-		if wv[i] != bv[i] {
-			t.Fatalf("value %d: legacy and wrapped payloads decode differently (%g vs %g)", i, wv[i], bv[i])
-		}
+func TestBarePayloadRejected(t *testing.T) {
+	// A codec payload without the envelope carries no checksum and no codec
+	// name: the decoder refuses it at the magic instead of guessing.
+	c, ck := compressedFor(t, DefaultOptions())
+	bare := *c
+	bare.Payload = stripEnvelope(t, c.Payload)
+	_, err := NewDecoder(ck.Mesh).DecompressField(&bare)
+	if !errors.Is(err, container.ErrCorrupt) || !strings.Contains(err.Error(), "missing magic") {
+		t.Fatalf("bare payload: %v, want container.ErrCorrupt (missing magic)", err)
 	}
 }
 

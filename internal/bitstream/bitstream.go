@@ -74,14 +74,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	}
 }
 
-// WriteUnary appends v as a unary code: v one-bits followed by a zero bit.
-func (w *Writer) WriteUnary(v uint) {
-	for i := uint(0); i < v; i++ {
-		w.WriteBit(1)
-	}
-	w.WriteBit(0)
-}
-
 // Len reports the number of bits written so far.
 func (w *Writer) Len() uint64 { return w.total }
 
@@ -208,22 +200,6 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	v |= hi << got
 	r.read += uint64(n)
 	return v, nil
-}
-
-// ReadUnary consumes a unary code (ones terminated by a zero) and returns
-// the count of one-bits.
-func (r *Reader) ReadUnary() (uint, error) {
-	var v uint
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 0 {
-			return v, nil
-		}
-		v++
-	}
 }
 
 // BitsRead reports the total number of bits consumed.

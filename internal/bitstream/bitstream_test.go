@@ -69,24 +69,6 @@ func TestWriteBitsMasksHighBits(t *testing.T) {
 	}
 }
 
-func TestUnary(t *testing.T) {
-	w := NewWriter(0)
-	vals := []uint{0, 1, 5, 13, 0, 2}
-	for _, v := range vals {
-		w.WriteUnary(v)
-	}
-	r := NewReader(w.Bytes())
-	for i, want := range vals {
-		got, err := r.ReadUnary()
-		if err != nil {
-			t.Fatalf("val %d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("val %d = %d, want %d", i, got, want)
-		}
-	}
-}
-
 func TestShortStream(t *testing.T) {
 	w := NewWriter(0)
 	w.WriteBits(0xab, 8)

@@ -19,10 +19,6 @@ func FuzzReader(f *testing.F) {
 		for _, op := range ops {
 			before := r.BitsRead()
 			switch {
-			case op == 255:
-				if _, err := r.ReadUnary(); err != nil {
-					return
-				}
 			case op%65 == 0:
 				if _, err := r.ReadBit(); err != nil {
 					return

@@ -18,13 +18,13 @@
 //	...        CRC32-C of the payload (4 bytes, little-endian)
 //	...        payload (exactly P bytes; the envelope must end here)
 //
-// The magic's first byte (0x7a, 'z') is disjoint from every legacy bare
-// payload this repo has ever produced: the SZ and multilevel codecs start
-// with a 0x00/0x01 lossless-stage marker, and the ZFP, lossless and chunked
-// framings start with the uvarint encoding of a 32-bit magic whose first
-// byte has the continuation bit set (>= 0x80). Decoders therefore detect
-// the envelope by prefix and fall back to the legacy bare-payload path when
-// it is absent.
+// The magic's first byte (0x7a, 'z') is disjoint from every codec framing
+// in this repo: the SZ and multilevel codecs start with a 0x00/0x01
+// lossless-stage marker, and the ZFP, lossless and chunked framings start
+// with the uvarint encoding of a 32-bit magic whose first byte has the
+// continuation bit set (>= 0x80). A codec payload handed over without its
+// envelope is therefore refused at the magic (ErrCorrupt), never parsed as
+// one.
 package container
 
 import (
@@ -71,9 +71,7 @@ type Envelope struct {
 	Payload []byte
 }
 
-// IsContainer reports whether buf starts with the envelope magic. A false
-// result means buf is a legacy bare payload (or garbage) and should take
-// the caller's compatibility path.
+// IsContainer reports whether buf starts with the envelope magic.
 func IsContainer(buf []byte) bool {
 	return len(buf) >= len(Magic) && [4]byte(buf[:4]) == Magic
 }
@@ -97,8 +95,7 @@ func Wrap(codec string, numValues int, payload []byte) ([]byte, error) {
 }
 
 // Unwrap parses and verifies an envelope. The returned payload aliases buf.
-// Callers should test IsContainer first; Unwrap on a non-container buffer
-// returns ErrCorrupt.
+// A buffer without the magic returns ErrCorrupt.
 func Unwrap(buf []byte) (Envelope, error) {
 	var env Envelope
 	if !IsContainer(buf) {

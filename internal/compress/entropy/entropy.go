@@ -77,10 +77,10 @@ func (b *Buf) Put() { pool.Put(b) }
 
 // Seal entropy-codes b.Codes over [0, alphabet) and returns the finished
 // payload: the marker byte, then head's output ‖ coded stream ‖ b.Unpred as
-// float64-LE — through DEFLATE when lossless is set and that is smaller, at
-// whichever of the two levels is smallest.
+// float64-LE — through DEFLATE when that is smaller, at whichever of the two
+// levels is smallest.
 // head appends the codec's header to dst given the coded stream's length.
-func (b *Buf) Seal(alphabet int, lossless bool, head func(dst []byte, codedLen int) []byte) ([]byte, error) {
+func (b *Buf) Seal(alphabet int, head func(dst []byte, codedLen int) []byte) ([]byte, error) {
 	var err error
 	if b.coded, err = huffman.Encode(b.coded[:0], b.Codes, alphabet); err != nil {
 		return nil, fmt.Errorf("entropy stage: %w", err)
@@ -91,22 +91,20 @@ func (b *Buf) Seal(alphabet int, lossless bool, head func(dst []byte, codedLen i
 	}
 	b.body = body
 	best := body // the marker tells the decoder which form it got
-	if lossless {
-		for pass, out := range [2]*bytes.Buffer{&b.fast, &b.packed} {
-			if pass == 1 {
-				if !worthThorough(len(body), b.fast.Len(), 8*len(b.Unpred)) {
-					break
-				}
-				b.thorough++
+	for pass, out := range [2]*bytes.Buffer{&b.fast, &b.packed} {
+		if pass == 1 {
+			if !worthThorough(len(body), b.fast.Len(), 8*len(b.Unpred)) {
+				break
 			}
-			out.Reset()
-			out.WriteByte(1)
-			if err := b.deflate(out, pass, body[1:]); err != nil {
-				return nil, err
-			}
-			if out.Len() < len(best) {
-				best = out.Bytes()
-			}
+			b.thorough++
+		}
+		out.Reset()
+		out.WriteByte(1)
+		if err := b.deflate(out, pass, body[1:]); err != nil {
+			return nil, err
+		}
+		if out.Len() < len(best) {
+			best = out.Bytes()
 		}
 	}
 	return bytes.Clone(best), nil

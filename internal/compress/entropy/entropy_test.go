@@ -32,11 +32,9 @@ func fill(b *Buf, rng *rand.Rand, spread float64) (head []byte) {
 	return binary.AppendUvarint([]byte("HDR"), uint64(len(b.Codes)))
 }
 
-// reference assembles the payload from the rule as written down: a fresh
-// flate.Writer per pass, BestSpeed always, DefaultCompression when BestSpeed
-// took half a percent off or an eighth of the body is escaped values, the
-// smallest of raw and the passes run kept.
-func reference(t *testing.T, b *Buf, head []byte, lossless bool) []byte {
+// rawForm assembles the marker-0 payload: header ‖ coded stream ‖ escaped
+// values, no DEFLATE.
+func rawForm(t *testing.T, b *Buf, head []byte) []byte {
 	t.Helper()
 	coded, err := huffman.Encode(nil, b.Codes, alphabet)
 	if err != nil {
@@ -47,8 +45,18 @@ func reference(t *testing.T, b *Buf, head []byte, lossless bool) []byte {
 	for _, v := range b.Unpred {
 		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
 	}
-	if !lossless {
-		return raw
+	return raw
+}
+
+// reference assembles the payload from the rule as written down: a fresh
+// flate.Writer per pass, BestSpeed always, DefaultCompression when BestSpeed
+// took half a percent off or an eighth of the body is escaped values, the
+// smallest of raw and the passes run kept.
+func reference(t *testing.T, b *Buf, head []byte) []byte {
+	t.Helper()
+	raw := rawForm(t, b, head)
+	if raw == nil {
+		return nil
 	}
 	pack := func(level int) []byte {
 		var out bytes.Buffer
@@ -65,18 +73,18 @@ func reference(t *testing.T, b *Buf, head []byte, lossless bool) []byte {
 	return slices.MinFunc(forms, func(x, y []byte) int { return len(x) - len(y) })
 }
 
-func seal(b *Buf, head []byte, lossless bool) ([]byte, error) {
-	return b.Seal(alphabet, lossless, func(dst []byte, codedLen int) []byte {
+func seal(b *Buf, head []byte) ([]byte, error) {
+	return b.Seal(alphabet, func(dst []byte, codedLen int) []byte {
 		return binary.AppendUvarint(append(dst, head...), uint64(codedLen))
 	})
 }
 
 // roundTrip seals b, checks the bytes against the reference, then opens and
 // decodes them through a second Buf.
-func roundTrip(t *testing.T, b *Buf, head []byte, lossless bool) {
+func roundTrip(t *testing.T, b *Buf, head []byte) {
 	t.Helper()
-	want := reference(t, b, head, lossless)
-	got, err := seal(b, head, lossless)
+	want := reference(t, b, head)
+	got, err := seal(b, head)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +114,9 @@ func roundTrip(t *testing.T, b *Buf, head []byte, lossless bool) {
 	}
 }
 
-// Sizes alternate through one pool, with and without DEFLATE, bodies that
-// repeat (both passes) between bodies that do not (one): a flate state or
-// buffer that survived Reset would change the next call's bytes.
+// Sizes alternate through one pool, bodies that repeat (both passes)
+// between bodies that do not (one): a flate state or buffer that survived
+// Reset would change the next call's bytes.
 func TestSealMatchesFreshWriter(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i, n := range []int{0, 1, 64, 40000, 7, 4096, 64, 100000, 3} {
@@ -117,7 +125,7 @@ func TestSealMatchesFreshWriter(t *testing.T) {
 		if i%2 == 1 {
 			b.Unpred = repeated(rng, 2+i)
 		}
-		roundTrip(t, b, head, i%4 != 3)
+		roundTrip(t, b, head)
 		b.Put()
 	}
 }
@@ -153,8 +161,8 @@ func TestThoroughPassRunsWhereItPays(t *testing.T) {
 	head := fill(b, rng, 300)
 	sealed := func(name string, wantThorough int, wantMarker byte) []byte {
 		t.Helper()
-		before, want := b.thorough, reference(t, b, head, true)
-		got, err := seal(b, head, true)
+		before, want := b.thorough, reference(t, b, head)
+		got, err := seal(b, head)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +187,7 @@ func TestThoroughPassRunsWhereItPays(t *testing.T) {
 	for i := 0; i < 1000; i++ { // neighbours on a field: the upper half shared, noise below it
 		b.Unpred = append(b.Unpred, 1+1e-6*rng.Float64())
 	}
-	raw := reference(t, b, head, false)
+	raw := rawForm(t, b, head)
 	var fast bytes.Buffer
 	fw, _ := flate.NewWriter(&fast, flate.BestSpeed)
 	fw.Write(raw[1:])
@@ -208,7 +216,7 @@ func TestFailedCallLeavesPoolClean(t *testing.T) {
 	b := Get(30000)
 	defer b.Put()
 	head := fill(b, rng, 500)
-	roundTrip(t, b, head, true)
+	roundTrip(t, b, head)
 
 	noise := make([]byte, 1<<16)
 	rng.Read(noise)
@@ -218,15 +226,15 @@ func TestFailedCallLeavesPoolClean(t *testing.T) {
 		}
 	}
 	b.Unpred = repeated(rng, 8) // through both writers again
-	roundTrip(t, b, head, true)
+	roundTrip(t, b, head)
 
 	good := b.Codes[7]
 	b.Codes[7] = alphabet
-	if _, err := seal(b, head, true); err == nil {
+	if _, err := seal(b, head); err == nil {
 		t.Fatal("out-of-alphabet code accepted")
 	}
 	b.Codes[7] = good
-	roundTrip(t, b, head, true)
+	roundTrip(t, b, head)
 }
 
 func TestOpenRejects(t *testing.T) {
@@ -260,8 +268,8 @@ func TestPoolConcurrent(t *testing.T) {
 			for i := 0; i < 25 && !t.Failed(); i++ {
 				b := Get(1 + rng.Intn(5000))
 				head := fill(b, rng, float64(1+rng.Intn(100)))
-				want := reference(t, b, head, true)
-				if got, err := seal(b, head, true); err != nil || !bytes.Equal(got, want) {
+				want := reference(t, b, head)
+				if got, err := seal(b, head); err != nil || !bytes.Equal(got, want) {
 					t.Errorf("goroutine %d: pooled tail diverges (err %v)", g, err)
 				}
 				b.Put()

@@ -228,7 +228,7 @@ func (c *Compressor) Compress(data []float64, dims []int, bound compress.Bound) 
 		codes[i] = 0
 		buf.Unpred = append(buf.Unpred, v)
 	}
-	out, err := buf.Seal(c.Intervals, true, func(head []byte, codedLen int) []byte {
+	out, err := buf.Seal(c.Intervals, func(head []byte, codedLen int) []byte {
 		head = binary.AppendUvarint(head, magic)
 		head = binary.AppendUvarint(head, version)
 		head = appendDims(head, dims)

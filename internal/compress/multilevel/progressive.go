@@ -84,7 +84,7 @@ func (c *Compressor) CompressProgressive(data []float64, dims []int, mode compre
 			buf.Unpred = append(buf.Unpred, r)
 			reconC[i] = v
 		}
-		payload, err := buf.Seal(c.Intervals, true, func(head []byte, codedLen int) []byte {
+		payload, err := buf.Seal(c.Intervals, func(head []byte, codedLen int) []byte {
 			head = binary.AppendUvarint(head, tierMagic)
 			head = binary.AppendUvarint(head, version)
 			head = binary.AppendUvarint(head, uint64(ti))

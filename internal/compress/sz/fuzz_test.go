@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzDecompress feeds arbitrary bytes to the SZ decoder, seeded with valid
-// round-trip payloads across dimensionalities and codec variants. The
+// round-trip payloads across dimensionalities and alphabet sizes. The
 // decoder must never panic and must never report more values than the
 // payload could plausibly encode.
 func FuzzDecompress(f *testing.F) {
@@ -16,16 +16,17 @@ func FuzzDecompress(f *testing.F) {
 	for i := range data {
 		data[i] = math.Sin(float64(i)/9) + 0.3*math.Cos(float64(i)/2)
 	}
-	variants := []*Compressor{
-		New(),
-		{Intervals: DefaultIntervals, DisableLossless: true},
-		{Intervals: DefaultIntervals, DisableRegression: true},
-		{Intervals: 64},
-	}
-	for _, c := range variants {
+	// The default alphabet, a small one, and the smallest (nearly every
+	// value escapes); the default's payloads also in the raw form.
+	for _, c := range []*Compressor{New(), {Intervals: 64}, {Intervals: 4}} {
 		for _, dims := range [][]int{{600}, {20, 30}, {10, 6, 10}} {
-			if buf, err := c.Compress(data, dims, compress.AbsBound(1e-3)); err == nil {
-				f.Add(buf)
+			buf, err := c.Compress(data, dims, compress.AbsBound(1e-3))
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf)
+			if c.Intervals == DefaultIntervals {
+				f.Add(rawForm(f, buf))
 			}
 		}
 	}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/bitstream"
 	"repro/internal/compress"
 	"repro/internal/compress/entropy"
 )
@@ -28,11 +27,11 @@ const (
 	version = 2
 )
 
-// Prediction schemes for 2-D/3-D data.
-const (
-	schemeLorenzo = 0 // global Lorenzo prediction
-	schemeBlocked = 1 // SZ-2-style per-block Lorenzo/regression selection
-)
+// schemeLorenzo is the one value of the header's prediction-scheme field:
+// Lorenzo on reconstructed neighbours. Value 1 (SZ-2-style per-block
+// regression, with its selection section) has no decoder and is refused by
+// name; DESIGN.md "Retiring a header enum value" has the measurement.
+const schemeLorenzo = 0
 
 // DefaultIntervals is the default linear-scaling quantization capacity
 // (SZ's default quantization_intervals), i.e. the Huffman alphabet size.
@@ -43,11 +42,6 @@ type Compressor struct {
 	// Intervals is the quantization capacity (alphabet size). Must be an
 	// even number >= 4. Code 0 is reserved for unpredictable values.
 	Intervals int
-	// DisableLossless skips the DEFLATE stage (for ablation studies).
-	DisableLossless bool
-	// DisableRegression turns off SZ-2-style per-block regression for
-	// 2-D/3-D inputs, falling back to pure Lorenzo (for ablation studies).
-	DisableRegression bool
 }
 
 // New returns an SZ codec with default settings.
@@ -156,8 +150,6 @@ func (c *Compressor) Compress(data []float64, dims []int, bound compress.Bound) 
 	}
 
 	predOrder := 1
-	scheme := schemeLorenzo
-	var selBytes []byte
 	switch len(dims) {
 	case 1:
 		predOrder = choose1DPredictor(data)
@@ -165,35 +157,25 @@ func (c *Compressor) Compress(data []float64, dims []int, bound compress.Bound) 
 			quantize(i, predict1D(recon, i, predOrder))
 		}
 	case 2:
-		if c.DisableRegression {
-			ny, nx := dims[0], dims[1]
-			for j := 0; j < ny; j++ {
-				for i := 0; i < nx; i++ {
-					quantize(j*nx+i, predict2D(recon, nx, i, j))
-				}
+		ny, nx := dims[0], dims[1]
+		for j := 0; j < ny; j++ {
+			for i := 0; i < nx; i++ {
+				quantize(j*nx+i, predict2D(recon, nx, i, j))
 			}
-		} else {
-			scheme = schemeBlocked
-			selBytes = c.blockedEncode2D(data, recon, quantize, dims, eb)
 		}
 	case 3:
-		if c.DisableRegression {
-			nz, ny, nx := dims[0], dims[1], dims[2]
-			for k := 0; k < nz; k++ {
-				for j := 0; j < ny; j++ {
-					for i := 0; i < nx; i++ {
-						quantize((k*ny+j)*nx+i, predict3D(recon, nx, ny, i, j, k))
-					}
+		nz, ny, nx := dims[0], dims[1], dims[2]
+		for k := 0; k < nz; k++ {
+			for j := 0; j < ny; j++ {
+				for i := 0; i < nx; i++ {
+					quantize((k*ny+j)*nx+i, predict3D(recon, nx, ny, i, j, k))
 				}
 			}
-		} else {
-			scheme = schemeBlocked
-			selBytes = c.blockedEncode3D(data, recon, quantize, dims, eb)
 		}
 	}
 
 	buf.Unpred = unpred
-	out, err := buf.Seal(c.Intervals, !c.DisableLossless, func(head []byte, codedLen int) []byte {
+	out, err := buf.Seal(c.Intervals, func(head []byte, codedLen int) []byte {
 		head = binary.AppendUvarint(head, magic)
 		head = binary.AppendUvarint(head, version)
 		head = binary.AppendUvarint(head, uint64(len(dims)))
@@ -201,183 +183,17 @@ func (c *Compressor) Compress(data []float64, dims []int, bound compress.Bound) 
 			head = binary.AppendUvarint(head, uint64(d))
 		}
 		head = binary.AppendUvarint(head, uint64(predOrder))
-		head = binary.AppendUvarint(head, uint64(scheme))
+		head = binary.AppendUvarint(head, schemeLorenzo)
 		head = binary.AppendUvarint(head, uint64(c.Intervals))
 		head = binary.AppendUvarint(head, math.Float64bits(eb))
 		head = binary.AppendUvarint(head, uint64(len(unpred)))
 		head = binary.AppendUvarint(head, uint64(codedLen))
-		head = binary.AppendUvarint(head, uint64(len(selBytes)))
-		return append(head, selBytes...)
+		return binary.AppendUvarint(head, 0) // scheme 1's selection section: empty
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sz: %w", err)
 	}
 	return out, nil
-}
-
-// blockedEncode2D runs the per-block Lorenzo/regression selection over a
-// 2-D array, quantizing every cell, and returns the serialized selection
-// bits + regression coefficients.
-func (c *Compressor) blockedEncode2D(data, recon []float64, quantize func(idx int, pred float64), dims []int, eb float64) []byte {
-	ny, nx := dims[0], dims[1]
-	g := grid{gx: nx, gy: ny, gz: 1}
-	w := bitstream.NewWriter(0)
-	const b = regBlock2D
-	for oy := 0; oy < ny; oy += b {
-		nj := min(b, ny-oy)
-		for ox := 0; ox < nx; ox += b {
-			ni := min(b, nx-ox)
-			co := fitRegression(data, g, ox, oy, 0, ni, nj, 1)
-			use := chooseRegression(data, g, co, eb, ox, oy, 0, ni, nj, 1)
-			if use {
-				w.WriteBit(1)
-				co.write(w, false)
-			} else {
-				w.WriteBit(0)
-			}
-			for j := 0; j < nj; j++ {
-				for i := 0; i < ni; i++ {
-					idx := (oy+j)*nx + (ox + i)
-					var pred float64
-					if use {
-						pred = co.predict(i, j, 0, ni, nj, 1)
-					} else {
-						pred = predict2D(recon, nx, ox+i, oy+j)
-					}
-					quantize(idx, pred)
-				}
-			}
-		}
-	}
-	return w.Bytes()
-}
-
-// blockedEncode3D is the 3-D analogue of blockedEncode2D.
-func (c *Compressor) blockedEncode3D(data, recon []float64, quantize func(idx int, pred float64), dims []int, eb float64) []byte {
-	nz, ny, nx := dims[0], dims[1], dims[2]
-	g := grid{gx: nx, gy: ny, gz: nz}
-	w := bitstream.NewWriter(0)
-	const b = regBlock3D
-	for oz := 0; oz < nz; oz += b {
-		nk := min(b, nz-oz)
-		for oy := 0; oy < ny; oy += b {
-			nj := min(b, ny-oy)
-			for ox := 0; ox < nx; ox += b {
-				ni := min(b, nx-ox)
-				co := fitRegression(data, g, ox, oy, oz, ni, nj, nk)
-				use := chooseRegression(data, g, co, eb, ox, oy, oz, ni, nj, nk)
-				if use {
-					w.WriteBit(1)
-					co.write(w, true)
-				} else {
-					w.WriteBit(0)
-				}
-				for k := 0; k < nk; k++ {
-					for j := 0; j < nj; j++ {
-						for i := 0; i < ni; i++ {
-							idx := ((oz+k)*ny+(oy+j))*nx + (ox + i)
-							var pred float64
-							if use {
-								pred = co.predict(i, j, k, ni, nj, nk)
-							} else {
-								pred = predict3D(recon, nx, ny, ox+i, oy+j, oz+k)
-							}
-							quantize(idx, pred)
-						}
-					}
-				}
-			}
-		}
-	}
-	return w.Bytes()
-}
-
-// blockedDecode2D mirrors blockedEncode2D on the decompression side.
-func blockedDecode2D(sel *bitstream.Reader, recon []float64, apply func(idx int, pred float64) error, dims []int) error {
-	ny, nx := dims[0], dims[1]
-	const b = regBlock2D
-	for oy := 0; oy < ny; oy += b {
-		nj := min(b, ny-oy)
-		for ox := 0; ox < nx; ox += b {
-			ni := min(b, nx-ox)
-			bit, err := sel.ReadBit()
-			if err != nil {
-				return err
-			}
-			var co regCoeffs
-			use := bit == 1
-			if use {
-				if co, err = readRegCoeffs(sel, false); err != nil {
-					return err
-				}
-			}
-			for j := 0; j < nj; j++ {
-				for i := 0; i < ni; i++ {
-					idx := (oy+j)*nx + (ox + i)
-					var pred float64
-					if use {
-						pred = co.predict(i, j, 0, ni, nj, 1)
-					} else {
-						pred = predict2D(recon, nx, ox+i, oy+j)
-					}
-					if err := apply(idx, pred); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// blockedDecode3D mirrors blockedEncode3D on the decompression side.
-func blockedDecode3D(sel *bitstream.Reader, recon []float64, apply func(idx int, pred float64) error, dims []int) error {
-	nz, ny, nx := dims[0], dims[1], dims[2]
-	const b = regBlock3D
-	for oz := 0; oz < nz; oz += b {
-		nk := min(b, nz-oz)
-		for oy := 0; oy < ny; oy += b {
-			nj := min(b, ny-oy)
-			for ox := 0; ox < nx; ox += b {
-				ni := min(b, nx-ox)
-				bit, err := sel.ReadBit()
-				if err != nil {
-					return err
-				}
-				var co regCoeffs
-				use := bit == 1
-				if use {
-					if co, err = readRegCoeffs(sel, true); err != nil {
-						return err
-					}
-				}
-				for k := 0; k < nk; k++ {
-					for j := 0; j < nj; j++ {
-						for i := 0; i < ni; i++ {
-							idx := ((oz+k)*ny+(oy+j))*nx + (ox + i)
-							var pred float64
-							if use {
-								pred = co.predict(i, j, k, ni, nj, nk)
-							} else {
-								pred = predict3D(recon, nx, ny, ox+i, oy+j, oz+k)
-							}
-							if err := apply(idx, pred); err != nil {
-								return err
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ErrCorrupt is returned for malformed payloads.
@@ -434,13 +250,12 @@ func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
 		return nil, ErrCorrupt
 	}
 	predOrder := int(predOrder64)
-	scheme64, err := next()
-	if err != nil || scheme64 > schemeBlocked {
+	scheme, err := next()
+	if err != nil {
 		return nil, ErrCorrupt
 	}
-	scheme := int(scheme64)
-	if scheme == schemeBlocked && len(dims) < 2 {
-		return nil, ErrCorrupt
+	if scheme != schemeLorenzo {
+		return nil, fmt.Errorf("sz: unsupported prediction scheme %d (only Lorenzo, scheme 0, decodes; scheme 1, block regression, was retired)", scheme)
 	}
 	intervals64, err := next()
 	if err != nil || intervals64 < 4 || intervals64%2 != 0 || intervals64 > 1<<30 {
@@ -467,16 +282,18 @@ func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	if selLen64 != 0 {
+		return nil, fmt.Errorf("sz: unsupported %d-byte selection section (it belonged to scheme 1, block regression, which was retired)", selLen64)
+	}
 	// Validate each section length against the remaining bytes separately:
 	// summing attacker-controlled uint64s first could wrap past the check
 	// and panic on the slice expressions below.
 	lenRd := uint64(len(rd))
-	if selLen64 > lenRd || codedLen64 > lenRd-selLen64 || nUnpred64 > (lenRd-selLen64-codedLen64)/8 {
+	if codedLen64 > lenRd || nUnpred64 > (lenRd-codedLen64)/8 {
 		return nil, ErrCorrupt
 	}
-	selBytes := rd[:selLen64]
-	coded := rd[selLen64 : selLen64+codedLen64]
-	rawUnpred := rd[selLen64+codedLen64 : selLen64+codedLen64+8*nUnpred64]
+	coded := rd[:codedLen64]
+	rawUnpred := rd[codedLen64 : codedLen64+8*nUnpred64]
 
 	if err := work.Decode(coded, n); err != nil {
 		return nil, fmt.Errorf("sz: %w", err)
@@ -503,18 +320,14 @@ func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
 		recon[idx] = pred + float64(code-radius)*twoEb
 		return nil
 	}
-	switch {
-	case len(dims) == 1:
+	switch len(dims) {
+	case 1:
 		for i := 0; i < n; i++ {
 			if err := apply(i, predict1D(recon, i, predOrder)); err != nil {
 				return nil, err
 			}
 		}
-	case len(dims) == 2 && scheme == schemeBlocked:
-		if err := blockedDecode2D(bitstream.NewReader(selBytes), recon, apply, dims); err != nil {
-			return nil, err
-		}
-	case len(dims) == 2:
+	case 2:
 		ny, nx := dims[0], dims[1]
 		for j := 0; j < ny; j++ {
 			for i := 0; i < nx; i++ {
@@ -523,11 +336,7 @@ func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
 				}
 			}
 		}
-	case len(dims) == 3 && scheme == schemeBlocked:
-		if err := blockedDecode3D(bitstream.NewReader(selBytes), recon, apply, dims); err != nil {
-			return nil, err
-		}
-	case len(dims) == 3:
+	case 3:
 		nz, ny, nx := dims[0], dims[1], dims[2]
 		for k := 0; k < nz; k++ {
 			for j := 0; j < ny; j++ {

@@ -1,6 +1,7 @@
 package sz
 
 import (
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/compress"
+	"repro/internal/compress/entropy"
 )
 
 func maxErr(a, b []float64) float64 {
@@ -265,38 +267,113 @@ func TestCorruptPayload(t *testing.T) {
 	}
 }
 
+// rawForm re-assembles a payload in the raw (marker 0) form: header in the
+// clear, no DEFLATE, whichever form Compress chose.
+func rawForm(t testing.TB, buf []byte) []byte {
+	t.Helper()
+	work := entropy.Get(0)
+	defer work.Put()
+	body, err := work.Open(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte{0}, body...)
+}
+
+// The decoder takes either form of the lossless stage, whatever the encoder
+// would have chosen for the stream.
+func TestRawFormDecodes(t *testing.T) {
+	data := smoothSignal(5000)
+	buf, err := New().Compress(data, []int{5000}, compress.AbsBound(1e-4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := New().Decompress(rawForm(t, buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(data) || maxErr(data, got) > 1e-4 {
+		t.Fatalf("%d values, error %g", len(got), maxErr(data, got))
+	}
+}
+
 // The entropy stage changed between stream versions 1 and 2 and no version 1
 // decoder is kept: a version 1 header must be refused by name, not decoded
 // with the wrong coder.
 func TestVersion1Rejected(t *testing.T) {
-	c := &Compressor{Intervals: DefaultIntervals, DisableLossless: true} // header in the clear
-	buf, err := c.Compress(smoothSignal(100), []int{100}, compress.AbsBound(1e-3))
+	buf, err := New().Compress(smoothSignal(100), []int{100}, compress.AbsBound(1e-3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	buf = rawForm(t, buf)
 	const versionAt = 1 + 5 // marker, then the magic as a 5-byte uvarint
 	if buf[versionAt] != version {
 		t.Fatalf("byte %d is %d, expected the version", versionAt, buf[versionAt])
 	}
 	buf[versionAt] = 1
-	if _, err := c.Decompress(buf); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+	if _, err := New().Decompress(buf); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
 		t.Fatalf("version 1 payload: %v, want unsupported version", err)
 	}
 }
 
-func TestDisableLossless(t *testing.T) {
-	c := &Compressor{Intervals: DefaultIntervals, DisableLossless: true}
-	data := smoothSignal(5000)
-	buf, err := c.Compress(data, []int{5000}, compress.AbsBound(1e-4))
+// regressionStream is a 4×6 ramp compressed at abs 1e-3 by the last commit
+// whose encoder wrote prediction scheme 1 (per-block regression, retired at
+// PR 26): raw form, one block, regression selected, 13 selection bytes.
+const regressionStream = "00b18ee99a05020204060101808004fcd3c697ddc998a83f00130d" +
+	"0100a0800000007f0000007e000000010006000c001800100010030000002001"
+
+// No scheme 1 decoder is kept: a stream that declares it, or a scheme 0
+// stream that still carries a selection section, is refused by name rather
+// than decoded with the wrong predictor.
+func TestRegressionStreamRejected(t *testing.T) {
+	buf, err := hex.DecodeString(regressionStream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := New().Decompress(buf) // default codec decodes it too
-	if err != nil {
-		t.Fatal(err)
+	const schemeAt = 1 + 5 + 1 + 3 + 1 // marker, magic, version, ndims + 2 extents, predictor order
+	if buf[schemeAt] != 1 {
+		t.Fatalf("byte %d is %d, expected scheme 1", schemeAt, buf[schemeAt])
 	}
-	if e := maxErr(data, got); e > 1e-4 {
-		t.Fatalf("error %g", e)
+	if _, err := New().Decompress(buf); err == nil || !strings.Contains(err.Error(), "prediction scheme 1") {
+		t.Fatalf("scheme 1 stream: %v, want an error naming the scheme", err)
+	}
+	buf[schemeAt] = schemeLorenzo
+	if _, err := New().Decompress(buf); err == nil || !strings.Contains(err.Error(), "selection section") {
+		t.Fatalf("scheme 0 stream with selection bytes: %v, want an error naming the section", err)
+	}
+}
+
+// Multi-D Lorenzo over extents that are odd, prime or degenerate (a single
+// row, column or pencil): the point-wise bound must hold at every cell.
+func TestLorenzoRoundTripOddSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	c := New()
+	for _, dims := range [][]int{{7, 13}, {1, 29}, {29, 1}, {5, 6, 7}, {1, 1, 31}} {
+		n := 1
+		for _, d := range dims {
+			n *= d
+		}
+		data := make([]float64, n)
+		v := 0.0
+		for i := range data {
+			v += rng.NormFloat64()
+			data[i] = v
+		}
+		eb := 1e-3
+		buf, err := c.Compress(data, dims, compress.AbsBound(eb))
+		if err != nil {
+			t.Fatalf("dims %v: %v", dims, err)
+		}
+		got, err := c.Decompress(buf)
+		if err != nil {
+			t.Fatalf("dims %v: %v", dims, err)
+		}
+		if len(got) != n {
+			t.Fatalf("dims %v: %d values back, want %d", dims, len(got), n)
+		}
+		if e := maxErr(data, got); e > eb {
+			t.Fatalf("dims %v: max error %g", dims, e)
+		}
 	}
 }
 

@@ -212,23 +212,38 @@ func goldenWireCase(t *testing.T, name string, layout zmesh.Layout, codec string
 // conventional status codes.
 func TestWireErrorShapes(t *testing.T) {
 	s := New(Config{})
-	m, _ := testMesh(t)
+	m, f := testMesh(t)
 	post(t, s.Handler(), wire.PathMeshes, m.Structure(), http.StatusCreated)
 	id := MeshID(m.Structure())
+	// A real codec payload stripped of its envelope: refused at the magic.
+	enc, err := zmesh.NewEncoder(m, zmesh.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := enc.CompressField(f, testBound())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := container.Unwrap(c.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name, path string
 		body       []byte
 		status     int
+		msg        string // when set, the error text must contain it
 	}{
-		{"empty structure", wire.PathMeshes, nil, http.StatusBadRequest},
-		{"unknown mesh", wire.CompressPath("deadbeef") + "?" + compressQuery(zmesh.LayoutZMesh, "sz"), nil, http.StatusNotFound},
-		{"missing bound", wire.CompressPath(id) + "?field=dens", []byte{0, 0, 0, 0, 0, 0, 0, 0}, http.StatusBadRequest},
-		{"bad bound", wire.CompressPath(id) + "?bound=abs:-1", []byte{0, 0, 0, 0, 0, 0, 0, 0}, http.StatusBadRequest},
-		{"unknown codec", wire.CompressPath(id) + "?codec=nope&bound=abs:1e-3", nil, http.StatusBadRequest},
-		{"ragged floats", wire.CompressPath(id) + "?bound=abs:1e-3", []byte{1, 2, 3}, http.StatusBadRequest},
-		{"empty payload", wire.DecompressPath(id), nil, http.StatusBadRequest},
-		{"garbage payload", wire.DecompressPath(id), []byte("not a container"), http.StatusBadRequest},
+		{"empty structure", wire.PathMeshes, nil, http.StatusBadRequest, ""},
+		{"unknown mesh", wire.CompressPath("deadbeef") + "?" + compressQuery(zmesh.LayoutZMesh, "sz"), nil, http.StatusNotFound, ""},
+		{"missing bound", wire.CompressPath(id) + "?field=dens", []byte{0, 0, 0, 0, 0, 0, 0, 0}, http.StatusBadRequest, ""},
+		{"bad bound", wire.CompressPath(id) + "?bound=abs:-1", []byte{0, 0, 0, 0, 0, 0, 0, 0}, http.StatusBadRequest, ""},
+		{"unknown codec", wire.CompressPath(id) + "?codec=nope&bound=abs:1e-3", nil, http.StatusBadRequest, ""},
+		{"ragged floats", wire.CompressPath(id) + "?bound=abs:1e-3", []byte{1, 2, 3}, http.StatusBadRequest, ""},
+		{"empty payload", wire.DecompressPath(id), nil, http.StatusBadRequest, ""},
+		{"garbage payload", wire.DecompressPath(id), []byte("not a container"), http.StatusBadRequest, ""},
+		{"bare codec payload", wire.DecompressPath(id), env.Payload, http.StatusBadRequest, "missing magic"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -239,6 +254,9 @@ func TestWireErrorShapes(t *testing.T) {
 			}
 			if ct := rec.Header().Get("Content-Type"); ct != wire.ContentTypeJSON {
 				t.Fatalf("error Content-Type = %q, want %q", ct, wire.ContentTypeJSON)
+			}
+			if !strings.Contains(er.Error, tc.msg) {
+				t.Fatalf("error %q does not mention %q", er.Error, tc.msg)
 			}
 		})
 	}

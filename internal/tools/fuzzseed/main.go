@@ -359,8 +359,9 @@ func temporalWireSeeds() error {
 
 // tacSeeds writes the zTAC frame corpus for the root package's
 // FuzzTACFrame: a valid frame for the same sedov checkpoint the fuzz target
-// decodes against (extracted bare from the container envelope so mutations
-// reach the frame parser instead of dying on the envelope CRC), a bit flip,
+// decodes against (extracted bare from the container envelope — the fuzz
+// body seals each mutation in a fresh one, so mutations reach the frame
+// parser instead of dying on the envelope CRC), a bit flip,
 // a truncation, and a handcrafted declared-box-count bomb that must be
 // rejected before any allocation.
 func tacSeeds() error {

@@ -78,16 +78,16 @@ type ManifestFrame struct {
 	Object string
 }
 
-// AppendManifest appends the wire encoding of m to dst.
-func AppendManifest(dst []byte, m *Manifest) ([]byte, error) {
-	dst = append(dst, manifestMagic[:]...)
+// EncodeManifest returns the wire encoding of m.
+func EncodeManifest(m *Manifest) ([]byte, error) {
+	dst := append([]byte(nil), manifestMagic[:]...)
 	body := len(dst)
 	dst = append(dst, manifestVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(m.Fields)))
 	for _, f := range m.Fields {
 		for _, s := range []string{f.Name, f.Layout, f.Curve, f.Codec} {
 			if len(s) > MaxFrameString {
-				return dst, fmt.Errorf("wire: manifest identity string is %d bytes, max %d", len(s), MaxFrameString)
+				return nil, fmt.Errorf("wire: manifest identity string is %d bytes, max %d", len(s), MaxFrameString)
 			}
 		}
 		dst = appendFrameString(dst, f.Name)
@@ -104,14 +104,14 @@ func AppendManifest(dst []byte, m *Manifest) ([]byte, error) {
 				flags |= frameForcedFlag
 			}
 			if fr.NumValues < 0 || uint64(fr.NumValues) > maxFrameValues {
-				return dst, fmt.Errorf("wire: manifest frame value count %d out of range", fr.NumValues)
+				return nil, fmt.Errorf("wire: manifest frame value count %d out of range", fr.NumValues)
 			}
 			if fr.Bytes < 0 {
-				return dst, fmt.Errorf("wire: manifest frame object size %d is negative", fr.Bytes)
+				return nil, fmt.Errorf("wire: manifest frame object size %d is negative", fr.Bytes)
 			}
 			sum, err := hex.DecodeString(fr.Object)
 			if err != nil || len(sum) != 32 {
-				return dst, fmt.Errorf("wire: manifest frame object %q is not a hex sha-256", fr.Object)
+				return nil, fmt.Errorf("wire: manifest frame object %q is not a hex sha-256", fr.Object)
 			}
 			dst = append(dst, flags)
 			dst = binary.AppendUvarint(dst, uint64(fr.NumValues))
@@ -124,9 +124,6 @@ func AppendManifest(dst []byte, m *Manifest) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint32(dst, crc)
 	return dst, nil
 }
-
-// EncodeManifest is AppendManifest into a fresh buffer.
-func EncodeManifest(m *Manifest) ([]byte, error) { return AppendManifest(nil, m) }
 
 // ParseManifest parses a checkpoint manifest. The manifest must span buf
 // exactly.

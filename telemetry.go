@@ -33,7 +33,7 @@ import (
 //	recipe.builds, recipe.cells
 //	temporal.encode.keyframes|deltas|commits|aborts
 //	temporal.decode.keyframes|deltas|commits|aborts
-//	container.legacy_payloads, container.checksum_failures
+//	container.checksum_failures
 type Registry = telemetry.Registry
 
 // NewRegistry creates an empty telemetry registry.
@@ -50,26 +50,16 @@ func WriteMetricsJSON(w io.Writer, r *Registry) error { return r.WriteJSON(w) }
 
 // containerStats counts envelope-level events shared by every decode path.
 type containerStats struct {
-	legacy   *telemetry.Counter // payloads accepted via the bare legacy path
 	checksum *telemetry.Counter // envelopes rejected by CRC32-C
 }
 
 func newContainerStats(r *Registry) containerStats {
-	return containerStats{
-		legacy:   r.Counter("container.legacy_payloads"),
-		checksum: r.Counter("container.checksum_failures"),
-	}
+	return containerStats{checksum: r.Counter("container.checksum_failures")}
 }
 
-// note records the outcome of one unwrap attempt.
-func (cs *containerStats) note(wasContainer bool, err error) {
-	if cs == nil {
-		return
-	}
-	if !wasContainer {
-		cs.legacy.Inc()
-	}
-	if err != nil && errors.Is(err, container.ErrChecksum) {
+// note records one failed unwrap attempt.
+func (cs *containerStats) note(err error) {
+	if cs != nil && errors.Is(err, container.ErrChecksum) {
 		cs.checksum.Inc()
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/amr"
 	"repro/internal/compress"
-	"repro/internal/compress/container"
 )
 
 // telemetryTestMesh builds a small refined mesh with one smooth field.
@@ -71,9 +70,6 @@ func TestInstrumentedRoundTrip(t *testing.T) {
 	if got := s.Counters["recipe.builds"]; got != 1 {
 		t.Errorf("recipe.builds = %d, want 1", got)
 	}
-	if got := s.Counters["container.legacy_payloads"]; got != 0 {
-		t.Errorf("container.legacy_payloads = %d, want 0", got)
-	}
 	if got := s.Counters["encode.errors"] + s.Counters["decode.errors"]; got != 0 {
 		t.Errorf("error counters = %d, want 0", got)
 	}
@@ -100,9 +96,8 @@ func TestInstrumentedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestContainerCounters exercises the envelope counters: a legacy bare
-// payload bumps container.legacy_payloads, a corrupted envelope bumps
-// container.checksum_failures and decode.errors.
+// TestContainerCounters exercises the envelope counters: a corrupted
+// envelope bumps container.checksum_failures and decode.errors.
 func TestContainerCounters(t *testing.T) {
 	m, f := telemetryTestMesh(t)
 	enc, err := NewEncoder(m, DefaultOptions())
@@ -115,20 +110,6 @@ func TestContainerCounters(t *testing.T) {
 	}
 	reg := NewRegistry()
 	dec := NewDecoder(m).Instrument(reg)
-
-	// Legacy: strip the envelope down to the bare codec payload.
-	legacy := *c
-	env, err := container.Unwrap(c.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy.Payload = env.Payload
-	if _, err := dec.DecompressField(&legacy); err != nil {
-		t.Fatalf("legacy payload rejected: %v", err)
-	}
-	if got := reg.Snapshot().Counters["container.legacy_payloads"]; got != 1 {
-		t.Errorf("legacy_payloads = %d, want 1", got)
-	}
 
 	// Corruption: flip a payload byte so the CRC fails.
 	bad := *c

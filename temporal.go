@@ -257,8 +257,9 @@ func (td *TemporalDecoder) DecompressSnapshot(c *TemporalCompressed) (*Field, er
 	if s := td.stats; s != nil {
 		s.codec.Since(t0)
 	}
-	// Same check as Decoder.DecompressField: truncated legacy (bare)
-	// payloads must fail loudly instead of flowing into the reconstruction.
+	// Same check as Decoder.DecompressField: a payload that decodes to the
+	// wrong length must fail loudly instead of flowing into the
+	// reconstruction.
 	if c.NumValues != 0 && len(vals) != c.NumValues {
 		td.stats.abort()
 		return nil, fmt.Errorf("zmesh: field %q: payload decoded to %d values, expected %d",

@@ -194,49 +194,33 @@ func TestTemporalDecoderKeyframeFailureKeepsState(t *testing.T) {
 	checkWithinBound(t, f, want[1], 1e-4)
 }
 
-// DecompressSnapshot must apply the same decoded-length-vs-NumValues check
-// as Decoder.DecompressField, for keyframes and deltas alike. Legacy bare
-// payloads have no envelope cross-check, so this is the only guard.
+// DecompressSnapshot must apply the same NumValues cross-check and the same
+// no-envelope refusal as Decoder.DecompressField, for keyframes and deltas
+// alike, and neither rejection may disturb the stream state.
 func TestTemporalDecoderRejectsWrongValueCount(t *testing.T) {
 	frames, want := captureStream(t, DefaultOptions(), 2)
 
-	bare := func(c *TemporalCompressed) TemporalCompressed {
-		t.Helper()
-		env, err := container.Unwrap(c.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := *c
-		out.Payload = env.Payload
-		return out
-	}
-
-	for _, tc := range []struct {
-		name  string
-		frame *TemporalCompressed
-	}{
-		{"keyframe", frames[0]},
-		{"delta", frames[1]},
-	} {
+	for idx, name := range []string{"keyframe", "delta"} {
+		frame := frames[idx]
 		dec := NewTemporalDecoder()
-		if tc.frame.Keyframe {
-			// nothing to prime
-		} else if _, err := dec.DecompressSnapshot(frames[0]); err != nil {
-			t.Fatal(err)
+		if !frame.Keyframe {
+			if _, err := dec.DecompressSnapshot(frames[0]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		lying := bare(tc.frame)
-		lying.NumValues = tc.frame.NumValues + 7
+		lying := *frame
+		lying.NumValues = frame.NumValues + 7
 		if _, err := dec.DecompressSnapshot(&lying); err == nil {
-			t.Fatalf("%s: wrong NumValues on a bare payload accepted", tc.name)
+			t.Fatalf("%s: wrong NumValues accepted", name)
 		}
-		honest := bare(tc.frame)
-		f, err := dec.DecompressSnapshot(&honest)
+		bare := *frame
+		bare.Payload = stripEnvelope(t, frame.Payload)
+		if _, err := dec.DecompressSnapshot(&bare); !errors.Is(err, container.ErrCorrupt) || !strings.Contains(err.Error(), "missing magic") {
+			t.Fatalf("%s: bare payload: %v, want container.ErrCorrupt (missing magic)", name, err)
+		}
+		f, err := dec.DecompressSnapshot(frame)
 		if err != nil {
-			t.Fatalf("%s: legacy bare payload rejected: %v", tc.name, err)
-		}
-		idx := 0
-		if !tc.frame.Keyframe {
-			idx = 1
+			t.Fatalf("%s: rejected frames disturbed the stream: %v", name, err)
 		}
 		checkWithinBound(t, f, want[idx], 1e-4)
 	}

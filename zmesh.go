@@ -194,8 +194,7 @@ type Compressed struct {
 	NumValues int
 	// Payload is the codec output wrapped in the self-describing container
 	// envelope (codec name, value count, CRC32-C — see
-	// internal/compress/container). Decoders also accept bare legacy
-	// payloads produced before the envelope existed.
+	// internal/compress/container). Decoders reject a payload without it.
 	Payload []byte
 }
 
@@ -543,16 +542,11 @@ func (d *Decoder) recipeFor(layout Layout, curve string) (*core.Recipe, error) {
 
 // unwrapPayload verifies the container envelope of a Compressed and returns
 // the codec name to dispatch on plus the bare codec payload. Envelope
-// metadata must agree with the artifact's own fields; payloads produced
-// before the envelope existed (no magic prefix) pass through unchanged.
+// metadata must agree with the artifact's own fields.
 func unwrapPayload(c *Compressed, cs *containerStats) (codec string, payload []byte, err error) {
-	if !container.IsContainer(c.Payload) {
-		cs.note(false, nil)
-		return c.Codec, c.Payload, nil // legacy bare payload
-	}
 	env, err := container.Unwrap(c.Payload)
 	if err != nil {
-		cs.note(true, err)
+		cs.note(err)
 		return "", nil, fmt.Errorf("zmesh: field %q: %w", c.FieldName, err)
 	}
 	if c.Codec != "" && env.Codec != c.Codec {

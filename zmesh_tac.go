@@ -4,8 +4,8 @@ package zmesh
 // (internal/core/tac.go); this file turns that ordered stream into a payload
 // by compressing every box as a dense padded 2D/3D array with the dims-aware
 // codec — the half of the TAC idea the 1-D layouts cannot express. The frame
-// lives *inside* the existing container envelope, so the wire format, CRC
-// and legacy handling are untouched:
+// lives *inside* the existing container envelope, so the wire format and CRC
+// are untouched:
 //
 //	"zTAC" | version (1 byte) | uvarint nValues | uvarint nBoxes |
 //	nBoxes × uvarint subLen | concatenated per-box codec payloads

@@ -2,11 +2,14 @@ package zmesh
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/compress/container"
 	"repro/internal/core"
 )
 
@@ -208,10 +211,32 @@ func appendUvarintFor(b []byte, v uint64) []byte {
 	return append(b, byte(v))
 }
 
-// FuzzTACFrame throws mutated zTAC frames at the full decode path (legacy
-// bare payload, so the fuzzer reaches the frame parser rather than being
-// stopped at the container CRC). Invariants: no panic, and anything that
-// decodes has exactly the topology's cell count.
+// A zTAC artifact (one 4×4 box, envelope included) written by the last
+// commit whose sz encoder used prediction scheme 1: the box decoder's
+// refusal must surface through the frame, naming the box and the scheme.
+func TestRegressionStreamRejected(t *testing.T) {
+	payload, err := hex.DecodeString("7a4d63310202737a10432a9fb0157a5441430110013b" +
+		"00b18ee99a05020204040101808004fcd3c697ddc998a83f00130d" +
+		"0100807f0000007d0000007e000000010006000c001800100010020000002000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMesh(2, 4, [3]int{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Compressed{FieldName: "dens", Layout: LayoutTAC, Curve: "hilbert", Codec: "sz", NumValues: 16, Payload: payload}
+	_, err = NewDecoder(m).DecompressField(c)
+	if err == nil || !strings.Contains(err.Error(), "tac box 0") || !strings.Contains(err.Error(), "prediction scheme 1") {
+		t.Fatalf("scheme 1 tac artifact: %v, want an error naming the box and the scheme", err)
+	}
+}
+
+// FuzzTACFrame throws mutated zTAC frames at the full decode path. The
+// fuzz body seals each mutated frame in a fresh container envelope, so the
+// fuzzer reaches the frame parser rather than being stopped at the container
+// CRC. Invariants: no panic, and anything that decodes has exactly the
+// topology's cell count.
 func FuzzTACFrame(f *testing.F) {
 	_, _, _, want, frame := tacTestFrame(f)
 	ck := checkpoint(f)
@@ -222,7 +247,11 @@ func FuzzTACFrame(f *testing.F) {
 	long := append([]byte(nil), frame...)
 	long[6] ^= 0x40
 	f.Add(long)
-	f.Fuzz(func(t *testing.T, payload []byte) {
+	f.Fuzz(func(t *testing.T, mutated []byte) {
+		payload, err := container.Wrap("sz", want, mutated)
+		if err != nil {
+			t.Fatal(err)
+		}
 		dec := NewDecoder(ck.Mesh)
 		c := &Compressed{
 			FieldName: "dens", Layout: LayoutTAC, Curve: "hilbert",
