@@ -144,7 +144,7 @@ func cmdCompress(args []string) error {
 	fs := flag.NewFlagSet("compress", flag.ExitOnError)
 	in := fs.String("i", "", "input checkpoint (required)")
 	out := fs.String("o", "", "output archive (required)")
-	layoutName := fs.String("layout", "zmesh", "layout: level | sfc-level | zmesh | zmesh-block | tac | auto (resolved from mesh dims and codec, recorded in the archive)")
+	layoutName := fs.String("layout", "zmesh", "layout: level | sfc-level | zmesh | tac | auto (resolved from mesh dims and codec, recorded in the archive)")
 	curve := fs.String("curve", "hilbert", "sibling curve: morton | hilbert | rowmajor")
 	codec := fs.String("codec", "sz", "compressor: sz | zfp")
 	rel := fs.Float64("rel", 0, "relative error bound (fraction of value range)")

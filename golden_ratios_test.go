@@ -94,7 +94,7 @@ func measureRatios(t *testing.T) map[string]float64 {
 	t.Helper()
 	ratios := make(map[string]float64)
 	sedov := ratioCheckpoint(t, "sedov")
-	for _, layout := range append([]core.Layout{core.ZMeshBlock, core.AutoLayout}, ratioStaticLayouts...) {
+	for _, layout := range append([]core.Layout{core.AutoLayout}, ratioStaticLayouts...) {
 		for _, codec := range ratioCodecs {
 			ratios[ratioKey(layout, codec)] = fieldsRatio(t, sedov, layout, codec)
 		}

@@ -216,16 +216,8 @@ func (m *Mesh) levelBlockDims(level int) [3]int {
 	return d
 }
 
-// childOrdinal packs per-dimension child offsets (0 or 1) into 0..2^dims-1.
-func (m *Mesh) childOrdinal(off [3]int) int {
-	o := off[0] | off[1]<<1
-	if m.dims == 3 {
-		o |= off[2] << 2
-	}
-	return o
-}
-
-// childOffset inverts childOrdinal.
+// childOffset unpacks a child ordinal 0..2^dims-1 into its per-dimension
+// offsets (0 or 1): x in bit 0, y in bit 1, z in bit 2.
 func (m *Mesh) childOffset(ordinal int) [3]int {
 	off := [3]int{ordinal & 1, ordinal >> 1 & 1, 0}
 	if m.dims == 3 {

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/bitstream"
+	"repro/internal/frame"
 )
 
 // structureMagic guards Structure blobs.
@@ -66,44 +67,25 @@ var ErrBadStructure = errors.New("amr: invalid structure blob")
 // MeshFromStructure rebuilds a mesh with the identical topology encoded by
 // Structure. The rebuilt mesh carries no field data.
 func MeshFromStructure(blob []byte) (*Mesh, error) {
-	rd := blob
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(rd)
-		if n <= 0 {
-			return 0, ErrBadStructure
-		}
-		rd = rd[n:]
-		return v, nil
-	}
-	magic, err := next()
-	if err != nil || magic != structureMagic {
+	r := frame.NewReader(blob)
+	if r.Uvarint() != structureMagic || r.Bad() {
 		return nil, ErrBadStructure
 	}
-	dims64, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if dims64 != 2 && dims64 != 3 {
-		return nil, fmt.Errorf("amr: structure claims %d dims: %w", dims64, ErrBadStructure)
-	}
-	bs64, err := next()
-	if err != nil {
-		return nil, err
-	}
+	dims64, bs64 := r.Uvarint(), r.Uvarint()
 	var root [3]int
-	for i := 0; i < 3; i++ {
-		v, err := next()
-		if err != nil {
-			return nil, err
-		}
+	for i := range root {
+		v := r.Uvarint()
 		if v > MaxMeshCells {
 			return nil, fmt.Errorf("amr: structure root dim %d out of range: %w", v, ErrBadStructure)
 		}
 		root[i] = int(v)
 	}
-	maxLevel64, err := next()
-	if err != nil {
-		return nil, err
+	maxLevel64 := r.Uvarint()
+	if r.Bad() {
+		return nil, ErrBadStructure
+	}
+	if dims64 != 2 && dims64 != 3 {
+		return nil, fmt.Errorf("amr: structure claims %d dims: %w", dims64, ErrBadStructure)
 	}
 	if bs64 > MaxMeshCells || maxLevel64 >= MaxLevels {
 		return nil, fmt.Errorf("amr: structure header out of range: %w", ErrBadStructure)
@@ -115,7 +97,7 @@ func MeshFromStructure(blob []byte) (*Mesh, error) {
 	if dims64 == 2 {
 		root[2] = 1
 	}
-	maxBlocks := int64(len(rd)) * 8
+	maxBlocks := int64(r.Len()) * 8
 	rootBlocks := int64(1)
 	for d := 0; d < 3; d++ {
 		if root[d] <= 0 {
@@ -123,7 +105,7 @@ func MeshFromStructure(blob []byte) (*Mesh, error) {
 		}
 		if rootBlocks > maxBlocks/int64(root[d]) {
 			return nil, fmt.Errorf("amr: structure claims %dx%dx%d roots with %d flag bytes: %w",
-				root[0], root[1], root[2], len(rd), ErrBadStructure)
+				root[0], root[1], root[2], r.Len(), ErrBadStructure)
 		}
 		rootBlocks *= int64(root[d])
 	}
@@ -131,7 +113,7 @@ func MeshFromStructure(blob []byte) (*Mesh, error) {
 	if err != nil {
 		return nil, fmt.Errorf("amr: structure header: %w", err)
 	}
-	flags := bitstream.NewReader(rd)
+	flags := bitstream.NewReader(r.Rest())
 	for level := 0; int64(level) <= int64(maxLevel64); level++ {
 		// Snapshot the level's canonical order before creating children.
 		ids := m.SortedLevel(level)
@@ -141,7 +123,7 @@ func MeshFromStructure(blob []byte) (*Mesh, error) {
 		for _, id := range ids {
 			bit, err := flags.ReadBit()
 			if err != nil {
-				return nil, fmt.Errorf("amr: truncated structure: %w", err)
+				return nil, fmt.Errorf("amr: truncated structure: %w: %w", ErrBadStructure, err)
 			}
 			if bit == 0 {
 				continue

@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"repro/internal/compress"
+	"repro/internal/frame"
 )
 
 const (
@@ -140,33 +141,18 @@ func chunkExtent(ci, cs, n int) int {
 
 // Decompress implements compress.Compressor.
 func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
-	rd := buf
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(rd)
-		if n <= 0 {
-			return 0, ErrCorrupt
-		}
-		rd = rd[n:]
-		return v, nil
-	}
-	mg, err := next()
-	if err != nil || mg != magic {
+	r := frame.NewReader(buf)
+	if r.Uvarint() != magic || r.Bad() {
 		return nil, ErrCorrupt
 	}
-	ver, err := next()
-	if err != nil || ver != version {
-		return nil, fmt.Errorf("chunked: unsupported version %d", ver)
+	if ver := r.Uvarint(); ver != version || r.Bad() {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
-	n64, err := next()
-	if err != nil || n64 > compress.MaxElements {
-		return nil, ErrCorrupt
-	}
-	cs64, err := next()
-	if err != nil || cs64 == 0 || cs64 > compress.MaxElements {
-		return nil, ErrCorrupt
-	}
-	nChunks64, err := next()
-	if err != nil {
+	n64, cs64 := r.Uvarint(), r.Uvarint()
+	// Every table entry takes at least a byte, so a chunk count the
+	// remaining bytes could not hold fails here, before the table is sized.
+	nChunks := r.Count(1)
+	if r.Bad() || n64 > compress.MaxElements || cs64 == 0 || cs64 > compress.MaxElements {
 		return nil, ErrCorrupt
 	}
 	// The chunk count is fully determined by the value count and chunk
@@ -175,37 +161,22 @@ func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
 	if expectChunks == 0 {
 		expectChunks = 1 // empty input still writes one (empty) frame
 	}
-	if nChunks64 != expectChunks {
+	if uint64(nChunks) != expectChunks {
 		return nil, ErrCorrupt
 	}
-	nChunks := int(nChunks64)
-	n := int(n64)
-	cs := int(cs64)
-	// Hostile chunk lengths must not wrap an int accumulator: cap each
-	// length against the remaining buffer and sum in uint64.
-	lengths := make([]int, nChunks)
-	var total uint64
+	n, cs := int(n64), int(cs64)
+	lengths := make([]uint64, nChunks)
 	for i := range lengths {
-		l, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if l > uint64(len(rd)) {
-			return nil, ErrCorrupt
-		}
-		lengths[i] = int(l)
-		total += l
+		lengths[i] = r.Uvarint()
+	}
+	chunks := make([][]byte, nChunks)
+	for i, l := range lengths {
+		chunks[i] = r.Bytes(l)
 	}
 	// The chunk payloads must fill the rest of the buffer exactly:
 	// trailing bytes after the last chunk are corruption, not slack.
-	if total != uint64(len(rd)) {
+	if r.Bad() || r.Len() != 0 {
 		return nil, ErrCorrupt
-	}
-	chunks := make([][]byte, nChunks)
-	off := 0
-	for i, l := range lengths {
-		chunks[i] = rd[off : off+l]
-		off += l
 	}
 	// Validate chunk shapes before allocating the (possibly huge) output:
 	// every chunk that must carry values needs a non-empty payload, and the

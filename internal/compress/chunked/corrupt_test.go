@@ -8,15 +8,16 @@ package chunked
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/compress/sz"
 )
 
-// frame assembles a chunked payload from raw header fields and chunk
+// forge assembles a chunked payload from raw header fields and chunk
 // payloads, bypassing Compress so tests can forge inconsistent tables.
-func frame(n, cs, nChunks uint64, lengths []uint64, chunks ...[]byte) []byte {
+func forge(n, cs, nChunks uint64, lengths []uint64, chunks ...[]byte) []byte {
 	out := make([]byte, 0, 64)
 	out = binary.AppendUvarint(out, magic)
 	out = binary.AppendUvarint(out, version)
@@ -71,7 +72,7 @@ func TestShortChunkRejectedNotZeroFilled(t *testing.T) {
 	c := &Compressor{Base: sz.New(), ChunkSize: 1000}
 	full := basePayload(t, 1000)
 	short := basePayload(t, 400)
-	buf := frame(2000, 1000, 2,
+	buf := forge(2000, 1000, 2,
 		[]uint64{uint64(len(full)), uint64(len(short))}, full, short)
 	out, err := c.Decompress(buf)
 	if err == nil {
@@ -88,7 +89,7 @@ func TestOverlongChunkRejected(t *testing.T) {
 	c := &Compressor{Base: sz.New(), ChunkSize: 1000}
 	full := basePayload(t, 1000)
 	long := basePayload(t, 1400)
-	buf := frame(2000, 1000, 2,
+	buf := forge(2000, 1000, 2,
 		[]uint64{uint64(len(full)), uint64(len(long))}, full, long)
 	if _, err := c.Decompress(buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("got %v, want ErrCorrupt", err)
@@ -101,7 +102,7 @@ func TestHostileChunkLengthsDoNotWrap(t *testing.T) {
 	// capped against the remaining bytes individually.
 	c := &Compressor{Base: sz.New(), ChunkSize: 1000}
 	huge := uint64(1) << 63
-	buf := frame(2000, 1000, 2, []uint64{huge, huge})
+	buf := forge(2000, 1000, 2, []uint64{huge, huge})
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("Decompress panicked: %v", r)
@@ -124,10 +125,31 @@ func TestForgedChunkCountRejected(t *testing.T) {
 			lengths[i] = uint64(len(full))
 			chunks = append(chunks, full)
 		}
-		buf := frame(2000, 1000, nChunks, lengths, chunks...)
+		buf := forge(2000, 1000, nChunks, lengths, chunks...)
 		if _, err := c.Decompress(buf); err == nil {
 			t.Fatalf("nChunks=%d accepted for n=2000 cs=1000", nChunks)
 		}
+	}
+}
+
+// One value per chunk makes any chunk count self-consistent, so the table
+// length is only bounded by the bytes that could hold it: 17 bytes declaring
+// 2^28 chunks must fail before the table is sized (it was 2 GiB of lengths).
+func TestForgedChunkTableAllocatesNothing(t *testing.T) {
+	c := &Compressor{Base: sz.New()}
+	buf := forge(1<<28, 1, 1<<28, nil)
+	if len(buf) != 17 {
+		t.Fatalf("forged payload is %d bytes, want 17", len(buf))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.Decompress(buf)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("got %v, want ErrCorrupt", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("forged 17-byte payload allocated %d bytes, want < 64 KiB", got)
 	}
 }
 
@@ -136,7 +158,7 @@ func TestEmptyChunkForNonEmptyExtentRejected(t *testing.T) {
 	// other silent zero-fill path in the seed code.
 	c := &Compressor{Base: sz.New(), ChunkSize: 1000}
 	full := basePayload(t, 1000)
-	buf := frame(2000, 1000, 2, []uint64{uint64(len(full)), 0}, full)
+	buf := forge(2000, 1000, 2, []uint64{uint64(len(full)), 0}, full)
 	if _, err := c.Decompress(buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("got %v, want ErrCorrupt", err)
 	}
@@ -148,7 +170,7 @@ func TestImplausibleValueCountRejected(t *testing.T) {
 	c := &Compressor{Base: sz.New(), ChunkSize: 1000}
 	n := uint64(1) << 33
 	cs := uint64(1) << 33
-	buf := frame(n, cs, 1, []uint64{4}, []byte{1, 2, 3, 4})
+	buf := forge(n, cs, 1, []uint64{4}, []byte{1, 2, 3, 4})
 	if _, err := c.Decompress(buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("got %v, want ErrCorrupt", err)
 	}
@@ -162,7 +184,7 @@ func TestEmptyInputRoundTrip(t *testing.T) {
 		t.Fatal("invalid dims accepted")
 	}
 	// An n=0 frame with one empty chunk decodes to zero values.
-	empty := frame(0, 1000, 1, []uint64{0})
+	empty := forge(0, 1000, 1, []uint64{0})
 	out, err := c.Decompress(empty)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty frame: %v (%d values)", err, len(out))

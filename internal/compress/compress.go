@@ -9,6 +9,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"repro/internal/frame"
 )
 
 // BoundMode selects how the error bound value is interpreted.
@@ -125,6 +127,27 @@ func CheckSize(dims []int) (int, error) {
 		n *= d
 	}
 	return n, nil
+}
+
+// ReadShape reads the shape every dims-aware codec header carries — rank
+// (1..3), then one extent per axis, all uvarints — and checks it with
+// CheckSize. It returns the extents and their product; the error says which
+// field was wrong and is the caller's to wrap in its own sentinel.
+func ReadShape(r *frame.Reader) (dims []int, n int, err error) {
+	rank := r.Uvarint()
+	if r.Bad() || rank < 1 || rank > 3 {
+		return nil, 0, fmt.Errorf("compress: rank %d out of range [1, 3]", rank)
+	}
+	dims = make([]int, rank)
+	for i := range dims {
+		d := r.Uvarint()
+		if r.Bad() || d == 0 || d > 1<<40 {
+			return nil, 0, fmt.Errorf("compress: extent %d of axis %d out of range", d, i)
+		}
+		dims[i] = int(d)
+	}
+	n, err = CheckSize(dims)
+	return dims, n, err
 }
 
 // MaxExpansion bounds how many decoded values a decoder will believe one

@@ -31,9 +31,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/compress"
+	"repro/internal/frame"
 )
 
 // Version is the current envelope format version.
@@ -54,10 +54,6 @@ var (
 	// ErrChecksum is returned when the payload fails CRC verification.
 	ErrChecksum = fmt.Errorf("%w: payload checksum mismatch", ErrCorrupt)
 )
-
-// castagnoli is the CRC32-C polynomial table (hardware-accelerated on
-// amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Envelope is a parsed container.
 type Envelope struct {
@@ -90,7 +86,7 @@ func Wrap(codec string, numValues int, payload []byte) ([]byte, error) {
 	out = append(out, codec...)
 	out = binary.AppendUvarint(out, uint64(numValues))
 	out = binary.AppendUvarint(out, uint64(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	out = binary.LittleEndian.AppendUint32(out, frame.Checksum(payload))
 	return append(out, payload...), nil
 }
 
@@ -101,59 +97,29 @@ func Unwrap(buf []byte) (Envelope, error) {
 	if !IsContainer(buf) {
 		return env, fmt.Errorf("%w: missing magic", ErrCorrupt)
 	}
-	rd := buf[len(Magic):]
-	if len(rd) < 2 {
+	r := frame.NewReader(buf[len(Magic):])
+	ver, nameLen := int(r.Byte()), int(r.Byte())
+	if r.Bad() {
 		return env, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
-	ver := int(rd[0])
 	if ver != Version {
 		return env, fmt.Errorf("container: unsupported envelope version %d", ver)
 	}
-	nameLen := int(rd[1])
-	rd = rd[2:]
-	if nameLen == 0 || nameLen > MaxCodecName || len(rd) < nameLen {
+	if nameLen == 0 || nameLen > MaxCodecName {
 		return env, fmt.Errorf("%w: bad codec name length %d", ErrCorrupt, nameLen)
 	}
-	name := string(rd[:nameLen])
-	rd = rd[nameLen:]
-	numValues, n := uvarint(rd)
-	if n <= 0 || numValues > compress.MaxElements {
-		return env, fmt.Errorf("%w: bad value count", ErrCorrupt)
+	name := r.Bytes(uint64(nameLen))
+	numValues, payloadLen, sum := r.Uvarint(), r.Uvarint(), r.U32()
+	if r.Bad() || numValues > compress.MaxElements {
+		return env, fmt.Errorf("%w: codec name, value count, payload length or checksum field truncated or out of range", ErrCorrupt)
 	}
-	rd = rd[n:]
-	payloadLen, n := uvarint(rd)
-	if n <= 0 {
-		return env, fmt.Errorf("%w: bad payload length", ErrCorrupt)
-	}
-	rd = rd[n:]
-	if len(rd) < 4 {
-		return env, fmt.Errorf("%w: truncated checksum", ErrCorrupt)
-	}
-	sum := binary.LittleEndian.Uint32(rd)
-	rd = rd[4:]
 	// The payload must fill the rest of the buffer exactly: a shorter
 	// remainder is truncation, a longer one is trailing garbage.
-	if payloadLen != uint64(len(rd)) {
-		return env, fmt.Errorf("%w: payload length %d, %d bytes remain", ErrCorrupt, payloadLen, len(rd))
+	if payloadLen != uint64(r.Len()) {
+		return env, fmt.Errorf("%w: payload length %d, %d bytes remain", ErrCorrupt, payloadLen, r.Len())
 	}
-	if crc32.Checksum(rd, castagnoli) != sum {
+	if frame.Checksum(r.Rest()) != sum {
 		return env, ErrChecksum
 	}
-	env.Version = ver
-	env.Codec = name
-	env.NumValues = int(numValues)
-	env.Payload = rd
-	return env, nil
-}
-
-// uvarint is binary.Uvarint restricted to the minimal (canonical) encoding:
-// a padded varint (trailing zero continuation groups) re-encodes the same
-// value in fewer bytes, which would let distinct byte strings parse as the
-// same envelope. The envelope format admits exactly one serialization.
-func uvarint(b []byte) (uint64, int) {
-	v, n := binary.Uvarint(b)
-	if n > 1 && b[n-1] == 0 {
-		return 0, -1 // non-minimal encoding
-	}
-	return v, n
+	return Envelope{Version: ver, Codec: string(name), NumValues: int(numValues), Payload: r.Rest()}, nil
 }

@@ -15,6 +15,7 @@ import (
 	"math"
 
 	"repro/internal/compress"
+	"repro/internal/frame"
 )
 
 const (
@@ -81,50 +82,28 @@ var ErrCorrupt = errors.New("lossless: corrupt payload")
 
 // Decompress implements compress.Compressor.
 func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
-	rd := buf
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(rd)
-		if n <= 0 {
-			return 0, ErrCorrupt
-		}
-		rd = rd[n:]
-		return v, nil
-	}
-	mg, err := next()
-	if err != nil || mg != magic {
+	r := frame.NewReader(buf)
+	if r.Uvarint() != magic || r.Bad() {
 		return nil, ErrCorrupt
 	}
-	ver, err := next()
-	if err != nil || ver != version {
-		return nil, fmt.Errorf("lossless: unsupported version %d", ver)
+	if ver := r.Uvarint(); ver != version || r.Bad() {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
-	ndims, err := next()
-	if err != nil || ndims < 1 || ndims > 3 {
-		return nil, ErrCorrupt
+	_, n, err := compress.ReadShape(&r)
+	if err == nil {
+		err = compress.PlausibleCount(n, r.Len())
 	}
-	dims := make([]int, ndims)
-	for i := range dims {
-		d, err := next()
-		if err != nil || d == 0 || d > 1<<40 {
-			return nil, ErrCorrupt
-		}
-		dims[i] = int(d)
-	}
-	n, err := compress.CheckSize(dims)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if err := compress.PlausibleCount(n, len(rd)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	// Read at most one byte past the expected length: enough to detect a
 	// stream that is too long without inflating an unbounded DEFLATE bomb.
-	body, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(rd)), int64(n)*8+1))
+	body, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(r.Rest())), int64(n)*8+1))
 	if err != nil {
-		return nil, fmt.Errorf("lossless: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	if len(body) != n*8 {
-		return nil, fmt.Errorf("lossless: %d bytes for %d values", len(body), n)
+		return nil, fmt.Errorf("%w: %d bytes for %d values", ErrCorrupt, len(body), n)
 	}
 	out := make([]float64, n)
 	for i := range out {

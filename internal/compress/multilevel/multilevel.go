@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/compress/entropy"
+	"repro/internal/frame"
 )
 
 const (
@@ -275,63 +276,43 @@ func parseStream(work *entropy.Buf, buf []byte, wantMagic uint64) (stream, error
 	if len(buf) < 2 || buf[0] > 1 {
 		return st, ErrCorrupt
 	}
-	rd, err := work.Open(buf)
+	body, err := work.Open(buf)
 	if err != nil {
-		return st, fmt.Errorf("mgl: lossless stage: %w", err)
+		return st, fmt.Errorf("%w: lossless stage: %w", ErrCorrupt, err)
 	}
-	bad := false
-	next := func() uint64 {
-		v, n := binary.Uvarint(rd)
-		if n <= 0 {
-			bad, n = true, 0
-		}
-		rd = rd[n:]
-		return v
-	}
-	if next() != wantMagic || bad {
+	r := frame.NewReader(body)
+	if r.Uvarint() != wantMagic || r.Bad() {
 		return st, ErrCorrupt
 	}
-	if ver := next(); ver != version || bad {
+	if ver := r.Uvarint(); ver != version || r.Bad() {
 		return st, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
 	if wantMagic == tierMagic {
-		st.tier = int(next())
+		st.tier = int(r.Uvarint())
 	}
-	nd := next()
-	if bad || nd < 1 || nd > 3 {
-		return st, ErrCorrupt
-	}
-	st.dims = make([]int, nd)
-	for i := range st.dims {
-		d := next()
-		if bad || d == 0 || d > 1<<40 {
-			return st, ErrCorrupt
-		}
-		st.dims[i] = int(d)
-	}
-	n, err := compress.CheckSize(st.dims)
-	if err != nil {
+	var n int
+	if st.dims, n, err = compress.ReadShape(&r); err != nil {
 		return st, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	intervals := next()
+	intervals := r.Uvarint()
 	st.radius = int(intervals / 2)
-	st.q = math.Float64frombits(next())
-	nUnpred, codedLen := next(), next()
-	if bad || intervals < 4 || intervals%2 != 0 || intervals > 1<<30 ||
-		st.q <= 0 || math.IsNaN(st.q) || math.IsInf(st.q, 0) {
+	st.q = math.Float64frombits(r.Uvarint())
+	nUnpred, codedLen := r.Uvarint(), r.Uvarint()
+	// No more values escape than there are values, so 8*nUnpred cannot wrap.
+	if r.Bad() || intervals < 4 || intervals%2 != 0 || intervals > 1<<30 ||
+		st.q <= 0 || math.IsNaN(st.q) || math.IsInf(st.q, 0) || nUnpred > uint64(n) {
 		return st, ErrCorrupt
 	}
-	// Check the section lengths separately: a crafted header could wrap
-	// codedLen+8*nUnpred past the bound and panic the slice expressions.
-	lenRd := uint64(len(rd))
-	if codedLen > lenRd || nUnpred > (lenRd-codedLen)/8 {
+	coded := r.Bytes(codedLen)
+	st.rawUnpred = r.Bytes(8 * nUnpred)
+	if r.Bad() {
 		return st, ErrCorrupt
 	}
 	// recompose walks the full dims geometry, so the code count must match.
-	if err := work.Decode(rd[:codedLen], n); err != nil {
-		return st, fmt.Errorf("mgl: %w", err)
+	if err := work.Decode(coded, n); err != nil {
+		return st, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	st.codes, st.rawUnpred = work.Codes, rd[codedLen:codedLen+8*nUnpred]
+	st.codes = work.Codes
 	return st, nil
 }
 

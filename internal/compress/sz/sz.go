@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/compress/entropy"
+	"repro/internal/frame"
 )
 
 const (
@@ -208,98 +209,49 @@ func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
 	defer work.Put()
 	body, err := work.Open(buf)
 	if err != nil {
-		return nil, fmt.Errorf("sz: lossless stage: %w", err)
+		return nil, fmt.Errorf("%w: lossless stage: %w", ErrCorrupt, err)
 	}
 
-	rd := body
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(rd)
-		if n <= 0 {
-			return 0, ErrCorrupt
-		}
-		rd = rd[n:]
-		return v, nil
-	}
-	mg, err := next()
-	if err != nil || mg != magic {
+	r := frame.NewReader(body)
+	if r.Uvarint() != magic || r.Bad() {
 		return nil, ErrCorrupt
 	}
-	ver, err := next()
-	if err != nil || ver != version {
-		return nil, fmt.Errorf("sz: unsupported version %d", ver)
+	if ver := r.Uvarint(); ver != version || r.Bad() {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
-	ndims64, err := next()
-	if err != nil || ndims64 < 1 || ndims64 > 3 {
-		return nil, ErrCorrupt
-	}
-	dims := make([]int, ndims64)
-	n := 1
-	for i := range dims {
-		d, err := next()
-		if err != nil || d == 0 || d > 1<<40 {
-			return nil, ErrCorrupt
-		}
-		dims[i] = int(d)
-	}
-	n, err = compress.CheckSize(dims)
+	dims, n, err := compress.ReadShape(&r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	predOrder64, err := next()
-	if err != nil || predOrder64 < 1 || predOrder64 > 2 {
-		return nil, ErrCorrupt
-	}
-	predOrder := int(predOrder64)
-	scheme, err := next()
-	if err != nil {
+	predOrder, scheme := r.Uvarint(), r.Uvarint()
+	if r.Bad() || predOrder < 1 || predOrder > 2 {
 		return nil, ErrCorrupt
 	}
 	if scheme != schemeLorenzo {
 		return nil, fmt.Errorf("sz: unsupported prediction scheme %d (only Lorenzo, scheme 0, decodes; scheme 1, block regression, was retired)", scheme)
 	}
-	intervals64, err := next()
-	if err != nil || intervals64 < 4 || intervals64%2 != 0 || intervals64 > 1<<30 {
+	intervals := r.Uvarint()
+	eb := math.Float64frombits(r.Uvarint())
+	nUnpred, codedLen, selLen := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	// No more values escape than there are values, so 8*nUnpred cannot wrap.
+	if r.Bad() || intervals < 4 || intervals%2 != 0 || intervals > 1<<30 ||
+		eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) || nUnpred > uint64(n) {
 		return nil, ErrCorrupt
 	}
-	radius := int(intervals64) / 2
-	ebBits, err := next()
-	if err != nil {
-		return nil, err
+	if selLen != 0 {
+		return nil, fmt.Errorf("sz: unsupported %d-byte selection section (it belonged to scheme 1, block regression, which was retired)", selLen)
 	}
-	eb := math.Float64frombits(ebBits)
-	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
+	radius := int(intervals) / 2
+	coded, rawUnpred := r.Bytes(codedLen), r.Bytes(8*nUnpred)
+	if r.Bad() {
 		return nil, ErrCorrupt
 	}
-	nUnpred64, err := next()
-	if err != nil {
-		return nil, err
-	}
-	codedLen64, err := next()
-	if err != nil {
-		return nil, err
-	}
-	selLen64, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if selLen64 != 0 {
-		return nil, fmt.Errorf("sz: unsupported %d-byte selection section (it belonged to scheme 1, block regression, which was retired)", selLen64)
-	}
-	// Validate each section length against the remaining bytes separately:
-	// summing attacker-controlled uint64s first could wrap past the check
-	// and panic on the slice expressions below.
-	lenRd := uint64(len(rd))
-	if codedLen64 > lenRd || nUnpred64 > (lenRd-codedLen64)/8 {
-		return nil, ErrCorrupt
-	}
-	coded := rd[:codedLen64]
-	rawUnpred := rd[codedLen64 : codedLen64+8*nUnpred64]
 
 	if err := work.Decode(coded, n); err != nil {
-		return nil, fmt.Errorf("sz: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	codes := work.Codes
-	unpred := make([]float64, nUnpred64)
+	unpred := make([]float64, nUnpred)
 	for i := range unpred {
 		unpred[i] = math.Float64frombits(binary.LittleEndian.Uint64(rawUnpred[8*i:]))
 	}
@@ -323,7 +275,7 @@ func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
 	switch len(dims) {
 	case 1:
 		for i := 0; i < n; i++ {
-			if err := apply(i, predict1D(recon, i, predOrder)); err != nil {
+			if err := apply(i, predict1D(recon, i, int(predOrder))); err != nil {
 				return nil, err
 			}
 		}

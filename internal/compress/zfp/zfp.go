@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/bitstream"
 	"repro/internal/compress"
+	"repro/internal/frame"
 )
 
 const (
@@ -464,63 +465,36 @@ var ErrCorrupt = errors.New("zfp: corrupt payload")
 
 // Decompress implements compress.Compressor.
 func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
-	rd := buf
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(rd)
-		if n <= 0 {
-			return 0, ErrCorrupt
-		}
-		rd = rd[n:]
-		return v, nil
-	}
-	mg, err := next()
-	if err != nil || mg != magic {
+	r := frame.NewReader(buf)
+	if r.Uvarint() != magic || r.Bad() {
 		return nil, ErrCorrupt
 	}
-	ver, err := next()
-	if err != nil || ver != version {
-		return nil, fmt.Errorf("zfp: unsupported version %d", ver)
+	if ver := r.Uvarint(); ver != version || r.Bad() {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
-	ndims64, err := next()
-	if err != nil || ndims64 < 1 || ndims64 > 3 {
-		return nil, ErrCorrupt
-	}
-	dims := make([]int, ndims64)
-	n := 1
-	for i := range dims {
-		d, err := next()
-		if err != nil || d == 0 || d > 1<<40 {
-			return nil, ErrCorrupt
-		}
-		dims[i] = int(d)
-	}
-	n, err = compress.CheckSize(dims)
+	dims, n, err := compress.ReadShape(&r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	ebBits, err := next()
-	if err != nil {
-		return nil, err
-	}
-	eb := math.Float64frombits(ebBits)
-	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
+	eb := math.Float64frombits(r.Uvarint())
+	if r.Bad() || eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
 		return nil, ErrCorrupt
 	}
 	minexp := minExpOf(eb)
 
 	// Reject element counts the remaining bits cannot possibly encode (an
 	// all-zero block still costs one bit per 4^d values) before allocating.
-	if err := compress.PlausibleCount(n, len(rd)); err != nil {
+	if err := compress.PlausibleCount(n, r.Len()); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	out := make([]float64, n)
-	r := bitstream.NewReader(rd)
+	bits := bitstream.NewReader(r.Rest())
 	switch len(dims) {
 	case 1:
 		var blk [4]float64
 		for b := 0; b < blockCount(dims[0]); b++ {
-			if err := decodeBlock(r, blk[:], 1, minexp); err != nil {
-				return nil, err
+			if err := decodeBlock(bits, blk[:], 1, minexp); err != nil {
+				return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 			}
 			scatter1(out, dims[0], b, blk[:])
 		}
@@ -529,8 +503,8 @@ func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
 		var blk [16]float64
 		for bj := 0; bj < blockCount(ny); bj++ {
 			for bi := 0; bi < blockCount(nx); bi++ {
-				if err := decodeBlock(r, blk[:], 2, minexp); err != nil {
-					return nil, err
+				if err := decodeBlock(bits, blk[:], 2, minexp); err != nil {
+					return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 				}
 				scatter2(out, nx, ny, bi, bj, blk[:])
 			}
@@ -541,8 +515,8 @@ func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
 		for bk := 0; bk < blockCount(nz); bk++ {
 			for bj := 0; bj < blockCount(ny); bj++ {
 				for bi := 0; bi < blockCount(nx); bi++ {
-					if err := decodeBlock(r, blk[:], 3, minexp); err != nil {
-						return nil, err
+					if err := decodeBlock(bits, blk[:], 3, minexp); err != nil {
+						return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 					}
 					scatter3(out, nx, ny, nz, bi, bj, bk, blk[:])
 				}

@@ -41,11 +41,6 @@ const (
 	// geometric footprint, sub-cells and siblings ordered by the curve.
 	// This groups points mapped to the same or adjacent coordinates.
 	ZMesh
-	// ZMeshBlock is the coarse-grained ablation variant: the chained-tree
-	// descent happens per *block* — a block's cells (curve order) are
-	// emitted immediately before its children's. Less same-coordinate
-	// grouping, longer uniform-resolution runs.
-	ZMeshBlock
 	// TAC3D is the TAC-style adaptive 3D block layout: each level's blocks
 	// are greedily partitioned into compact padded boxes and serialized box
 	// by box in 3D-local row-major order (see tac.go). A TAC3D recipe also
@@ -68,8 +63,6 @@ func (l Layout) String() string {
 		return "sfc-level"
 	case ZMesh:
 		return "zmesh"
-	case ZMeshBlock:
-		return "zmesh-block"
 	case TAC3D:
 		return "tac"
 	case AutoLayout:
@@ -88,8 +81,6 @@ func ParseLayout(s string) (Layout, error) {
 		return SFCWithinLevel, nil
 	case "zmesh":
 		return ZMesh, nil
-	case "zmesh-block":
-		return ZMeshBlock, nil
 	case "tac":
 		return TAC3D, nil
 	case "auto":
@@ -370,8 +361,6 @@ func BuildRecipeSerial(m *amr.Mesh, layout Layout, curveName string) (*Recipe, e
 		b.buildSFCWithinLevel()
 	case ZMesh:
 		b.buildZMeshCells()
-	case ZMeshBlock:
-		b.buildZMeshBlocks()
 	case TAC3D:
 		if plan, err = b.buildTAC(); err != nil {
 			return nil, err
@@ -490,41 +479,6 @@ func (b *builder) sortedRoots() []amr.BlockID {
 		out[i] = amr.BlockID(e.pos)
 	}
 	return out
-}
-
-// buildZMeshBlocks is the block-granularity chained tree: depth-first over
-// the refinement forest, a block's cells (curve order) immediately followed
-// by its children (curve order of quadrant), recursively.
-func (b *builder) buildZMeshBlocks() {
-	cellBits := ceilLog2(b.bs)
-	if cellBits == 0 {
-		cellBits = 1
-	}
-	for _, root := range b.sortedRoots() {
-		b.emitBlockChained(root, cellBits)
-	}
-}
-
-func (b *builder) emitBlockChained(id amr.BlockID, cellBits uint) {
-	m := b.m
-	for ci := 0; ci < b.cpb; ci++ {
-		i, j, k := b.cellFromCurve(uint64(ci), cellBits)
-		b.perm = append(b.perm, b.cellPos(id, i, j, k))
-	}
-	blk := m.Block(id)
-	if blk.IsLeaf() {
-		return
-	}
-	// Children in curve order of their quadrant/octant offset.
-	nsub := 1 << uint(m.Dims())
-	for s := 0; s < nsub; s++ {
-		c := b.curve.Coords(uint64(s), 1)
-		ord := int(c[0]) | int(c[1])<<1
-		if m.Dims() == 3 {
-			ord |= int(c[2]) << 2
-		}
-		b.emitBlockChained(blk.Children[ord], cellBits)
-	}
 }
 
 // buildZMeshCells performs the chained-tree traversal at cell granularity:

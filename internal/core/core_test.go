@@ -30,7 +30,7 @@ func randomMesh(t testing.TB, seed int64, dims int) *amr.Mesh {
 
 // allLayouts lists every concrete layout (AutoLayout is a pseudo-layout with
 // no permutation and is tested separately in tac_test.go).
-func allLayouts() []Layout { return []Layout{LevelOrder, SFCWithinLevel, ZMesh, ZMeshBlock, TAC3D} }
+func allLayouts() []Layout { return []Layout{LevelOrder, SFCWithinLevel, ZMesh, TAC3D} }
 
 func TestLayoutStringParse(t *testing.T) {
 	for _, l := range allLayouts() {

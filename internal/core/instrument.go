@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/amr"
@@ -20,7 +19,7 @@ const (
 	// order and each level's curve-key sort (SFCWithinLevel).
 	StageRecipeSort = "recipe.sort"
 	// StageRecipeDescent covers span emission: the chained-tree descent
-	// (ZMesh/ZMeshBlock) or the per-level curve-key generation
+	// (ZMesh) or the per-level curve-key generation
 	// (SFCWithinLevel).
 	StageRecipeDescent = "recipe.descent"
 
@@ -60,15 +59,7 @@ func newRecipeMetrics(reg *telemetry.Registry) *recipeMetrics {
 // BuildRecipeParallel. The permutation produced is bit-for-bit the same
 // with or without instrumentation.
 func BuildRecipeObserved(m *amr.Mesh, layout Layout, curveName string, workers int, reg *telemetry.Registry) (*Recipe, error) {
-	return buildRecipeParallel(context.Background(), m, layout, curveName, workers, newRecipeMetrics(reg))
-}
-
-// BuildRecipeObservedContext is BuildRecipeObserved with cancellation: the
-// span workers observe ctx between disjoint spans (see
-// BuildRecipeParallelContext). Aborted builds record no completed-build
-// counter increment.
-func BuildRecipeObservedContext(ctx context.Context, m *amr.Mesh, layout Layout, curveName string, workers int, reg *telemetry.Registry) (*Recipe, error) {
-	return buildRecipeParallel(ctx, m, layout, curveName, workers, newRecipeMetrics(reg))
+	return buildRecipeParallel(m, layout, curveName, workers, newRecipeMetrics(reg))
 }
 
 // now returns the stage clock when instrumented; the zero Time otherwise.

@@ -21,7 +21,7 @@ func TestBuildRecipeObserved(t *testing.T) {
 	if err := m.Refine(m.Roots()[3]); err != nil {
 		t.Fatal(err)
 	}
-	for _, layout := range []Layout{LevelOrder, SFCWithinLevel, ZMesh, ZMeshBlock} {
+	for _, layout := range []Layout{LevelOrder, SFCWithinLevel, ZMesh} {
 		reg := telemetry.NewRegistry()
 		got, err := BuildRecipeObserved(m, layout, "hilbert", 2, reg)
 		if err != nil {
@@ -54,7 +54,7 @@ func TestBuildRecipeObserved(t *testing.T) {
 			if s.Timers[StageRecipeSort].Count == 0 || s.Timers[StageRecipeDescent].Count == 0 {
 				t.Errorf("%v: sort/descent stages unobserved: %v", layout, s.Names())
 			}
-		case ZMesh, ZMeshBlock:
+		case ZMesh:
 			if s.Timers[StageRecipeSort].Count == 0 {
 				t.Errorf("%v: root sort unobserved", layout)
 			}

@@ -7,10 +7,9 @@ package core
 //   - LevelOrder is the identity — trivially chunkable.
 //   - SFCWithinLevel emits each level contiguously; a level's span holds
 //     len(SortedLevel(level)) * cellsPerBlock positions.
-//   - ZMesh and ZMeshBlock emit each root's chained tree contiguously (in
-//     curve order of the roots); a tree's span holds subtreeBlocks * cpb
-//     positions, because every block of the tree contributes exactly its own
-//     cells once.
+//   - ZMesh emits each root's chained tree contiguously (in curve order of
+//     the roots); a tree's span holds subtreeBlocks * cpb positions, because
+//     every block of the tree contributes exactly its own cells once.
 //
 // Each worker therefore writes its descent into a disjoint, pre-sized span
 // of the shared perm slice: no appends, no locks, no post-hoc merge. The
@@ -19,7 +18,6 @@ package core
 // against the serial reference builder asserts.
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -147,20 +145,13 @@ func (w *spanWriter) cellFromCurve(idx uint64) (i, j, k int) {
 }
 
 // runTree emits the chained tree rooted at root into span.
-func (w *spanWriter) runTree(layout Layout, root amr.BlockID, span []int32) error {
+func (w *spanWriter) runTree(root amr.BlockID, span []int32) error {
 	t0 := w.ctx.met.now()
 	w.out, w.next = span, 0
-	switch layout {
-	case ZMesh:
-		for ci := 0; ci < w.ctx.cpb; ci++ {
-			i, j, k := w.cellFromCurve(uint64(ci))
-			g := w.ctx.m.GlobalCellCoord(root, i, j, k)
-			w.emitCell(0, g, root, i, j, k)
-		}
-	case ZMeshBlock:
-		w.emitBlockChained(root)
-	default:
-		return fmt.Errorf("core: layout %v is not tree-chained", layout)
+	for ci := 0; ci < w.ctx.cpb; ci++ {
+		i, j, k := w.cellFromCurve(uint64(ci))
+		g := w.ctx.m.GlobalCellCoord(root, i, j, k)
+		w.emitCell(0, g, root, i, j, k)
 	}
 	if w.next != len(span) {
 		return fmt.Errorf("core: tree at root %d emitted %d of %d cells", root, w.next, len(span))
@@ -197,28 +188,6 @@ func (w *spanWriter) emitCell(level int, g [3]uint32, id amr.BlockID, i, j, k in
 		}
 		gg := [3]uint32{uint32(fi), uint32(fj), uint32(fk)}
 		w.emitCell(level+1, gg, cid, fi%bs, fj%bs, fk%bs)
-	}
-}
-
-// emitBlockChained mirrors builder.emitBlockChained at block granularity.
-func (w *spanWriter) emitBlockChained(id amr.BlockID) {
-	m := w.ctx.m
-	for ci := 0; ci < w.ctx.cpb; ci++ {
-		i, j, k := w.cellFromCurve(uint64(ci))
-		w.emit(w.ctx.cellPos(id, i, j, k))
-	}
-	blk := m.Block(id)
-	if blk.IsLeaf() {
-		return
-	}
-	nsub := 1 << uint(m.Dims())
-	for s := 0; s < nsub; s++ {
-		c := w.curve.Coords(uint64(s), 1)
-		ord := int(c[0]) | int(c[1])<<1
-		if m.Dims() == 3 {
-			ord |= int(c[2]) << 2
-		}
-		w.emitBlockChained(blk.Children[ord])
 	}
 }
 
@@ -328,18 +297,10 @@ func (ctx *buildContext) sortedRootsFast() ([]amr.BlockID, error) {
 // workers <= 0 uses GOMAXPROCS. Any worker count (including 1) produces the
 // identical permutation: partitioning is by topology, not by scheduling.
 func BuildRecipeParallel(m *amr.Mesh, layout Layout, curveName string, workers int) (*Recipe, error) {
-	return buildRecipeParallel(context.Background(), m, layout, curveName, workers, nil)
+	return buildRecipeParallel(m, layout, curveName, workers, nil)
 }
 
-// BuildRecipeParallelContext is BuildRecipeParallel with cancellation: the
-// worker pool observes ctx between spans, so a caller-side deadline or
-// cancel aborts the build between disjoint units of work rather than
-// mid-span. On cancellation the error is ctx.Err().
-func BuildRecipeParallelContext(ctx context.Context, m *amr.Mesh, layout Layout, curveName string, workers int) (*Recipe, error) {
-	return buildRecipeParallel(ctx, m, layout, curveName, workers, nil)
-}
-
-func buildRecipeParallel(ctx context.Context, m *amr.Mesh, layout Layout, curveName string, workers int, met *recipeMetrics) (*Recipe, error) {
+func buildRecipeParallel(m *amr.Mesh, layout Layout, curveName string, workers int, met *recipeMetrics) (*Recipe, error) {
 	bctx, err := newBuildContext(m, curveName, met)
 	if err != nil {
 		return nil, err
@@ -354,11 +315,11 @@ func buildRecipeParallel(ctx context.Context, m *amr.Mesh, layout Layout, curveN
 	case LevelOrder:
 		fillIdentity(perm, workers)
 	case SFCWithinLevel:
-		err = bctx.buildLevelsParallel(ctx, perm, workers)
-	case ZMesh, ZMeshBlock:
-		err = bctx.buildTreesParallel(ctx, perm, layout, workers)
+		err = bctx.buildLevelsParallel(perm, workers)
+	case ZMesh:
+		err = bctx.buildTreesParallel(perm, workers)
 	case TAC3D:
-		plan, err = bctx.buildTACParallel(ctx, perm, workers)
+		plan, err = bctx.buildTACParallel(perm, workers)
 	case AutoLayout:
 		return nil, fmt.Errorf("core: %w", ErrAutoLayout)
 	default:
@@ -375,11 +336,8 @@ func buildRecipeParallel(ctx context.Context, m *amr.Mesh, layout Layout, curveN
 }
 
 // runSpans drives the bounded worker pool: jobs[i] is executed exactly once
-// by some writer, each into its own span. Cancellation is observed between
-// spans: once ctx is done no further span starts and the call returns
-// ctx.Err(), leaving the partially-written permutation to the caller to
-// discard.
-func (bctx *buildContext) runSpans(ctx context.Context, numJobs, workers int, run func(w *spanWriter, job int) error) error {
+// by some writer, each into its own span.
+func (bctx *buildContext) runSpans(numJobs, workers int, run func(w *spanWriter, job int) error) error {
 	if workers > numJobs {
 		workers = numJobs
 	}
@@ -389,9 +347,6 @@ func (bctx *buildContext) runSpans(ctx context.Context, numJobs, workers int, ru
 			return err
 		}
 		for i := 0; i < numJobs; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			if err := run(w, i); err != nil {
 				return err
 			}
@@ -414,27 +369,15 @@ func (bctx *buildContext) runSpans(ctx context.Context, numJobs, workers int, ru
 		go func(w *spanWriter) {
 			defer wg.Done()
 			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
 				errs[i] = run(w, i)
 			}
 		}(writers[g])
 	}
-dispatch:
 	for i := 0; i < numJobs; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -443,8 +386,8 @@ dispatch:
 	return nil
 }
 
-// buildTreesParallel fans the chained-tree layouts out across root trees.
-func (bctx *buildContext) buildTreesParallel(ctx context.Context, perm []int32, layout Layout, workers int) error {
+// buildTreesParallel fans the chained-tree layout out across root trees.
+func (bctx *buildContext) buildTreesParallel(perm []int32, workers int) error {
 	roots, err := bctx.sortedRootsFast()
 	if err != nil {
 		return err
@@ -463,13 +406,13 @@ func (bctx *buildContext) buildTreesParallel(ctx context.Context, perm []int32, 
 	if bctx.met != nil {
 		bctx.met.setup.Since(t0)
 	}
-	return bctx.runSpans(ctx, len(roots), workers, func(w *spanWriter, i int) error {
-		return w.runTree(layout, roots[i], spans[i])
+	return bctx.runSpans(len(roots), workers, func(w *spanWriter, i int) error {
+		return w.runTree(roots[i], spans[i])
 	})
 }
 
 // buildLevelsParallel fans the within-level SFC layout out across levels.
-func (bctx *buildContext) buildLevelsParallel(ctx context.Context, perm []int32, workers int) error {
+func (bctx *buildContext) buildLevelsParallel(perm []int32, workers int) error {
 	spans := make([][]int32, len(bctx.levels))
 	off := 0
 	for l, ids := range bctx.levels {
@@ -480,7 +423,7 @@ func (bctx *buildContext) buildLevelsParallel(ctx context.Context, perm []int32,
 	if off != len(perm) {
 		return fmt.Errorf("core: level spans cover %d of %d cells", off, len(perm))
 	}
-	return bctx.runSpans(ctx, len(spans), workers, func(w *spanWriter, l int) error {
+	return bctx.runSpans(len(spans), workers, func(w *spanWriter, l int) error {
 		return w.runLevel(l, spans[l])
 	})
 }

@@ -87,31 +87,6 @@ func TestSFCWithinLevelHilbertContinuityUniform(t *testing.T) {
 	}
 }
 
-// ZMeshBlock must emit whole blocks contiguously, with a parent block's
-// cells immediately before its first child's cells.
-func TestZMeshBlockContiguity(t *testing.T) {
-	m := randomMesh(t, 37, 2)
-	r, err := BuildRecipe(m, ZMeshBlock, "morton")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpb := m.CellsPerBlock()
-	perm := r.Perm()
-	if len(perm)%cpb != 0 {
-		t.Fatal("stream not block aligned")
-	}
-	// Block base positions in the level-order stream are multiples of cpb;
-	// verify each cpb-run of the zMesh stream stays within one source block.
-	for b := 0; b < len(perm)/cpb; b++ {
-		base := perm[b*cpb] / int32(cpb)
-		for o := 1; o < cpb; o++ {
-			if perm[b*cpb+o]/int32(cpb) != base {
-				t.Fatalf("run %d mixes source blocks", b)
-			}
-		}
-	}
-}
-
 // All layouts must agree on a single-block mesh (only one possible order
 // up to within-block curve order differences: compare against themselves
 // through apply/restore only).

@@ -11,7 +11,6 @@ package core
 // asserts bit-for-bit equality of both the permutation and the plan.
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/amr"
@@ -215,7 +214,7 @@ func (bctx *buildContext) writeTACBox(g *tacLattice, level int, min, size [3]int
 
 // buildTACParallel fans the TAC layout out across levels and assembles the
 // plan in level order.
-func (bctx *buildContext) buildTACParallel(ctx context.Context, perm []int32, workers int) (*TACPlan, error) {
+func (bctx *buildContext) buildTACParallel(perm []int32, workers int) (*TACPlan, error) {
 	spans := make([][]int32, len(bctx.levels))
 	off := 0
 	for l, ids := range bctx.levels {
@@ -227,7 +226,7 @@ func (bctx *buildContext) buildTACParallel(ctx context.Context, perm []int32, wo
 		return nil, fmt.Errorf("core: tac level spans cover %d of %d cells", off, len(perm))
 	}
 	boxesByLevel := make([][]TACBox, len(bctx.levels))
-	err := bctx.runSpans(ctx, len(spans), workers, func(w *spanWriter, l int) error {
+	err := bctx.runSpans(len(spans), workers, func(w *spanWriter, l int) error {
 		boxes, err := bctx.tacPartitionLevel(l, spans[l])
 		boxesByLevel[l] = boxes
 		return err

@@ -145,7 +145,7 @@ func TestTACPlanInvariants(t *testing.T) {
 // Non-TAC recipes carry no plan; the accessor must be nil for them.
 func TestTACPlanNilForOtherLayouts(t *testing.T) {
 	m := randomMesh(t, 5, 2)
-	for _, layout := range []Layout{LevelOrder, SFCWithinLevel, ZMesh, ZMeshBlock} {
+	for _, layout := range []Layout{LevelOrder, SFCWithinLevel, ZMesh} {
 		r, err := BuildRecipe(m, layout, "hilbert")
 		if err != nil {
 			t.Fatal(err)

@@ -606,8 +606,8 @@ func (s *Suite) Throughput() (*Table, error) {
 	return t, nil
 }
 
-// Ablation (F9) isolates zMesh's design choices: sibling-order curve
-// (morton / hilbert / rowmajor) and chaining granularity (cell vs block).
+// Ablation (F9) isolates zMesh's one remaining design choice: the
+// sibling-order curve (morton / hilbert / rowmajor).
 func (s *Suite) Ablation() (*Table, error) {
 	szc, err := compress.Get("sz")
 	if err != nil {
@@ -617,15 +617,13 @@ func (s *Suite) Ablation() (*Table, error) {
 		{core.ZMesh, "rowmajor"},
 		{core.ZMesh, "morton"},
 		{core.ZMesh, "hilbert"},
-		{core.ZMeshBlock, "morton"},
-		{core.ZMeshBlock, "hilbert"},
 	}
 	header := []string{"dataset", "field"}
 	for _, sp := range specs {
 		header = append(header, sp.String())
 	}
 	t := &Table{
-		Title:  "F9 — design ablation: SZ ratio at rel 1e-3 by sibling curve and chaining granularity",
+		Title:  "F9 — design ablation: SZ ratio at rel 1e-3 by sibling curve",
 		Header: header,
 	}
 	for _, p := range s.Cfg.Problems {

@@ -9,8 +9,7 @@ import (
 )
 
 // StaticLayouts are the concrete layouts auto is measured against — T16's
-// columns and the CI gate's auto-vs-best check (zmesh-block is an ablation,
-// not a candidate).
+// columns and the ratio golden's auto-vs-best check.
 var StaticLayouts = []core.Layout{core.LevelOrder, core.SFCWithinLevel, core.ZMesh, core.TAC3D}
 
 // TACComparison (T16) places the 1-D orders against the TAC-style adaptive

@@ -56,9 +56,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{root: dir}, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // validID reports whether id is a well-formed content address (64 lowercase
 // hex characters). Everything else — including path separators and dots —
 // is rejected before touching the filesystem.

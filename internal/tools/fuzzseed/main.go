@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"math/bits"
 	"os"
@@ -34,6 +33,7 @@ import (
 	"repro/internal/compress/multilevel"
 	"repro/internal/compress/sz"
 	"repro/internal/compress/zfp"
+	"repro/internal/frame"
 	"repro/internal/wire"
 )
 
@@ -128,6 +128,15 @@ func run() error {
 	if err := forgedTableSeeds(); err != nil {
 		return err
 	}
+	// A 17-byte chunked header declaring 2^28 one-value chunks: the count
+	// must fail against the bytes that remain before the table is sized.
+	var forged []byte
+	for _, f := range []uint64{0x43484b31, 1, 1 << 28, 1, 1 << 28} { // magic, version, values, chunk size, chunks
+		forged = binary.AppendUvarint(forged, f)
+	}
+	if err := write("internal/compress/chunked/testdata/fuzz/FuzzDecompress", "seed-forged-chunk-table", corpusEntry(forged)); err != nil {
+		return err
+	}
 
 	// Progressive multilevel decode shares the multilevel payload format.
 	mglPayload, err := multilevel.New().Compress(vals, dims, bound)
@@ -165,6 +174,15 @@ func run() error {
 	bitDir := filepath.Join("internal/bitstream", "testdata", "fuzz", "FuzzReader")
 	if err := write(bitDir, "seed-mixed-ops",
 		corpusEntry([]byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x80, 0x7f}, []byte{3, 13, 1, 64, 8, 5, 32})); err != nil {
+		return err
+	}
+
+	// Bounded reader: a varint, a byte, a u32, a count of two 3-byte
+	// elements, the elements, then a padded varint the last op must refuse.
+	frameData := binary.AppendUvarint(nil, 300)
+	frameData = append(frameData, 7, 0xde, 0xad, 0xbe, 0xef, 2, 'a', 'b', 'c', 'd', 'e', 'f', 0x85, 0x80, 0x00)
+	if err := write(filepath.Join("internal/frame", "testdata", "fuzz", "FuzzReader"), "seed-field-list",
+		corpusEntry(frameData, []byte{0, 1, 2, 5, 2, 4, 6, 0})); err != nil {
 		return err
 	}
 
@@ -252,8 +270,7 @@ func forgedTableSeeds() error {
 // count validation are not rejected by the checksum first.
 func resealWire(magic string, body []byte) []byte {
 	b := append([]byte(magic), body...)
-	crc := crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli))
-	return binary.LittleEndian.AppendUint32(b, crc)
+	return binary.LittleEndian.AppendUint32(b, frame.Checksum(body))
 }
 
 // temporalWireSeeds writes the ZMT1 temporal-frame and ZMM1 manifest corpora

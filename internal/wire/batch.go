@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"repro/internal/frame"
 )
 
 // Batch framing: the multi-field body of the checkpoint endpoint. One
@@ -101,7 +102,7 @@ func (bw *BatchWriter) WriteSection(name, meta string, payload []byte) error {
 		return err
 	}
 	binary.LittleEndian.PutUint64(bw.hdr[0:8], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(bw.hdr[8:12], crc32.Checksum(payload, castagnoliWire))
+	binary.LittleEndian.PutUint32(bw.hdr[8:12], frame.Checksum(payload))
 	if _, err := bw.w.Write(bw.hdr[:12]); err != nil {
 		return err
 	}
@@ -204,7 +205,7 @@ func (br *BatchReader) Next(buf []byte) (name, meta string, payload []byte, err 
 	if err != nil {
 		return "", "", nil, err
 	}
-	if crc32.Checksum(payload, castagnoliWire) != sum {
+	if frame.Checksum(payload) != sum {
 		return "", "", nil, fmt.Errorf("%w: section %q", ErrBatchChecksum, name)
 	}
 	return name, meta, payload, nil

@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"repro/internal/frame"
 )
 
 // Chunked stream framing: the wire mode that lets multi-GB field streams
@@ -95,7 +96,7 @@ func (cw *ChunkWriter) WriteChunk(p []byte) error {
 			n = MaxChunkPayload
 		}
 		binary.LittleEndian.PutUint32(cw.hdr[0:4], uint32(n))
-		binary.LittleEndian.PutUint32(cw.hdr[4:8], crc32.Checksum(p[:n], castagnoliWire))
+		binary.LittleEndian.PutUint32(cw.hdr[4:8], frame.Checksum(p[:n]))
 		if _, err := cw.w.Write(cw.hdr[:]); err != nil {
 			return err
 		}
@@ -137,7 +138,7 @@ func AppendChunked(dst, data []byte, chunkBytes int) []byte {
 			n = chunkBytes
 		}
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-		dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(data[:n], castagnoliWire))
+		dst = binary.LittleEndian.AppendUint32(dst, frame.Checksum(data[:n]))
 		dst = append(dst, data[:n]...)
 		data = data[n:]
 	}
@@ -207,10 +208,8 @@ func (cr *ChunkReader) Next(buf []byte) ([]byte, error) {
 		}
 		return nil, err
 	}
-	if crc32.Checksum(buf, castagnoliWire) != sum {
+	if frame.Checksum(buf) != sum {
 		return nil, ErrChunkChecksum
 	}
 	return buf, nil
 }
-
-var castagnoliWire = crc32.MakeTable(crc32.Castagnoli)

@@ -5,8 +5,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"repro/internal/frame"
 )
 
 // Checkpoint manifest framing: the persisted index of one sealed temporal
@@ -120,8 +121,7 @@ func EncodeManifest(m *Manifest) ([]byte, error) {
 			dst = append(dst, sum...)
 		}
 	}
-	crc := crc32.Checksum(dst[body:], castagnoliWire)
-	dst = binary.LittleEndian.AppendUint32(dst, crc)
+	dst = binary.LittleEndian.AppendUint32(dst, frame.Checksum(dst[body:]))
 	return dst, nil
 }
 
@@ -135,93 +135,47 @@ func ParseManifest(buf []byte) (*Manifest, error) {
 		return nil, ErrFrameTruncated
 	}
 	body, crcBytes := buf[4:len(buf)-4], buf[len(buf)-4:]
-	if crc32.Checksum(body, castagnoliWire) != binary.LittleEndian.Uint32(crcBytes) {
+	if frame.Checksum(body) != binary.LittleEndian.Uint32(crcBytes) {
 		return nil, ErrManifestChecksum
 	}
-	c := frameCursor{buf: body}
-	ver, err := c.bytes(1)
-	if err != nil {
-		return nil, err
+	r := frame.NewReader(body)
+	if ver := r.Byte(); ver != manifestVersion {
+		return nil, fmt.Errorf("wire: checkpoint manifest version %d, want %d", ver, manifestVersion)
 	}
-	if ver[0] != manifestVersion {
-		return nil, fmt.Errorf("wire: checkpoint manifest version %d, want %d", ver[0], manifestVersion)
-	}
-	nFields, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nFields > uint64(len(c.buf))/minManifestField {
-		return nil, fmt.Errorf("wire: manifest declares %d fields in %d bytes", nFields, len(c.buf))
-	}
-	m := &Manifest{Fields: make([]ManifestField, 0, nFields)}
-	for i := uint64(0); i < nFields; i++ {
-		var f ManifestField
-		if f.Name, err = c.str("field name"); err != nil {
+	m := &Manifest{Fields: make([]ManifestField, r.Count(minManifestField))}
+	for i := range m.Fields {
+		f := &m.Fields[i]
+		if err := readIdentity(&r, &f.Name, &f.Layout, &f.Curve, &f.Codec); err != nil {
 			return nil, err
 		}
-		if f.Layout, err = c.str("layout"); err != nil {
-			return nil, err
-		}
-		if f.Curve, err = c.str("curve"); err != nil {
-			return nil, err
-		}
-		if f.Codec, err = c.str("codec"); err != nil {
-			return nil, err
-		}
-		nFrames, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nFrames > uint64(len(c.buf))/minManifestFrame {
-			return nil, fmt.Errorf("wire: manifest field %q declares %d frames in %d bytes", f.Name, nFrames, len(c.buf))
-		}
-		f.Frames = make([]ManifestFrame, 0, nFrames)
-		for j := uint64(0); j < nFrames; j++ {
-			hdr, err := c.bytes(1)
-			if err != nil {
-				return nil, err
-			}
-			flags := hdr[0]
+		f.Frames = make([]ManifestFrame, r.Count(minManifestFrame))
+		for j := range f.Frames {
+			fr := &f.Frames[j]
+			flags := r.Byte()
+			fr.Keyframe, fr.Forced = flags&frameKeyframeFlag != 0, flags&frameForcedFlag != 0
+			nv := r.Uvarint()
+			fr.Bound = math.Float64frombits(r.U64())
+			ob := r.Uvarint()
+			fr.Object = hex.EncodeToString(r.Bytes(32))
 			if flags&^(frameKeyframeFlag|frameForcedFlag) != 0 {
 				return nil, fmt.Errorf("wire: manifest frame has unknown flags %#x", flags)
-			}
-			fr := ManifestFrame{
-				Keyframe: flags&frameKeyframeFlag != 0,
-				Forced:   flags&frameForcedFlag != 0,
-			}
-			nv, err := c.uvarint()
-			if err != nil {
-				return nil, err
 			}
 			if nv > maxFrameValues {
 				return nil, fmt.Errorf("wire: manifest frame declares %d values, max %d", nv, maxFrameValues)
 			}
-			fr.NumValues = int(nv)
-			bb, err := c.bytes(8)
-			if err != nil {
-				return nil, err
-			}
-			fr.Bound = math.Float64frombits(binary.LittleEndian.Uint64(bb))
 			if math.IsNaN(fr.Bound) || math.IsInf(fr.Bound, 0) || fr.Bound < 0 {
 				return nil, fmt.Errorf("wire: manifest frame bound %v is not a finite non-negative value", fr.Bound)
-			}
-			ob, err := c.uvarint()
-			if err != nil {
-				return nil, err
 			}
 			if ob > math.MaxInt64 {
 				return nil, fmt.Errorf("wire: manifest frame object size %d overflows", ob)
 			}
-			fr.Bytes = int64(ob)
-			sum, err := c.bytes(32)
-			if err != nil {
-				return nil, err
-			}
-			fr.Object = hex.EncodeToString(sum)
 			if !fr.Keyframe && fr.Forced {
 				return nil, errors.New("wire: manifest delta frame with forced flag")
 			}
-			f.Frames = append(f.Frames, fr)
+			fr.NumValues, fr.Bytes = int(nv), int64(ob)
+		}
+		if r.Bad() {
+			return nil, ErrFrameTruncated
 		}
 		if len(f.Frames) == 0 {
 			return nil, fmt.Errorf("wire: manifest field %q has no frames", f.Name)
@@ -229,10 +183,12 @@ func ParseManifest(buf []byte) (*Manifest, error) {
 		if !f.Frames[0].Keyframe {
 			return nil, fmt.Errorf("wire: manifest field %q does not start with a keyframe", f.Name)
 		}
-		m.Fields = append(m.Fields, f)
 	}
-	if len(c.buf) != 0 {
-		return nil, fmt.Errorf("wire: checkpoint manifest has %d trailing bytes", len(c.buf))
+	if r.Bad() {
+		return nil, ErrFrameTruncated
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("wire: checkpoint manifest has %d trailing bytes", r.Len())
 	}
 	if len(m.Fields) == 0 {
 		return nil, errors.New("wire: checkpoint manifest has no fields")

@@ -3,10 +3,11 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 func sampleManifest() *Manifest {
@@ -98,7 +99,7 @@ func TestManifestParseRejects(t *testing.T) {
 func resealManifest(body []byte) []byte {
 	b := append([]byte(nil), manifestMagic[:]...)
 	b = append(b, body...)
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(body, castagnoliWire))
+	return binary.LittleEndian.AppendUint32(b, frame.Checksum(body))
 }
 
 // TestManifestCountBombs pins the declared-count defense: a manifest

@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"repro/internal/frame"
 )
 
 // Temporal frame framing: the wire form of one zmesh.TemporalCompressed —
@@ -129,8 +130,7 @@ func AppendTemporalFrame(dst []byte, f *TemporalFrame) ([]byte, error) {
 	dst = append(dst, f.Structure...)
 	dst = binary.AppendUvarint(dst, uint64(len(f.Payload)))
 	dst = append(dst, f.Payload...)
-	sum := crc32.Checksum(dst[body:], castagnoliWire)
-	dst = binary.LittleEndian.AppendUint32(dst, sum)
+	dst = binary.LittleEndian.AppendUint32(dst, frame.Checksum(dst[body:]))
 	return dst, nil
 }
 
@@ -139,44 +139,19 @@ func EncodeTemporalFrame(f *TemporalFrame) ([]byte, error) {
 	return AppendTemporalFrame(nil, f)
 }
 
-// frameCursor walks a frame body with bounds-checked reads; every declared
-// length is validated against the remaining bytes before any slice is taken,
-// so a lying length costs nothing.
-type frameCursor struct {
-	buf []byte
-}
-
-func (c *frameCursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.buf)
-	if n <= 0 {
-		return 0, ErrFrameTruncated
+// readIdentity reads the four identity strings a temporal frame and a
+// manifest field both carry, in wire order: field name, layout, curve, codec.
+// An over-long string is reported by name; truncation latches in r.
+func readIdentity(r *frame.Reader, name, layout, curve, codec *string) error {
+	what := [4]string{"field name", "layout", "curve", "codec"}
+	for i, dst := range [4]*string{name, layout, curve, codec} {
+		n := r.Uvarint()
+		if n > MaxFrameString {
+			return fmt.Errorf("wire: temporal frame %s is %d bytes, max %d", what[i], n, MaxFrameString)
+		}
+		*dst = string(r.Bytes(n))
 	}
-	c.buf = c.buf[n:]
-	return v, nil
-}
-
-func (c *frameCursor) bytes(n uint64) ([]byte, error) {
-	if n > uint64(len(c.buf)) {
-		return nil, ErrFrameTruncated
-	}
-	out := c.buf[:n]
-	c.buf = c.buf[n:]
-	return out, nil
-}
-
-func (c *frameCursor) str(what string) (string, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > MaxFrameString {
-		return "", fmt.Errorf("wire: temporal frame %s is %d bytes, max %d", what, n, MaxFrameString)
-	}
-	b, err := c.bytes(n)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return nil
 }
 
 // ParseTemporalFrame parses one temporal frame from buf. The returned
@@ -190,18 +165,14 @@ func ParseTemporalFrame(buf []byte) (*TemporalFrame, error) {
 		return nil, ErrFrameTruncated
 	}
 	body, crcBytes := buf[4:len(buf)-4], buf[len(buf)-4:]
-	if crc32.Checksum(body, castagnoliWire) != binary.LittleEndian.Uint32(crcBytes) {
+	if frame.Checksum(body) != binary.LittleEndian.Uint32(crcBytes) {
 		return nil, ErrFrameChecksum
 	}
-	c := frameCursor{buf: body}
-	verFlags, err := c.bytes(2)
-	if err != nil {
-		return nil, err
+	r := frame.NewReader(body)
+	if ver := r.Byte(); ver != temporalVersion {
+		return nil, fmt.Errorf("wire: temporal frame version %d, want %d", ver, temporalVersion)
 	}
-	if verFlags[0] != temporalVersion {
-		return nil, fmt.Errorf("wire: temporal frame version %d, want %d", verFlags[0], temporalVersion)
-	}
-	flags := verFlags[1]
+	flags := r.Byte()
 	if flags&^(frameKeyframeFlag|frameForcedFlag) != 0 {
 		return nil, fmt.Errorf("wire: temporal frame has unknown flags %#x", flags)
 	}
@@ -209,50 +180,25 @@ func ParseTemporalFrame(buf []byte) (*TemporalFrame, error) {
 		Keyframe: flags&frameKeyframeFlag != 0,
 		Forced:   flags&frameForcedFlag != 0,
 	}
-	if f.Field, err = c.str("field name"); err != nil {
+	if err := readIdentity(&r, &f.Field, &f.Layout, &f.Curve, &f.Codec); err != nil {
 		return nil, err
 	}
-	if f.Layout, err = c.str("layout"); err != nil {
-		return nil, err
-	}
-	if f.Curve, err = c.str("curve"); err != nil {
-		return nil, err
-	}
-	if f.Codec, err = c.str("codec"); err != nil {
-		return nil, err
-	}
-	nv, err := c.uvarint()
-	if err != nil {
-		return nil, err
+	nv := r.Uvarint()
+	f.Bound = math.Float64frombits(r.U64())
+	f.Structure = r.Bytes(r.Uvarint())
+	f.Payload = r.Bytes(r.Uvarint())
+	if r.Bad() {
+		return nil, ErrFrameTruncated
 	}
 	if nv > maxFrameValues {
 		return nil, fmt.Errorf("wire: temporal frame declares %d values, max %d", nv, maxFrameValues)
 	}
 	f.NumValues = int(nv)
-	bb, err := c.bytes(8)
-	if err != nil {
-		return nil, err
-	}
-	f.Bound = math.Float64frombits(binary.LittleEndian.Uint64(bb))
 	if math.IsNaN(f.Bound) || math.IsInf(f.Bound, 0) || f.Bound < 0 {
 		return nil, fmt.Errorf("wire: temporal frame bound %v is not a finite non-negative value", f.Bound)
 	}
-	sLen, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if f.Structure, err = c.bytes(sLen); err != nil {
-		return nil, err
-	}
-	pLen, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if f.Payload, err = c.bytes(pLen); err != nil {
-		return nil, err
-	}
-	if len(c.buf) != 0 {
-		return nil, fmt.Errorf("wire: temporal frame has %d trailing bytes", len(c.buf))
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("wire: temporal frame has %d trailing bytes", r.Len())
 	}
 	if f.Keyframe && len(f.Structure) == 0 {
 		return nil, errors.New("wire: temporal keyframe without structure")

@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 func sampleFrame(keyframe bool) *TemporalFrame {
@@ -153,7 +154,7 @@ func TestTemporalFrameLyingLengths(t *testing.T) {
 	reseal := func(body []byte) []byte {
 		b := append([]byte(nil), temporalMagic[:]...)
 		b = append(b, body...)
-		crc := crc32.Checksum(body, castagnoliWire)
+		crc := frame.Checksum(body)
 		return binary.LittleEndian.AppendUint32(b, crc)
 	}
 	strField := func(s string) []byte {

@@ -69,8 +69,6 @@ const (
 	LayoutSFC = core.SFCWithinLevel
 	// LayoutZMesh is the paper's chained-tree cross-level reordering.
 	LayoutZMesh = core.ZMesh
-	// LayoutZMeshBlock is the block-granularity ablation variant of zMesh.
-	LayoutZMeshBlock = core.ZMeshBlock
 	// LayoutTAC partitions each level into compact padded 3-D boxes and
 	// compresses every box as a dense array with the dims-aware codec (the
 	// TAC/TAC+ line of follow-up work).

@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/core"
+	"repro/internal/frame"
 )
 
 const (
@@ -149,51 +150,40 @@ func tacDecodeStream(codec compress.Compressor, dims int, plan *core.TACPlan, wa
 	if v := payload[len(tacFrameMagic)]; v != tacFrameVersion {
 		return nil, fmt.Errorf("zmesh: tac frame: unsupported version %d", v)
 	}
-	rest := payload[len(tacFrameMagic)+1:]
-	total, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, fmt.Errorf("zmesh: tac frame: truncated value count")
+	r := frame.NewReader(payload[len(tacFrameMagic)+1:])
+	total, nBoxes := r.Uvarint(), r.Uvarint()
+	if r.Bad() {
+		return nil, fmt.Errorf("zmesh: tac frame: truncated value or box count")
 	}
-	rest = rest[n:]
 	if total != uint64(want) {
 		return nil, fmt.Errorf("zmesh: tac frame claims %d values, topology has %d", total, want)
 	}
-	nBoxes, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, fmt.Errorf("zmesh: tac frame: truncated box count")
-	}
-	rest = rest[n:]
 	// The declared box count must match the plan exactly; rejecting here —
 	// before the box table is even read — is what caps a declared-box-count
 	// allocation bomb.
 	if nBoxes != uint64(plan.NumBoxes()) {
 		return nil, fmt.Errorf("zmesh: tac frame claims %d boxes, topology has %d", nBoxes, plan.NumBoxes())
 	}
-	lens := make([]int, plan.NumBoxes())
-	var sum uint64
+	lens := make([]uint64, plan.NumBoxes())
 	for i := range lens {
-		l, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, fmt.Errorf("zmesh: tac frame: truncated box table at entry %d", i)
-		}
-		rest = rest[n:]
-		if sum += l; l > uint64(len(rest)) || sum > uint64(len(rest)) {
-			return nil, fmt.Errorf("zmesh: tac frame: box table overruns payload at entry %d", i)
-		}
-		lens[i] = int(l)
+		lens[i] = r.Uvarint()
 	}
-	if sum != uint64(len(rest)) {
-		return nil, fmt.Errorf("zmesh: tac frame: box table claims %d payload bytes, frame has %d", sum, len(rest))
+	// Walk a copy of the reader over the box payloads first, so a table that
+	// does not cover the remaining bytes exactly fails before any box decodes.
+	body := r
+	for _, l := range lens {
+		body.Bytes(l)
+	}
+	if body.Bad() || body.Len() != 0 {
+		return nil, fmt.Errorf("zmesh: tac frame: box table does not cover the frame's %d payload bytes exactly", r.Len())
 	}
 	out := make([]float64, 0, want)
-	off := 0
 	for i := range plan.Boxes {
 		box := &plan.Boxes[i]
-		dense, err := codec.Decompress(rest[off : off+lens[i]])
+		dense, err := codec.Decompress(r.Bytes(lens[i]))
 		if err != nil {
 			return nil, fmt.Errorf("zmesh: tac box %d: %w", i, err)
 		}
-		off += lens[i]
 		if len(dense) != box.Volume() {
 			return nil, fmt.Errorf("zmesh: tac box %d decoded to %d cells, box holds %d", i, len(dense), box.Volume())
 		}
