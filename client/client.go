@@ -203,59 +203,64 @@ func (c *Client) retryDelay(attempt int, retryAfter string, lastErr error) time.
 	return c.backoffDelay(attempt, retryAfter)
 }
 
+// retry is the client's one attempt loop. attempt reports a final outcome
+// (success, or an error another try cannot fix) or a failure worth retrying,
+// with the server's Retry-After hint if it sent one; ctx bounds the whole loop
+// including the backoff sleeps.
+func (c *Client) retry(ctx context.Context, attempt func() (final bool, retryAfter string, err error)) error {
+	for n := 1; ; n++ {
+		final, retryAfter, err := attempt()
+		if final {
+			return err
+		}
+		if n > c.maxRetries {
+			return fmt.Errorf("client: giving up after %d attempts: %w", n, err)
+		}
+		if err := c.sleep(ctx, n, retryAfter, err); err != nil {
+			return err
+		}
+	}
+}
+
+// failed classifies an attempt that produced no 2xx response, in retry's
+// terms: a transport error is retryable unless ctx ended it, a status is
+// retryable when retryable says so. A non-nil resp is drained and closed.
+func failed(ctx context.Context, resp *http.Response, err error) (final bool, retryAfter string, _ error) {
+	if err != nil {
+		if ctx.Err() != nil {
+			return true, "", ctx.Err()
+		}
+		return false, "", err
+	}
+	se := statusError(resp)
+	return !retryable(se.Code), se.RetryAfter, se
+}
+
 // do issues one request with retries, returning the response body and
 // headers of the first 2xx answer. The body is re-sent from buf on each
-// attempt; ctx bounds the whole retry loop including the backoff sleeps.
-func (c *Client) do(ctx context.Context, method, url, contentType string, buf []byte) ([]byte, http.Header, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
+// attempt.
+func (c *Client) do(ctx context.Context, method, url, contentType string, buf []byte) (body []byte, hdr http.Header, err error) {
+	err = c.retry(ctx, func() (bool, string, error) {
 		req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(buf))
 		if err != nil {
-			return nil, nil, err
+			return true, "", err
 		}
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)
 		}
 		resp, err := c.hc.Do(req)
-		var status int
-		var retryAfter string
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, nil, ctx.Err()
-			}
-			lastErr = err // transport error: retryable
-		} else {
-			body, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if rerr != nil {
-				lastErr = rerr
-			} else if resp.StatusCode/100 == 2 {
-				return body, resp.Header, nil
-			} else {
-				status = resp.StatusCode
-				retryAfter = resp.Header.Get("Retry-After")
-				msg := strings.TrimSpace(string(body))
-				var je wire.ErrorResponse
-				if json.Unmarshal(body, &je) == nil && je.Error != "" {
-					msg = je.Error
-				}
-				lastErr = &StatusError{Code: status, Msg: msg, RetryAfter: retryAfter}
-				if !retryable(status) {
-					return nil, nil, lastErr
-				}
-			}
+		if err != nil || resp.StatusCode/100 != 2 {
+			return failed(ctx, resp, err)
 		}
-		if attempt >= c.maxRetries {
-			return nil, nil, fmt.Errorf("client: giving up after %d attempts: %w", attempt+1, lastErr)
-		}
-		t := time.NewTimer(c.retryDelay(attempt+1, retryAfter, lastErr))
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return nil, nil, ctx.Err()
-		case <-t.C:
-		}
+		body, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		hdr = resp.Header
+		return err == nil, "", err // a torn 2xx body is worth another try
+	})
+	if err != nil {
+		return nil, nil, err
 	}
+	return body, hdr, nil
 }
 
 // RegisterMesh registers serialized topology metadata (Mesh.Structure

@@ -85,47 +85,36 @@ func (c *Client) CompressStream(ctx context.Context, meshID, fieldName string, v
 	reqURL := c.base + wire.CompressStreamPath(meshID) + "?" + compressQuery(fieldName, opt, bound)
 	src := &countingReader{r: values}
 	chunk := make([]byte, c.chunkSize())
-	var lastErr error
-	for attempt := 0; ; attempt++ {
+	var out *zmesh.Compressed
+	err := c.retry(ctx, func() (bool, string, error) {
 		resp, pumpErr, err := c.startChunkedRequest(ctx, reqURL, src, chunk)
-		var retryAfter string
-		switch {
-		case err != nil:
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			lastErr = err
-			if perr := <-pumpErr; perr != nil && !errors.Is(perr, io.ErrClosedPipe) {
-				// The transport error was caused by the source itself; the
-				// caller needs that, not the wrapped pipe error.
-				return nil, fmt.Errorf("client: reading value stream: %w", perr)
-			}
-		case resp.StatusCode/100 == 2:
+		if err == nil && resp.StatusCode/100 == 2 {
 			payload, rerr := readChunkedAll(resp.Body)
 			hdr := resp.Header
 			resp.Body.Close()
 			if rerr != nil {
-				return nil, fmt.Errorf("client: reading chunked response: %w", rerr)
+				return true, "", fmt.Errorf("client: reading chunked response: %w", rerr)
 			}
-			return artifactFromHeaders(hdr, payload)
-		default:
-			retryAfter = resp.Header.Get("Retry-After")
-			se := statusError(resp)
-			lastErr = se
-			if !retryable(se.Code) {
-				return nil, se
+			out, err = artifactFromHeaders(hdr, payload)
+			return true, "", err
+		}
+		final, retryAfter, ferr := failed(ctx, resp, err)
+		if final {
+			return true, "", ferr
+		}
+		if err != nil {
+			if perr := <-pumpErr; perr != nil && !errors.Is(perr, io.ErrClosedPipe) {
+				// The transport error was caused by the source itself; the
+				// caller needs that, not the wrapped pipe error.
+				return true, "", fmt.Errorf("client: reading value stream: %w", perr)
 			}
 		}
 		if src.n > 0 {
-			return nil, fmt.Errorf("client: stream failed after %d bytes were consumed (cannot replay an io.Reader): %w", src.n, lastErr)
+			return true, "", fmt.Errorf("client: stream failed after %d bytes were consumed (cannot replay an io.Reader): %w", src.n, ferr)
 		}
-		if attempt >= c.maxRetries {
-			return nil, fmt.Errorf("client: giving up after %d attempts: %w", attempt+1, lastErr)
-		}
-		if err := c.sleep(ctx, attempt+1, retryAfter, lastErr); err != nil {
-			return nil, err
-		}
-	}
+		return false, retryAfter, ferr
+	})
+	return out, err
 }
 
 // startChunkedRequest issues one POST whose body is the chunked framing of
@@ -224,48 +213,32 @@ func (c *Client) DecompressStream(ctx context.Context, meshID string, comp *zmes
 	}.Encode()
 	reqURL := c.base + wire.DecompressStreamPath(meshID) + "?" + q
 	framed := wire.AppendChunked(nil, comp.Payload, c.chunkSize())
-	var lastErr error
-	for attempt := 0; ; attempt++ {
+	n := 0
+	err := c.retry(ctx, func() (bool, string, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, reqURL, bytes.NewReader(framed))
 		if err != nil {
-			return 0, err
+			return true, "", err
 		}
 		req.Header.Set("Content-Type", wire.ContentTypeChunked)
 		resp, err := c.hc.Do(req)
-		var retryAfter string
-		if err != nil {
-			if ctx.Err() != nil {
-				return 0, ctx.Err()
-			}
-			lastErr = err
-		} else if resp.StatusCode/100 == 2 {
-			n, err := c.copyChunked(w, resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				return n / 8, fmt.Errorf("client: reading chunked values: %w", err)
-			}
-			if n%8 != 0 {
-				return n / 8, fmt.Errorf("client: server streamed %d bytes, not a multiple of 8", n)
-			}
-			if comp.NumValues != 0 && n/8 != comp.NumValues {
-				return n / 8, fmt.Errorf("client: server streamed %d values, artifact claims %d", n/8, comp.NumValues)
-			}
-			return n / 8, nil
-		} else {
-			retryAfter = resp.Header.Get("Retry-After")
-			se := statusError(resp)
-			lastErr = se
-			if !retryable(se.Code) {
-				return 0, se
-			}
+		if err != nil || resp.StatusCode/100 != 2 {
+			return failed(ctx, resp, err)
 		}
-		if attempt >= c.maxRetries {
-			return 0, fmt.Errorf("client: giving up after %d attempts: %w", attempt+1, lastErr)
+		// The first response byte may now reach w: whatever happens is final.
+		nb, err := c.copyChunked(w, resp.Body)
+		resp.Body.Close()
+		n = nb / 8
+		switch {
+		case err != nil:
+			err = fmt.Errorf("client: reading chunked values: %w", err)
+		case nb%8 != 0:
+			err = fmt.Errorf("client: server streamed %d bytes, not a multiple of 8", nb)
+		case comp.NumValues != 0 && n != comp.NumValues:
+			err = fmt.Errorf("client: server streamed %d values, artifact claims %d", n, comp.NumValues)
 		}
-		if err := c.sleep(ctx, attempt+1, retryAfter, lastErr); err != nil {
-			return 0, err
-		}
-	}
+		return true, "", err
+	})
+	return n, err
 }
 
 // copyChunked unframes a chunked stream from r into w, returning the

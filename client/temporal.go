@@ -150,19 +150,7 @@ func (ts *TemporalSession) Append(ctx context.Context, f *zmesh.Field, bound zme
 		if err != nil {
 			return nil, err
 		}
-		forced := tc.Keyframe && ts.forced[f.Name]
-		frame, err := wire.EncodeTemporalFrame(&wire.TemporalFrame{
-			Keyframe:  tc.Keyframe,
-			Forced:    forced,
-			Field:     tc.FieldName,
-			Layout:    tc.Layout.String(),
-			Curve:     tc.Curve,
-			Codec:     tc.Codec,
-			NumValues: tc.NumValues,
-			Bound:     tc.Bound,
-			Structure: tc.Structure,
-			Payload:   tc.Payload,
-		})
+		frame, err := wire.EncodeTemporalFrame(tc.WireFrame(tc.Keyframe && ts.forced[f.Name]))
 		if err != nil {
 			return nil, err
 		}

@@ -198,12 +198,19 @@ func TestGoldenCodecs(t *testing.T) {
 }
 
 // TestGoldenTemporal pins the temporal stream format with a keyframe +
-// delta-frame pair; the delta must replay bit-exactly on top of the key.
+// delta-frame pair per fixture — one under a 1-D order, one under tac, whose
+// frames carry zTAC box tables; the delta must replay bit-exactly on top of
+// the key.
 func TestGoldenTemporal(t *testing.T) {
-	const name = "temporal_sz.json"
-	m, f, f2 := goldenField(t)
+	for name, layout := range map[string]Layout{"temporal_sz.json": LayoutZMesh, "temporal_tac_sz.json": LayoutTAC} {
+		goldenTemporal(t, name, layout)
+	}
+}
+
+func goldenTemporal(t *testing.T, name string, layout Layout) {
+	_, f, f2 := goldenField(t)
 	if *updateGolden {
-		te, err := NewTemporalEncoder(Options{Layout: core.ZMesh, Curve: "hilbert", Codec: "sz"})
+		te, err := NewTemporalEncoder(Options{Layout: layout, Curve: "hilbert", Codec: "sz"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +238,6 @@ func TestGoldenTemporal(t *testing.T) {
 			frames = append(frames, *fx)
 		}
 		writeFixture(t, name, frames)
-		_ = m
 		return
 	}
 	var frames []goldenFixture

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	zmesh "repro"
 	"repro/internal/amr"
 	"repro/internal/compress"
 	"repro/internal/compress/chunked"
@@ -377,11 +378,11 @@ func paddedLevelBytes(ck *sim.Checkpoint, f *amr.Field, codec compress.Compresso
 }
 
 // Temporal (T15) compares spatial re-encoding of every snapshot against
-// delta encoding over a time series produced by the adaptive solver (the
-// public API's TemporalEncoder implements the same scheme; this experiment
-// drives the underlying primitives directly). Deltas are taken against the
-// previous snapshot's reconstruction, so the per-snapshot bound never
-// accumulates.
+// delta encoding over a time series produced by the adaptive solver, through
+// the public pipeline on both sides: zmesh.TemporalEncoder against
+// Encoder.CompressField, full artifacts, envelope included. Deltas are taken
+// against the previous snapshot's reconstruction, so the per-snapshot bound
+// never accumulates — checked on what a TemporalDecoder gives back.
 func (s *Suite) Temporal() (*Table, error) {
 	mesh, u, err := amr.BuildAdaptive(amr.BuildOptions{
 		Dims: 2, BlockSize: s.Cfg.BlockSize, RootDims: [3]int{2, 2, 1},
@@ -397,73 +398,49 @@ func (s *Suite) Temporal() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	szc, err := compress.Get("sz")
+	opt := zmesh.DefaultOptions() // zmesh / hilbert / sz
+	tenc, err := zmesh.NewTemporalEncoder(opt)
 	if err != nil {
 		return nil, err
 	}
+	tdec := zmesh.NewTemporalDecoder()
 	const eb = 1e-4
-	bound := compress.AbsBound(eb)
+	bound := zmesh.AbsBound(eb)
 	t := &Table{
 		Title:  "T15 — temporal delta encoding vs spatial re-encoding (SZ, abs 1e-4)",
 		Header: []string{"snapshot", "frame", "spatial bytes", "temporal bytes", "saving %", "max err ok"},
 	}
-	var prevStructure []byte
-	var prevRecon []float64
-	var recipe *core.Recipe
+	var spatial *zmesh.Encoder // rebuilt with the topology, i.e. on keyframes
 	const snapshots = 8
 	for snap := 0; snap < snapshots; snap++ {
-		structure := mesh.Structure()
-		key := prevStructure == nil || !bytesEqual(structure, prevStructure)
-		if key {
-			recipe, err = core.BuildRecipe(mesh, core.ZMesh, "hilbert")
-			if err != nil {
-				return nil, err
-			}
-			prevStructure = structure
-		}
-		stream, err := recipe.Apply(amr.Flatten(amr.LevelArrays(u)))
+		tc, err := tenc.CompressSnapshot(u, bound)
 		if err != nil {
 			return nil, err
 		}
-		spatialBuf, err := szc.Compress(stream, []int{len(stream)}, bound)
+		frame := "delta"
+		if tc.Keyframe {
+			frame = "key"
+			if spatial, err = zmesh.NewEncoder(mesh, opt); err != nil {
+				return nil, err
+			}
+		}
+		sc, err := spatial.CompressField(u, bound)
 		if err != nil {
 			return nil, err
 		}
-		var temporalBuf []byte
-		frame := "key"
-		if key {
-			temporalBuf = spatialBuf
-			prevRecon, err = szc.Decompress(spatialBuf)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			frame = "delta"
-			delta := make([]float64, len(stream))
-			for i := range delta {
-				delta[i] = stream[i] - prevRecon[i]
-			}
-			temporalBuf, err = szc.Compress(delta, []int{len(delta)}, bound)
-			if err != nil {
-				return nil, err
-			}
-			dRecon, err := szc.Decompress(temporalBuf)
-			if err != nil {
-				return nil, err
-			}
-			for i := range prevRecon {
-				prevRecon[i] += dRecon[i]
-			}
-		}
-		maxe, err := metrics.MaxAbsError(stream, prevRecon)
+		got, err := tdec.DecompressSnapshot(tc)
 		if err != nil {
 			return nil, err
 		}
-		saving := 100 * (1 - float64(len(temporalBuf))/float64(len(spatialBuf)))
+		maxe, err := zmesh.MaxAbsError(u, got)
+		if err != nil {
+			return nil, err
+		}
+		saving := 100 * (1 - float64(len(tc.Payload))/float64(len(sc.Payload)))
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", snap), frame,
-			fmt.Sprintf("%d", len(spatialBuf)),
-			fmt.Sprintf("%d", len(temporalBuf)),
+			fmt.Sprintf("%d", len(sc.Payload)),
+			fmt.Sprintf("%d", len(tc.Payload)),
 			fmt.Sprintf("%+.1f", saving),
 			fmt.Sprintf("%v", maxe <= eb),
 		})
@@ -476,18 +453,6 @@ func (s *Suite) Temporal() (*Table, error) {
 	t.Notes = append(t.Notes,
 		"regrids force keyframes (saving 0%); between regrids delta frames shrink with temporal coherence")
 	return t, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // locality diagnostics used by the F2 discussion: mean geometric distance

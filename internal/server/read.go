@@ -10,7 +10,6 @@ import (
 	zmesh "repro"
 	"repro/internal/compress"
 	"repro/internal/compress/multilevel"
-	"repro/internal/core"
 	cstore "repro/internal/store"
 	"repro/internal/wire"
 )
@@ -114,17 +113,21 @@ func snapParam(r *http.Request, frames int) (int, error) {
 // loadFrame fetches and parses the persisted temporal frame behind one
 // manifest row. Store-side failures are 500s: the seal proved these bytes
 // decodable.
-func (s *Server) loadFrame(mf *wire.ManifestFrame) (*wire.TemporalFrame, error) {
+func (s *Server) loadFrame(mf *wire.ManifestFrame) (*zmesh.TemporalCompressed, error) {
 	s.mStore.objectGets.Inc()
 	raw, err := s.artifacts.GetObject(mf.Object)
 	if err != nil {
 		return nil, storeErr(err)
 	}
+	var tc *zmesh.TemporalCompressed
 	frame, err := wire.ParseTemporalFrame(raw)
+	if err == nil {
+		tc, err = zmesh.TemporalFromWire(frame)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("object %s: %w", mf.Object, err)
 	}
-	return frame, nil
+	return tc, nil
 }
 
 // lastKeyframe is the index of the most recent keyframe at or before snap.
@@ -143,10 +146,6 @@ func lastKeyframe(f *wire.ManifestField, snap int) (int, error) {
 // last keyframe at or before snap (a keyframe resets all decoder state, so
 // nothing earlier can matter), and returns the snapshot's reconstruction.
 func (s *Server) replayField(f *wire.ManifestField, snap int) (*zmesh.Field, *zmesh.Mesh, error) {
-	layout, err := core.ParseLayout(f.Layout)
-	if err != nil {
-		return nil, nil, fmt.Errorf("manifest layout: %w", err)
-	}
 	key, err := lastKeyframe(f, snap)
 	if err != nil {
 		return nil, nil, err
@@ -154,24 +153,11 @@ func (s *Server) replayField(f *wire.ManifestField, snap int) (*zmesh.Field, *zm
 	dec := zmesh.NewTemporalDecoder()
 	var field *zmesh.Field
 	for i := key; i <= snap; i++ {
-		frame, err := s.loadFrame(&f.Frames[i])
+		tc, err := s.loadFrame(&f.Frames[i])
 		if err != nil {
 			return nil, nil, err
 		}
-		field, err = dec.DecompressSnapshot(&zmesh.TemporalCompressed{
-			Compressed: zmesh.Compressed{
-				FieldName: frame.Field,
-				Layout:    layout,
-				Curve:     frame.Curve,
-				Codec:     frame.Codec,
-				NumValues: frame.NumValues,
-				Payload:   frame.Payload,
-			},
-			Keyframe:  frame.Keyframe,
-			Structure: frame.Structure,
-			Bound:     frame.Bound,
-		})
-		if err != nil {
+		if field, err = dec.DecompressSnapshot(tc); err != nil {
 			return nil, nil, fmt.Errorf("replaying frame %d (object %s): %w", i, f.Frames[i].Object, err)
 		}
 	}

@@ -23,7 +23,6 @@ import (
 
 	zmesh "repro"
 	"repro/internal/cluster"
-	"repro/internal/compress"
 	"repro/internal/core"
 	cstore "repro/internal/store"
 	"repro/internal/telemetry"
@@ -546,30 +545,7 @@ func requireConcreteLayout(opt zmesh.Options, context string) error {
 // body = float64-LE level-order values; response = container-enveloped
 // payload with X-Zmesh-* metadata headers.
 func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) error {
-	entry, err := s.resolveMesh(r.Context(), r.PathValue("id"))
-	if err != nil {
-		return err
-	}
-	opt, err := pipelineParams(r)
-	if err != nil {
-		return err
-	}
-	if _, err := compress.Get(opt.Codec); err != nil {
-		return badRequest(err)
-	}
-	boundStr := r.URL.Query().Get(wire.ParamBound)
-	if boundStr == "" {
-		return badRequest(errors.New("missing bound parameter (e.g. bound=abs:1e-3)"))
-	}
-	bound, err := wire.ParseBound(boundStr)
-	if err != nil {
-		return badRequest(err)
-	}
-	fieldName := r.URL.Query().Get(wire.ParamField)
-	if fieldName == "" {
-		fieldName = "field"
-	}
-	enc, err := s.store.encoder(entry, opt)
+	enc, nCells, bound, fieldName, err := s.fieldParams(r)
 	if err != nil {
 		return err
 	}
@@ -584,20 +560,24 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) error {
 		// endpoint metrics (the response is unreachable either way).
 		return err
 	}
-	nCells := entry.mesh.NumBlocks() * entry.mesh.CellsPerBlock()
 	c, err := compressStream(enc, fieldName, nCells, sc.body, bound, sc)
 	if err != nil {
 		return err
 	}
-	h := w.Header()
-	h.Set("Content-Type", wire.ContentTypeBinary)
+	artifactHeaders(w.Header(), wire.ContentTypeBinary, c)
+	_, err = w.Write(c.Payload)
+	return err
+}
+
+// artifactHeaders describes one artifact in the response headers of the
+// single-field compress handlers.
+func artifactHeaders(h http.Header, contentType string, c *zmesh.Compressed) {
+	h.Set("Content-Type", contentType)
 	h.Set(wire.HeaderField, c.FieldName)
 	h.Set(wire.HeaderLayout, c.Layout.String())
 	h.Set(wire.HeaderCurve, c.Curve)
 	h.Set(wire.HeaderCodec, c.Codec)
 	h.Set(wire.HeaderNumValues, strconv.Itoa(c.NumValues))
-	_, err = w.Write(c.Payload)
-	return err
 }
 
 // compressStream is the allocation-audited core of handleCompress: wire
@@ -619,31 +599,16 @@ func compressStream(enc *zmesh.Encoder, fieldName string, nCells int, body []byt
 	if len(values) != nCells {
 		return nil, badRequest(fmt.Errorf("stream has %d values, mesh has %d cells", len(values), nCells))
 	}
-	c, err := enc.CompressValuesScratch(fieldName, values, bound, &sc.zs)
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
+	return enc.CompressValuesScratch(fieldName, values, bound, &sc.zs)
 }
 
 // handleDecompress: POST /v1/meshes/{id}/decompress?field=&layout=&curve=,
 // body = container-enveloped payload; response = float64-LE level-order
 // values. The codec is taken from the envelope itself.
 func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) error {
-	entry, err := s.resolveMesh(r.Context(), r.PathValue("id"))
+	entry, shell, err := s.decodeParams(r)
 	if err != nil {
 		return err
-	}
-	opt, err := pipelineParams(r)
-	if err != nil {
-		return err
-	}
-	if err := requireConcreteLayout(opt, "decode with the layout the compress response recorded"); err != nil {
-		return err
-	}
-	fieldName := r.URL.Query().Get(wire.ParamField)
-	if fieldName == "" {
-		fieldName = "field"
 	}
 	sc := scratchPool.Get().(*requestScratch)
 	defer putScratch(sc)
@@ -651,27 +616,57 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) error 
 	if err != nil {
 		return badRequest(fmt.Errorf("reading payload: %w", err))
 	}
+	out, err := decodeBody(w, r, wire.ContentTypeBinary, entry, shell, sc)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(out)
+	return err
+}
+
+// decodeParams resolves the shared front half of the decompress handlers:
+// mesh lookup, pipeline options (a concrete layout), and the artifact shell
+// the payload will be attached to.
+func (s *Server) decodeParams(r *http.Request) (*meshEntry, zmesh.Compressed, error) {
+	entry, err := s.resolveMesh(r.Context(), r.PathValue("id"))
+	if err != nil {
+		return nil, zmesh.Compressed{}, err
+	}
+	opt, err := pipelineParams(r)
+	if err != nil {
+		return nil, zmesh.Compressed{}, err
+	}
+	if err := requireConcreteLayout(opt, "decode with the layout the compress response recorded"); err != nil {
+		return nil, zmesh.Compressed{}, err
+	}
+	fieldName := r.URL.Query().Get(wire.ParamField)
+	if fieldName == "" {
+		fieldName = "field"
+	}
+	// Codec and NumValues stay zero: the container envelope is authoritative
+	// and the decoder validates against it.
+	return entry, zmesh.Compressed{FieldName: fieldName, Layout: opt.Layout, Curve: opt.Curve}, nil
+}
+
+// decodeBody is the shared back half of the decompress handlers, from the
+// payload assembled in sc.body to the response bytes (headers set, nothing
+// written yet).
+func decodeBody(w http.ResponseWriter, r *http.Request, contentType string, entry *meshEntry, shell zmesh.Compressed, sc *requestScratch) ([]byte, error) {
 	if len(sc.body) == 0 {
-		return badRequest(errors.New("empty payload body"))
+		return nil, badRequest(errors.New("empty payload body"))
 	}
 	if err := r.Context().Err(); err != nil {
-		return err // client gone; keep the cancellation out of 4xx stats
+		return nil, err // client gone; keep the cancellation out of 4xx stats
 	}
-	sc.artifact = zmesh.Compressed{
-		FieldName: fieldName,
-		Layout:    opt.Layout,
-		Curve:     opt.Curve,
-		// Codec and NumValues stay zero: the container envelope is
-		// authoritative and the decoder validates against it.
-		Payload: sc.body,
-	}
+	sc.artifact = shell
+	sc.artifact.Payload = sc.body
 	values, err := entry.dec.DecompressValuesScratch(&sc.artifact, &sc.zs)
 	if err != nil {
-		return badRequest(err) // corrupt envelope/payload is the client's fault
+		return nil, badRequest(err) // corrupt envelope/payload is the client's fault
 	}
 	h := w.Header()
-	h.Set("Content-Type", wire.ContentTypeBinary)
-	h.Set(wire.HeaderField, fieldName)
+	h.Set("Content-Type", contentType)
+	h.Set(wire.HeaderField, shell.FieldName)
 	h.Set(wire.HeaderNumValues, strconv.Itoa(len(values)))
 	// The response bytes are the values themselves on little-endian builds;
 	// the portable fallback encodes into the (already consumed) body buffer.
@@ -680,6 +675,5 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) error 
 		sc.body = wire.AppendFloats(sc.body[:0], values)
 		out = sc.body
 	}
-	_, err = w.Write(out)
-	return err
+	return out, nil
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	zmesh "repro"
-	"repro/internal/core"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -305,12 +304,9 @@ func (s *Server) handleSessionFrame(w http.ResponseWriter, r *http.Request) erro
 	if frame.Field != fieldName {
 		return badRequest(fmt.Errorf("frame is for field %q, posted to stream %q", frame.Field, fieldName))
 	}
-	layout, err := core.ParseLayout(frame.Layout)
+	tc, err := zmesh.TemporalFromWire(frame)
 	if err != nil {
 		return badRequest(err)
-	}
-	if layout == zmesh.LayoutAuto {
-		return badRequest(fmt.Errorf("temporal frames must record a concrete layout: %w", zmesh.ErrAutoLayout))
 	}
 
 	sess.mu.Lock()
@@ -357,25 +353,12 @@ func (s *Server) handleSessionFrame(w http.ResponseWriter, r *http.Request) erro
 			s.mSession.danglingDeltas.Inc()
 			return danglingDelta(fieldName)
 		}
-		st = &tstream{dec: zmesh.NewTemporalDecoder(), layout: layout, curve: frame.Curve, codec: frame.Codec}
-	} else if layout != st.layout || frame.Curve != st.curve || frame.Codec != st.codec {
+		st = &tstream{dec: zmesh.NewTemporalDecoder(), layout: tc.Layout, curve: frame.Curve, codec: frame.Codec}
+	} else if tc.Layout != st.layout || frame.Curve != st.curve || frame.Codec != st.codec {
 		return badRequest(fmt.Errorf("frame identity %s/%s/%s does not match stream %s/%s/%s",
 			frame.Layout, frame.Curve, frame.Codec, st.layout, st.curve, st.codec))
 	}
 
-	tc := &zmesh.TemporalCompressed{
-		Compressed: zmesh.Compressed{
-			FieldName: frame.Field,
-			Layout:    layout,
-			Curve:     frame.Curve,
-			Codec:     frame.Codec,
-			NumValues: frame.NumValues,
-			Payload:   frame.Payload,
-		},
-		Keyframe:  frame.Keyframe,
-		Structure: frame.Structure,
-		Bound:     frame.Bound,
-	}
 	if _, err := st.dec.DecompressSnapshot(tc); err != nil {
 		// Validate-first-commit-last: the decoder did not advance, the store
 		// was never touched, and the client may retry the same frame index.

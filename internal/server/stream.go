@@ -92,29 +92,36 @@ func (s *Server) streamParams(r *http.Request) (*meshEntry, *zmesh.Encoder, erro
 	return entry, enc, nil
 }
 
+// fieldParams is streamParams for the single-field compress handlers: the
+// encoder and the cell count its value stream must have, plus the two query
+// parameters they add — the error bound and the field name.
+func (s *Server) fieldParams(r *http.Request) (enc *zmesh.Encoder, nCells int, bound zmesh.Bound, fieldName string, err error) {
+	entry, enc, err := s.streamParams(r)
+	if err != nil {
+		return nil, 0, bound, "", err
+	}
+	boundStr := r.URL.Query().Get(wire.ParamBound)
+	if boundStr == "" {
+		return nil, 0, bound, "", badRequest(errors.New("missing bound parameter (e.g. bound=abs:1e-3)"))
+	}
+	if bound, err = wire.ParseBound(boundStr); err != nil {
+		return nil, 0, bound, "", badRequest(err)
+	}
+	if fieldName = r.URL.Query().Get(wire.ParamField); fieldName == "" {
+		fieldName = "field"
+	}
+	return enc, entry.mesh.NumBlocks() * entry.mesh.CellsPerBlock(), bound, fieldName, nil
+}
+
 // handleCompressStream: POST /v1/meshes/{id}/compress-stream, same query
 // grammar as /compress; body = chunked stream of float64-LE level-order
 // values, response = chunked stream of the container-enveloped payload
 // with the X-Zmesh-* metadata headers.
 func (s *Server) handleCompressStream(w http.ResponseWriter, r *http.Request) error {
-	entry, enc, err := s.streamParams(r)
+	enc, nCells, bound, fieldName, err := s.fieldParams(r)
 	if err != nil {
 		return err
 	}
-	boundStr := r.URL.Query().Get(wire.ParamBound)
-	if boundStr == "" {
-		return badRequest(errors.New("missing bound parameter (e.g. bound=abs:1e-3)"))
-	}
-	bound, err := wire.ParseBound(boundStr)
-	if err != nil {
-		return badRequest(err)
-	}
-	fieldName := r.URL.Query().Get(wire.ParamField)
-	if fieldName == "" {
-		fieldName = "field"
-	}
-	nCells := entry.mesh.NumBlocks() * entry.mesh.CellsPerBlock()
-
 	sc := scratchPool.Get().(*requestScratch)
 	defer putScratch(sc)
 	ring := ringPool.Get().(*chunkRing)
@@ -127,13 +134,7 @@ func (s *Server) handleCompressStream(w http.ResponseWriter, r *http.Request) er
 		}
 		return err
 	}
-	h := w.Header()
-	h.Set("Content-Type", wire.ContentTypeChunked)
-	h.Set(wire.HeaderField, c.FieldName)
-	h.Set(wire.HeaderLayout, c.Layout.String())
-	h.Set(wire.HeaderCurve, c.Curve)
-	h.Set(wire.HeaderCodec, c.Codec)
-	h.Set(wire.HeaderNumValues, strconv.Itoa(c.NumValues))
+	artifactHeaders(w.Header(), wire.ContentTypeChunked, c)
 	if err := writeChunked(w, c.Payload); err != nil {
 		return committed(err)
 	}
@@ -182,20 +183,9 @@ func compressChunked(enc *zmesh.Encoder, fieldName string, nCells int, body io.R
 // container-enveloped payload, response = chunked stream of float64-LE
 // level-order values.
 func (s *Server) handleDecompressStream(w http.ResponseWriter, r *http.Request) error {
-	entry, err := s.resolveMesh(r.Context(), r.PathValue("id"))
+	entry, shell, err := s.decodeParams(r)
 	if err != nil {
 		return err
-	}
-	opt, err := pipelineParams(r)
-	if err != nil {
-		return err
-	}
-	if err := requireConcreteLayout(opt, "decode with the layout the compress response recorded"); err != nil {
-		return err
-	}
-	fieldName := r.URL.Query().Get(wire.ParamField)
-	if fieldName == "" {
-		fieldName = "field"
 	}
 	sc := scratchPool.Get().(*requestScratch)
 	defer putScratch(sc)
@@ -220,30 +210,9 @@ func (s *Server) handleDecompressStream(w http.ResponseWriter, r *http.Request) 
 		}
 		sc.body = append(sc.body, payload...)
 	}
-	if len(sc.body) == 0 {
-		return badRequest(errors.New("empty payload body"))
-	}
-	if err := r.Context().Err(); err != nil {
-		return err // client gone; keep the cancellation out of 4xx stats
-	}
-	sc.artifact = zmesh.Compressed{
-		FieldName: fieldName,
-		Layout:    opt.Layout,
-		Curve:     opt.Curve,
-		Payload:   sc.body,
-	}
-	values, err := entry.dec.DecompressValuesScratch(&sc.artifact, &sc.zs)
+	out, err := decodeBody(w, r, wire.ContentTypeChunked, entry, shell, sc)
 	if err != nil {
-		return badRequest(err)
-	}
-	h := w.Header()
-	h.Set("Content-Type", wire.ContentTypeChunked)
-	h.Set(wire.HeaderField, fieldName)
-	h.Set(wire.HeaderNumValues, strconv.Itoa(len(values)))
-	out, ok := wire.ViewBytes(values)
-	if !ok {
-		sc.body = wire.AppendFloats(sc.body[:0], values)
-		out = sc.body
+		return err
 	}
 	if err := writeChunked(w, out); err != nil {
 		return committed(err)

@@ -72,11 +72,26 @@ func (md mirrorDecoders) apply(t testing.TB, field string, frame *zmesh.Temporal
 // coarse level-prefix read, and the tiered read with its strictly-decreasing
 // guaranteed bounds.
 func TestTemporalLifecycle(t *testing.T) {
-	m, _ := testMesh(t)
+	m2, _ := testMesh(t)
+	m3, err := zmesh.NewMesh(3, 8, [3]int{2, 2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m3.Refine(m3.Roots()[0]); err != nil {
+		t.Fatal(err)
+	}
+	// tac is what ResolveAuto names for every 3-D mesh, and sessions take no
+	// "auto": it is the layout a 3-D user types.
+	tac := zmesh.Options{Layout: zmesh.LayoutTAC, Curve: "hilbert", Codec: "sz"}
+	t.Run("2d-zmesh", func(t *testing.T) { temporalLifecycle(t, m2, temporalOptions()) })
+	t.Run("3d-tac", func(t *testing.T) { temporalLifecycle(t, m3, tac) })
+}
+
+func temporalLifecycle(t *testing.T, m *zmesh.Mesh, opt zmesh.Options) {
 	_, cl := newTestServer(t, temporalConfig(t))
 	ctx := context.Background()
 
-	sess, err := cl.NewTemporalSession(ctx, temporalOptions())
+	sess, err := cl.NewTemporalSession(ctx, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +116,19 @@ func TestTemporalLifecycle(t *testing.T) {
 			if (si == 0) != res.Keyframe {
 				t.Fatalf("append %s snap %d: keyframe=%v (topology is static)", name, si, res.Keyframe)
 			}
-			want[name] = append(want[name], mirror.apply(t, name, res.Frame))
+			if res.Keyframe {
+				// A session keyframe is the artifact any Decoder reads.
+				if _, err := zmesh.NewDecoder(m).DecompressField(&res.Frame.Compressed); err != nil {
+					t.Fatalf("keyframe %s through a plain Decoder: %v", name, err)
+				}
+			}
+			recon := mirror.apply(t, name, res.Frame)
+			for i, v := range zmesh.FieldValues(f) {
+				if math.Abs(recon[i]-v) > 1e-3 {
+					t.Fatalf("%s snap %d: value %d off by %g, bound 1e-3", name, si, i, math.Abs(recon[i]-v))
+				}
+			}
+			want[name] = append(want[name], recon)
 		}
 	}
 	ckpt, err := sess.Seal(ctx)
@@ -126,7 +153,7 @@ func TestTemporalLifecycle(t *testing.T) {
 		if fi.Snapshots != snaps || fi.Keyframes != 1 {
 			t.Fatalf("field %q: %d snapshots / %d keyframes, want %d / 1", fi.Name, fi.Snapshots, fi.Keyframes, snaps)
 		}
-		if fi.Layout != "zmesh" || fi.Curve != "hilbert" || fi.Codec != "sz" {
+		if fi.Layout != opt.Layout.String() || fi.Curve != opt.Curve || fi.Codec != opt.Codec {
 			t.Fatalf("field %q identity %s/%s/%s", fi.Name, fi.Layout, fi.Curve, fi.Codec)
 		}
 	}
@@ -485,17 +512,7 @@ func rawFrames(t testing.TB, m *zmesh.Mesh, field string, n int) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames[i], err = wire.EncodeTemporalFrame(&wire.TemporalFrame{
-			Keyframe:  tc.Keyframe,
-			Field:     tc.FieldName,
-			Layout:    tc.Layout.String(),
-			Curve:     tc.Curve,
-			Codec:     tc.Codec,
-			NumValues: tc.NumValues,
-			Bound:     tc.Bound,
-			Structure: tc.Structure,
-			Payload:   tc.Payload,
-		})
+		frames[i], err = wire.EncodeTemporalFrame(tc.WireFrame(false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -736,11 +753,7 @@ func TestTemporalWireFaultInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame, err := wire.EncodeTemporalFrame(&wire.TemporalFrame{
-			Keyframe: tc.Keyframe, Field: tc.FieldName, Layout: tc.Layout.String(),
-			Curve: tc.Curve, Codec: tc.Codec, NumValues: tc.NumValues,
-			Bound: tc.Bound, Structure: tc.Structure, Payload: tc.Payload,
-		})
+		frame, err := wire.EncodeTemporalFrame(tc.WireFrame(false))
 		if err != nil {
 			t.Fatal(err)
 		}

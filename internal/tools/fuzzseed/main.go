@@ -300,11 +300,7 @@ func temporalWireSeeds() error {
 		if err != nil {
 			return err
 		}
-		frame, err := wire.EncodeTemporalFrame(&wire.TemporalFrame{
-			Keyframe: tc.Keyframe, Field: tc.FieldName, Layout: tc.Layout.String(),
-			Curve: tc.Curve, Codec: tc.Codec, NumValues: tc.NumValues,
-			Bound: tc.Bound, Structure: tc.Structure, Payload: tc.Payload,
-		})
+		frame, err := wire.EncodeTemporalFrame(tc.WireFrame(false))
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,10 @@
 // Command temporale2e is the CI end-to-end test for zmeshd's temporal
 // checkpoint store: it boots a built daemon binary with a store directory,
 // streams a 3-snapshot 3-D Sedov run (keyframe + deltas, two quantities)
-// through a temporal session, seals it, SIGTERMs the daemon and restarts it
-// over the same store, then requires
+// through two temporal sessions — one under zmesh order, one under tac, the
+// layout ResolveAuto names for 3-D meshes and so the one a 3-D user passes —
+// seals both, SIGTERMs the daemon and restarts it over the same store, then
+// requires of each
 //
 //   - bit-exact full reads of every persisted snapshot (vs a client-side
 //     mirror decoder fed the exact accepted frames),
@@ -57,6 +59,9 @@ func main() {
 	fmt.Println("temporale2e: PASS")
 }
 
+// quantities are the streams of each session.
+var quantities = []string{"dens", "pres"}
+
 // snapshots runs the 3-D Sedov blast to three successive times and samples
 // every state onto the FIRST snapshot's hierarchy, so the temporal streams
 // carry one keyframe followed by genuine delta frames.
@@ -71,7 +76,6 @@ func snapshots(res int) (*zmesh.Mesh, map[string][]*zmesh.Field, error) {
 		return nil, nil, fmt.Errorf("generating base snapshot: %w", err)
 	}
 	fields := map[string][]*zmesh.Field{}
-	quantities := []string{"dens", "pres"}
 	for _, q := range quantities {
 		f, ok := base.Field(q)
 		if !ok {
@@ -91,111 +95,50 @@ func snapshots(res int) (*zmesh.Mesh, map[string][]*zmesh.Field, error) {
 	return base.Mesh, fields, nil
 }
 
-func run(ctx context.Context, bin string, res int) error {
-	storeDir, err := os.MkdirTemp("", "zmesh-temporal-e2e-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(storeDir)
-
-	fmt.Printf("temporale2e: running 3-D Sedov blast at %d^3 (3 snapshots)...\n", res)
-	mesh, fields, err := snapshots(res)
-	if err != nil {
-		return err
-	}
-	nSnaps := len(fields["dens"])
-	fmt.Printf("temporale2e: mesh has %d levels, %d blocks, %d values/quantity\n",
-		mesh.MaxLevel()+1, mesh.NumBlocks(), mesh.NumBlocks()*mesh.CellsPerBlock())
-
-	d, err := harness.Start(ctx, bin, "-addr", "127.0.0.1:0", "-store", storeDir)
-	if err != nil {
-		return err
-	}
-	defer d.Kill()
-	fmt.Printf("temporale2e: daemon up at %s (store %s)\n", d.URL, storeDir)
-
-	// Stream the run: one temporal session, one stream per quantity, a
-	// client-side mirror decoder tracking the exact reconstruction every
-	// accepted frame commits the server to.
-	cl := client.New(d.URL)
-	opt := zmesh.Options{Layout: zmesh.LayoutZMesh, Curve: "hilbert", Codec: "sz"}
-	bound := zmesh.AbsBound(1e-3)
+// streamRun sends every snapshot through one temporal session (one stream per
+// quantity) and seals it. want is the exact reconstruction each accepted
+// frame commits the server to, from a client-side mirror decoder.
+func streamRun(ctx context.Context, cl *client.Client, opt zmesh.Options, fields map[string][]*zmesh.Field, bound zmesh.Bound) (ckpt string, want map[string][][]float64, err error) {
 	sess, err := cl.NewTemporalSession(ctx, opt)
 	if err != nil {
-		return fmt.Errorf("creating session: %w", err)
+		return "", nil, fmt.Errorf("creating session: %w", err)
 	}
 	mirrors := map[string]*zmesh.TemporalDecoder{}
-	want := map[string][][]float64{}
-	for si := 0; si < nSnaps; si++ {
-		for _, q := range []string{"dens", "pres"} {
+	want = map[string][][]float64{}
+	for si := range fields[quantities[0]] {
+		for _, q := range quantities {
 			r, err := sess.Append(ctx, fields[q][si], bound)
 			if err != nil {
-				return fmt.Errorf("appending %s snapshot %d: %w", q, si, err)
+				return "", nil, fmt.Errorf("appending %s snapshot %d: %w", q, si, err)
 			}
 			if (si == 0) != r.Keyframe {
-				return fmt.Errorf("%s snapshot %d: keyframe=%v, want keyframe only first (static topology)", q, si, r.Keyframe)
+				return "", nil, fmt.Errorf("%s snapshot %d: keyframe=%v, want keyframe only first (static topology)", q, si, r.Keyframe)
 			}
 			if mirrors[q] == nil {
 				mirrors[q] = zmesh.NewTemporalDecoder()
 			}
 			mf, err := mirrors[q].DecompressSnapshot(r.Frame)
 			if err != nil {
-				return fmt.Errorf("mirror decode %s snapshot %d: %w", q, si, err)
+				return "", nil, fmt.Errorf("mirror decode %s snapshot %d: %w", q, si, err)
 			}
 			want[q] = append(want[q], append([]float64(nil), zmesh.FieldValues(mf)...))
-			fmt.Printf("temporale2e: appended %s snapshot %d (keyframe=%v, %d bytes, object %s...)\n",
-				q, si, r.Keyframe, len(r.Frame.Payload), r.Object[:12])
+			fmt.Printf("temporale2e: %v: appended %s snapshot %d (keyframe=%v, %d bytes, object %s...)\n",
+				opt.Layout, q, si, r.Keyframe, len(r.Frame.Payload), r.Object[:12])
 		}
 	}
-	ckpt, err := sess.Seal(ctx)
-	if err != nil {
-		return fmt.Errorf("sealing: %w", err)
+	if ckpt, err = sess.Seal(ctx); err != nil {
+		return "", nil, fmt.Errorf("sealing: %w", err)
 	}
-	fmt.Printf("temporale2e: sealed checkpoint %s...\n", ckpt[:12])
+	fmt.Printf("temporale2e: %v: sealed checkpoint %s...\n", opt.Layout, ckpt[:12])
+	return ckpt, want, nil
+}
 
-	// A second session left unsealed across the restart: its state dies with
-	// the daemon and must come back via the client's recovery path.
-	orphan, err := cl.NewTemporalSession(ctx, opt)
-	if err != nil {
-		return err
-	}
-	// Snapshot 1 as this session's keyframe: full values, not the sealed
-	// session's delta, so the object is new rather than a dedup hit.
-	if _, err := orphan.Append(ctx, fields["dens"][1], bound); err != nil {
-		return err
-	}
-
-	snap, err := harness.Vars(ctx, d.URL, server.ExpvarName)
-	if err != nil {
-		return err
-	}
-	for key, min := range map[string]int64{
-		"server.session.created":   2,
-		"server.session.frames":    int64(2*nSnaps + 1),
-		"server.store.objects":     int64(2*nSnaps + 1),
-		"server.store.checkpoints": 1,
-	} {
-		if got := snap.Counters[key]; got < min {
-			return fmt.Errorf("/debug/vars counter %s = %d, want >= %d", key, got, min)
-		}
-	}
-
-	// Crash-restart: SIGTERM (clean drain), then a fresh daemon over the
-	// same store directory — rebound to the same address, so the clients
-	// (including the orphaned session) keep talking to "the daemon" the way
-	// a supervised restart looks from a simulation's side.
-	if err := d.Stop(ctx); err != nil {
-		return err
-	}
-	fmt.Println("temporale2e: daemon drained cleanly, restarting over the same store")
-	d, err = harness.Start(ctx, bin, "-addr", d.Addr(), "-store", storeDir)
-	if err != nil {
-		return err
-	}
-	defer d.Kill()
-
-	// Bit-exact full reads of everything the sealed checkpoint persisted.
-	for _, q := range []string{"dens", "pres"} {
+// checkReads holds one sealed checkpoint to every read contract: full reads
+// bit-exact against want, level prefixes that match the full read and
+// strictly improve, tier bounds that strictly decrease and hold.
+func checkReads(ctx context.Context, cl *client.Client, ckpt string, want map[string][][]float64) error {
+	nSnaps := len(want[quantities[0]])
+	for _, q := range quantities {
 		for si := 0; si < nSnaps; si++ {
 			got, err := cl.ReadField(ctx, ckpt, q, si)
 			if err != nil {
@@ -206,24 +149,7 @@ func run(ctx context.Context, bin string, res int) error {
 			}
 		}
 	}
-	fmt.Printf("temporale2e: all %d persisted reconstructions bit-exact after restart\n", 2*nSnaps)
-
-	// The orphaned session must recover: the restart dropped its server-side
-	// state, so its next append answers 404 and the client transparently
-	// re-creates the session and re-sends the snapshot as a forced keyframe.
-	oldID := orphan.ID()
-	r, err := orphan.Append(ctx, fields["dens"][2], bound)
-	if err != nil {
-		return fmt.Errorf("post-restart append on orphaned session: %w", err)
-	}
-	if !r.Recovered || !r.Keyframe || !r.Forced {
-		return fmt.Errorf("post-restart append recovered=%v keyframe=%v forced=%v, want a forced-keyframe recovery",
-			r.Recovered, r.Keyframe, r.Forced)
-	}
-	if orphan.ID() == oldID {
-		return fmt.Errorf("recovery kept the dead session id %s", oldID)
-	}
-	fmt.Println("temporale2e: unsealed session re-established after restart (forced keyframe path)")
+	fmt.Printf("temporale2e: all %d persisted reconstructions bit-exact after restart\n", len(quantities)*nSnaps)
 
 	// Progressive level-prefix reads: prefixes must match the full read byte
 	// for byte, and the reconstruction error must strictly improve with
@@ -238,7 +164,7 @@ func run(ctx context.Context, bin string, res int) error {
 	}
 	rmesh := rdec.Mesh()
 	maxLevels := rmesh.MaxLevel() + 1
-	for _, q := range []string{"dens", "pres"} {
+	for _, q := range quantities {
 		full := want[q][0]
 		prev := math.Inf(1)
 		for k := 1; k <= maxLevels; k++ {
@@ -294,6 +220,112 @@ func run(ctx context.Context, bin string, res int) error {
 	}
 	fmt.Printf("temporale2e: tiered read ok (%d tiers, bounds %v, final max error %.3g)\n",
 		len(td.Bounds), td.Bounds, maxErr)
+	return nil
+}
+
+func run(ctx context.Context, bin string, res int) error {
+	storeDir, err := os.MkdirTemp("", "zmesh-temporal-e2e-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(storeDir)
+
+	fmt.Printf("temporale2e: running 3-D Sedov blast at %d^3 (3 snapshots)...\n", res)
+	mesh, fields, err := snapshots(res)
+	if err != nil {
+		return err
+	}
+	nSnaps := len(fields["dens"])
+	fmt.Printf("temporale2e: mesh has %d levels, %d blocks, %d values/quantity\n",
+		mesh.MaxLevel()+1, mesh.NumBlocks(), mesh.NumBlocks()*mesh.CellsPerBlock())
+
+	d, err := harness.Start(ctx, bin, "-addr", "127.0.0.1:0", "-store", storeDir)
+	if err != nil {
+		return err
+	}
+	defer d.Kill()
+	fmt.Printf("temporale2e: daemon up at %s (store %s)\n", d.URL, storeDir)
+
+	// Stream the run once per layout, each through its own session.
+	cl := client.New(d.URL)
+	opt := zmesh.Options{Layout: zmesh.LayoutZMesh, Curve: "hilbert", Codec: "sz"}
+	bound := zmesh.AbsBound(1e-3)
+	layouts := []zmesh.Layout{zmesh.LayoutZMesh, zmesh.LayoutTAC}
+	ckpts := make([]string, len(layouts))
+	wants := make([]map[string][][]float64, len(layouts))
+	for i, layout := range layouts {
+		o := opt
+		o.Layout = layout
+		if ckpts[i], wants[i], err = streamRun(ctx, cl, o, fields, bound); err != nil {
+			return fmt.Errorf("%v session: %w", layout, err)
+		}
+	}
+
+	// One more session left unsealed across the restart: its state dies with
+	// the daemon and must come back via the client's recovery path.
+	orphan, err := cl.NewTemporalSession(ctx, opt)
+	if err != nil {
+		return err
+	}
+	// Snapshot 1 as this session's keyframe: full values, not the sealed
+	// session's delta, so the object is new rather than a dedup hit.
+	if _, err := orphan.Append(ctx, fields["dens"][1], bound); err != nil {
+		return err
+	}
+
+	snap, err := harness.Vars(ctx, d.URL, server.ExpvarName)
+	if err != nil {
+		return err
+	}
+	sent := int64(len(layouts)*len(quantities)*nSnaps + 1)
+	for key, min := range map[string]int64{
+		"server.session.created":   int64(len(layouts) + 1),
+		"server.session.frames":    sent,
+		"server.store.objects":     sent,
+		"server.store.checkpoints": int64(len(layouts)),
+	} {
+		if got := snap.Counters[key]; got < min {
+			return fmt.Errorf("/debug/vars counter %s = %d, want >= %d", key, got, min)
+		}
+	}
+
+	// Crash-restart: SIGTERM (clean drain), then a fresh daemon over the
+	// same store directory — rebound to the same address, so the clients
+	// (including the orphaned session) keep talking to "the daemon" the way
+	// a supervised restart looks from a simulation's side.
+	if err := d.Stop(ctx); err != nil {
+		return err
+	}
+	fmt.Println("temporale2e: daemon drained cleanly, restarting over the same store")
+	d, err = harness.Start(ctx, bin, "-addr", d.Addr(), "-store", storeDir)
+	if err != nil {
+		return err
+	}
+	defer d.Kill()
+
+	// Everything the sealed checkpoints persisted, on every read surface.
+	for i, layout := range layouts {
+		if err := checkReads(ctx, cl, ckpts[i], wants[i]); err != nil {
+			return fmt.Errorf("%v checkpoint: %w", layout, err)
+		}
+	}
+
+	// The orphaned session must recover: the restart dropped its server-side
+	// state, so its next append answers 404 and the client transparently
+	// re-creates the session and re-sends the snapshot as a forced keyframe.
+	oldID := orphan.ID()
+	r, err := orphan.Append(ctx, fields["dens"][2], bound)
+	if err != nil {
+		return fmt.Errorf("post-restart append on orphaned session: %w", err)
+	}
+	if !r.Recovered || !r.Keyframe || !r.Forced {
+		return fmt.Errorf("post-restart append recovered=%v keyframe=%v forced=%v, want a forced-keyframe recovery",
+			r.Recovered, r.Keyframe, r.Forced)
+	}
+	if orphan.ID() == oldID {
+		return fmt.Errorf("recovery kept the dead session id %s", oldID)
+	}
+	fmt.Println("temporale2e: unsealed session re-established after restart (forced keyframe path)")
 
 	// Post-restart telemetry: the read counters live on the new process.
 	snap, err = harness.Vars(ctx, d.URL, server.ExpvarName)

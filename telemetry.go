@@ -238,12 +238,12 @@ func (s *temporalStats) commit(keyframe bool, rawBytes, compBytes int) {
 	}
 }
 
-// abort records a frame that failed before commit.
-func (s *temporalStats) abort() {
-	if s == nil {
-		return
+// abortOn records a frame that failed before commit; each temporal method
+// defers it once on its named error.
+func (s *temporalStats) abortOn(err *error) {
+	if s != nil && *err != nil {
+		s.aborts.Inc()
 	}
-	s.aborts.Inc()
 }
 
 // Instrument attaches a telemetry registry to the temporal encoder and

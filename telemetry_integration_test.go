@@ -3,11 +3,13 @@ package zmesh
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/amr"
 	"repro/internal/compress"
+	"repro/internal/compress/container"
 )
 
 // telemetryTestMesh builds a small refined mesh with one smooth field.
@@ -168,18 +170,30 @@ func TestTemporalTelemetry(t *testing.T) {
 	if _, err := dec.DecompressSnapshot(frames[1]); err == nil {
 		t.Fatal("delta before keyframe decoded")
 	}
-	for _, fr := range frames {
+	for i, fr := range frames {
+		if i == 1 {
+			// So must a bit-flipped delta, counted by the envelope it failed.
+			bad := *fr
+			bad.Payload = append([]byte(nil), fr.Payload...)
+			bad.Payload[len(bad.Payload)-1] ^= 0xff
+			if _, err := dec.DecompressSnapshot(&bad); !errors.Is(err, container.ErrChecksum) {
+				t.Fatalf("bit-flipped delta: %v, want container.ErrChecksum", err)
+			}
+		}
 		if _, err := dec.DecompressSnapshot(fr); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ds := dreg.Snapshot()
+	if got := ds.Counters["container.checksum_failures"]; got != 1 {
+		t.Errorf("temporal decoder checksum_failures = %d, want 1", got)
+	}
 	if ds.Counters["temporal.decode.keyframes"] != 1 || ds.Counters["temporal.decode.deltas"] != 2 {
 		t.Errorf("decode key/delta = %d/%d, want 1/2",
 			ds.Counters["temporal.decode.keyframes"], ds.Counters["temporal.decode.deltas"])
 	}
-	if ds.Counters["temporal.decode.commits"] != 3 || ds.Counters["temporal.decode.aborts"] != 1 {
-		t.Errorf("decode commits/aborts = %d/%d, want 3/1",
+	if ds.Counters["temporal.decode.commits"] != 3 || ds.Counters["temporal.decode.aborts"] != 2 {
+		t.Errorf("decode commits/aborts = %d/%d, want 3/2",
 			ds.Counters["temporal.decode.commits"], ds.Counters["temporal.decode.aborts"])
 	}
 }
@@ -231,8 +245,8 @@ func TestInstrumentationAllocs(t *testing.T) {
 	}
 	inst.Instrument(NewRegistry())
 
-	var scratchPlain, scratchInst encodeScratch
-	compressOnce := func(e *Encoder, scratch *encodeScratch) {
+	var scratchPlain, scratchInst Scratch
+	compressOnce := func(e *Encoder, scratch *Scratch) {
 		if _, err := e.compressInto(e.codec, f, bound, scratch); err != nil {
 			t.Fatal(err)
 		}

@@ -3,10 +3,10 @@ package zmesh
 import (
 	"bytes"
 	"fmt"
+	"time"
 
 	"repro/internal/amr"
 	"repro/internal/compress"
-	"repro/internal/compress/container"
 	"repro/internal/core"
 )
 
@@ -18,8 +18,12 @@ import (
 // When a regrid changes the topology the encoder falls back to a spatial
 // keyframe, exactly like video codecs at scene cuts.
 //
+// Every frame is the artifact an Encoder makes of a layout-ordered stream (the
+// snapshot, or snapshot minus previous reconstruction), so whatever a layout
+// means for a field — zTAC box frames included — it means for a frame.
+//
 // State-machine contract (see DESIGN.md "Temporal stream state machine"):
-// both the encoder and the decoder treat their stream state (recipe,
+// both the encoder and the decoder treat their stream state (pipeline,
 // topology, previous reconstruction) as transactional. All validation and
 // fallible work happens on locals; state commits only after the snapshot is
 // fully encoded or decoded. A failed call therefore leaves the stream
@@ -47,15 +51,15 @@ type TemporalCompressed struct {
 // one logical quantity stream (e.g. "dens" over time).
 type TemporalEncoder struct {
 	opt           Options
-	prevStructure []byte
-	recipe        *core.Recipe
 	codec         compress.Compressor
+	prevStructure []byte
+	enc           *Encoder  // makes each frame of the current topology
+	dec           *Decoder  // what the receiver will run; shares enc's recipe
 	prevRecon     []float64 // previous reconstruction, layout order
 	// Scratch buffers reused across snapshots so steady-state delta
 	// encoding allocates no full-stream slices.
-	flat   []float64
-	stream []float64
-	delta  []float64
+	scratch Scratch
+	delta   []float64
 
 	stats *temporalStats // nil unless Instrument attached a registry
 	reg   *Registry      // registry for observed keyframe recipe builds
@@ -91,121 +95,83 @@ func (te *TemporalEncoder) ForceKeyframe() { te.prevStructure = nil }
 // mesh may differ from the previous snapshot's (regridding); the encoder
 // detects topology changes via the serialized structure.
 //
-// Encoder state (recipe, topology, reconstruction) commits only after the
+// Encoder state (pipeline, topology, reconstruction) commits only after the
 // snapshot is fully encoded: a transient codec or bound error leaves the
 // stream state untouched, and the next call recovers — with a keyframe if
 // nothing has been committed for this topology yet, with a delta against
 // the last successfully encoded snapshot otherwise.
-func (te *TemporalEncoder) CompressSnapshot(f *Field, bound Bound) (*TemporalCompressed, error) {
+func (te *TemporalEncoder) CompressSnapshot(f *Field, bound Bound) (tc *TemporalCompressed, err error) {
+	defer te.stats.abortOn(&err)
 	m := f.Mesh()
 	structure := m.Structure()
-	sameTopology := te.prevStructure != nil && bytes.Equal(structure, te.prevStructure)
-	recipe := te.recipe
-	if !sameTopology {
-		var err error
-		recipe, err = core.BuildRecipeObserved(m, te.opt.Layout, te.opt.Curve, 0, te.reg)
+	keyframe := te.prevStructure == nil || !bytes.Equal(structure, te.prevStructure)
+	enc, dec := te.enc, te.dec
+	if keyframe {
+		recipe, err := core.BuildRecipeObserved(m, te.opt.Layout, te.opt.Curve, 0, te.reg)
 		if err != nil {
-			te.stats.abort()
 			return nil, err
 		}
+		enc = &Encoder{opt: te.opt, mesh: m, recipe: recipe, codec: te.codec}
+		dec = NewDecoder(m)
+		dec.recipes[recipeKey{te.opt.Layout, te.opt.Curve}] = recipe
 	}
-	te.flat = amr.AppendLevelOrder(te.flat, f)
-	stream, err := recipe.ApplyTo(te.stream, te.flat)
+	sc := &te.scratch
+	sc.flat = amr.AppendLevelOrder(sc.flat, f)
+	stream, err := enc.recipe.ApplyTo(sc.ordered, sc.flat)
 	if err != nil {
-		te.stats.abort()
 		return nil, err
 	}
-	te.stream = stream
+	sc.ordered = stream
 	// Resolve the bound against the field itself so delta frames keep the
 	// caller's point-wise semantics.
 	abs := compress.AbsBound(bound.Absolute(stream))
-
-	if !sameTopology {
-		// Keyframe.
-		t0 := stageStart(te.stats != nil)
-		payload, err := te.codec.Compress(stream, []int{len(stream)}, abs)
-		if err != nil {
-			te.stats.abort()
-			return nil, err
+	coded := stream
+	if !keyframe {
+		// Delta frame against the previous reconstruction.
+		if len(te.prevRecon) != len(stream) {
+			return nil, fmt.Errorf("zmesh: temporal state out of sync (%d vs %d values)",
+				len(te.prevRecon), len(stream))
 		}
-		recon, err := te.codec.Decompress(payload)
-		if err != nil {
-			te.stats.abort()
-			return nil, err
+		if cap(te.delta) < len(stream) {
+			te.delta = make([]float64, len(stream))
 		}
-		if s := te.stats; s != nil {
-			s.codec.Since(t0)
+		coded = te.delta[:len(stream)]
+		for i := range coded {
+			coded[i] = stream[i] - te.prevRecon[i]
 		}
-		wrapped, err := container.Wrap(te.opt.Codec, len(stream), payload)
-		if err != nil {
-			te.stats.abort()
-			return nil, err
-		}
-		// Commit: the snapshot is fully encoded.
-		te.recipe = recipe
-		te.prevStructure = structure
-		te.prevRecon = recon
-		te.stats.commit(true, len(stream)*8, len(wrapped))
-		return &TemporalCompressed{
-			Compressed: Compressed{
-				FieldName: f.Name, Layout: te.opt.Layout, Curve: te.opt.Curve,
-				Codec: te.opt.Codec, NumValues: len(stream), Payload: wrapped,
-			},
-			Keyframe:  true,
-			Structure: structure,
-			Bound:     abs.Value,
-		}, nil
 	}
-	// Delta frame against the previous reconstruction.
-	if len(te.prevRecon) != len(stream) {
-		te.stats.abort()
-		return nil, fmt.Errorf("zmesh: temporal state out of sync (%d vs %d values)",
-			len(te.prevRecon), len(stream))
-	}
-	if cap(te.delta) < len(stream) {
-		te.delta = make([]float64, len(stream))
-	}
-	delta := te.delta[:len(stream)]
-	for i := range delta {
-		delta[i] = stream[i] - te.prevRecon[i]
-	}
+	// The frame, and what its receiver will reconstruct from it.
 	t0 := stageStart(te.stats != nil)
-	payload, err := te.codec.Compress(delta, []int{len(delta)}, abs)
+	c, err := enc.encodeOrdered(te.codec, f.Name, coded, abs, &sc.tac, time.Time{})
 	if err != nil {
-		te.stats.abort()
 		return nil, err
 	}
-	dRecon, err := te.codec.Decompress(payload)
+	_, recon, _, err := dec.decodeOrdered(c, nil)
 	if err != nil {
-		te.stats.abort()
 		return nil, err
 	}
 	if s := te.stats; s != nil {
 		s.codec.Since(t0)
 	}
-	wrapped, err := container.Wrap(te.opt.Codec, len(stream), payload)
-	if err != nil {
-		te.stats.abort()
-		return nil, err
+	// Commit: the snapshot is fully encoded.
+	tc = &TemporalCompressed{Compressed: *c, Keyframe: keyframe, Bound: abs.Value}
+	if keyframe {
+		te.enc, te.dec = enc, dec
+		te.prevStructure = structure
+		te.prevRecon = recon
+		tc.Structure = structure
+	} else {
+		for i := range te.prevRecon {
+			te.prevRecon[i] += recon[i]
+		}
 	}
-	// Commit: advance the reconstruction only once the frame exists.
-	for i := range te.prevRecon {
-		te.prevRecon[i] += dRecon[i]
-	}
-	te.stats.commit(false, len(stream)*8, len(wrapped))
-	return &TemporalCompressed{
-		Compressed: Compressed{
-			FieldName: f.Name, Layout: te.opt.Layout, Curve: te.opt.Curve,
-			Codec: te.opt.Codec, NumValues: len(stream), Payload: wrapped,
-		},
-		Bound: abs.Value,
-	}, nil
+	te.stats.commit(keyframe, len(stream)*8, len(c.Payload))
+	return tc, nil
 }
 
 // TemporalDecoder reconstructs a quantity stream snapshot by snapshot.
 type TemporalDecoder struct {
-	recipe    *core.Recipe
-	mesh      *Mesh
+	dec       *Decoder // mesh and recipe of the last keyframe
 	prevRecon []float64
 	// Stream identity, pinned by the last keyframe. Delta frames must match
 	// it exactly; a frame from another stream that happens to have the same
@@ -233,129 +199,81 @@ func NewTemporalDecoder() *TemporalDecoder { return &TemporalDecoder{} }
 // frame — even one that passes CRC and codec framing but fails later
 // validation — leaves the stream state untouched, so the stream keeps
 // decoding from where it was.
-func (td *TemporalDecoder) DecompressSnapshot(c *TemporalCompressed) (*Field, error) {
-	var envStats *containerStats
-	if td.stats != nil {
-		envStats = &td.stats.envelope
-	}
-	codecName, payload, err := unwrapPayload(&c.Compressed, envStats)
-	if err != nil {
-		td.stats.abort()
-		return nil, err
-	}
-	codec, err := compress.Get(codecName)
-	if err != nil {
-		td.stats.abort()
-		return nil, err
-	}
-	t0 := stageStart(td.stats != nil)
-	vals, err := codec.Decompress(payload)
-	if err != nil {
-		td.stats.abort()
-		return nil, err
-	}
-	if s := td.stats; s != nil {
-		s.codec.Since(t0)
-	}
-	// Same check as Decoder.DecompressField: a payload that decodes to the
-	// wrong length must fail loudly instead of flowing into the
-	// reconstruction.
-	if c.NumValues != 0 && len(vals) != c.NumValues {
-		td.stats.abort()
-		return nil, fmt.Errorf("zmesh: field %q: payload decoded to %d values, expected %d",
-			c.FieldName, len(vals), c.NumValues)
-	}
-	if c.Keyframe {
+func (td *TemporalDecoder) DecompressSnapshot(c *TemporalCompressed) (f *Field, err error) {
+	defer td.stats.abortOn(&err)
+	dec := td.dec
+	switch {
+	case c.Keyframe:
 		if len(c.Structure) == 0 {
-			td.stats.abort()
 			return nil, fmt.Errorf("zmesh: keyframe without topology")
 		}
-		m, err := amr.MeshFromStructure(c.Structure)
-		if err != nil {
-			td.stats.abort()
+		if dec, err = NewDecoderFromStructure(c.Structure); err != nil {
 			return nil, err
 		}
-		recipe, err := core.BuildRecipeObserved(m, c.Layout, c.Curve, 0, td.reg)
-		if err != nil {
-			td.stats.abort()
-			return nil, err
-		}
-		flat, err := recipe.RestoreTo(td.flat, vals)
-		if err != nil {
-			td.stats.abort()
-			return nil, err
-		}
-		td.flat = flat
-		levels, err := amr.SplitLevels(m, flat)
-		if err != nil {
-			td.stats.abort()
-			return nil, err
-		}
-		f, err := amr.FieldFromLevelArrays(m, c.FieldName, levels)
-		if err != nil {
-			td.stats.abort()
-			return nil, err
-		}
-		// Commit: the keyframe decoded end to end; it resets the stream.
-		td.mesh = m
-		td.recipe = recipe
-		td.prevRecon = vals
-		td.layout = c.Layout
-		td.curve = c.Curve
-		td.fieldName = c.FieldName
-		td.stats.commit(true, len(vals)*8, len(c.Payload))
-		return f, nil
-	}
+		dec.reg = td.reg
 	// Delta frame: validate against the stream identity first.
-	if td.prevRecon == nil {
-		td.stats.abort()
+	case dec == nil:
 		return nil, fmt.Errorf("zmesh: delta frame before any keyframe")
-	}
-	if c.Layout != td.layout || c.Curve != td.curve {
-		td.stats.abort()
+	case c.Layout != td.layout || c.Curve != td.curve:
 		return nil, fmt.Errorf("zmesh: delta frame layout %v/%s does not match stream keyframe %v/%s",
 			c.Layout, c.Curve, td.layout, td.curve)
-	}
-	if c.FieldName != td.fieldName {
-		td.stats.abort()
+	case c.FieldName != td.fieldName:
 		return nil, fmt.Errorf("zmesh: delta frame for field %q on a stream of %q",
 			c.FieldName, td.fieldName)
 	}
-	if len(vals) != len(td.prevRecon) {
-		td.stats.abort()
-		return nil, fmt.Errorf("zmesh: delta frame length %d, stream has %d", len(vals), len(td.prevRecon))
+	var env *containerStats
+	if td.stats != nil {
+		env = &td.stats.envelope
 	}
-	// Accumulate into a candidate buffer; prevRecon stays untouched until
-	// the frame fully decodes.
-	if cap(td.nextRecon) < len(vals) {
-		td.nextRecon = make([]float64, len(vals))
-	}
-	next := td.nextRecon[:len(vals)]
-	for i := range next {
-		next[i] = td.prevRecon[i] + vals[i]
-	}
-	flat, err := td.recipe.RestoreTo(td.flat, next)
+	t0 := stageStart(env != nil)
+	recipe, vals, _, err := dec.decodeOrdered(&c.Compressed, env)
 	if err != nil {
-		td.stats.abort()
+		return nil, err
+	}
+	if env != nil {
+		td.stats.codec.Since(t0)
+	}
+	recon := vals
+	if !c.Keyframe {
+		if len(vals) != len(td.prevRecon) {
+			return nil, fmt.Errorf("zmesh: delta frame length %d, stream has %d", len(vals), len(td.prevRecon))
+		}
+		// Accumulate into a candidate buffer; prevRecon stays untouched until
+		// the frame fully decodes.
+		if cap(td.nextRecon) < len(vals) {
+			td.nextRecon = make([]float64, len(vals))
+		}
+		recon = td.nextRecon[:len(vals)]
+		for i := range recon {
+			recon[i] = td.prevRecon[i] + vals[i]
+		}
+	}
+	flat, err := recipe.RestoreTo(td.flat, recon)
+	if err != nil {
 		return nil, err
 	}
 	td.flat = flat
-	levels, err := amr.SplitLevels(td.mesh, flat)
-	if err != nil {
-		td.stats.abort()
+	if f, err = FieldFromValues(dec.mesh, c.FieldName, flat); err != nil {
 		return nil, err
 	}
-	f, err := amr.FieldFromLevelArrays(td.mesh, c.FieldName, levels)
-	if err != nil {
-		td.stats.abort()
-		return nil, err
+	// Commit. A keyframe resets the stream; a delta swaps the candidate in
+	// and the old buffer becomes the next call's scratch, so steady-state
+	// delta decoding allocates no stream slices.
+	if c.Keyframe {
+		td.dec = dec
+		td.prevRecon = recon
+		td.layout, td.curve, td.fieldName = c.Layout, c.Curve, c.FieldName
+	} else {
+		td.prevRecon, td.nextRecon = recon, td.prevRecon
 	}
-	// Commit: swap the candidate in; the old buffer becomes next call's
-	// scratch, so steady-state delta decoding allocates no stream slices.
-	td.prevRecon, td.nextRecon = next, td.prevRecon
-	td.stats.commit(false, len(vals)*8, len(c.Payload))
+	td.stats.commit(c.Keyframe, len(vals)*8, len(c.Payload))
 	return f, nil
 }
 
 // Mesh exposes the topology of the last decoded keyframe.
-func (td *TemporalDecoder) Mesh() *Mesh { return td.mesh }
+func (td *TemporalDecoder) Mesh() *Mesh {
+	if td.dec == nil {
+		return nil
+	}
+	return td.dec.mesh
+}

@@ -1,7 +1,9 @@
 package zmesh
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -178,5 +180,81 @@ func TestTemporalDecoderErrors(t *testing.T) {
 	bad.Structure = []byte{1, 2, 3}
 	if _, err := dec.DecompressSnapshot(&bad); err == nil {
 		t.Fatal("garbage topology accepted")
+	}
+}
+
+// A temporal stream owns no pipeline: under every concrete layout and codec
+// its keyframe IS the artifact Encoder.CompressField makes (so a plain Decoder
+// reads it, zTAC frame and all), and a delta decodes within the bound the
+// frame declares.
+func TestTemporalFramesAreEncoderArtifacts(t *testing.T) {
+	ck := checkpoint(t)
+	dens, _ := ck.Field("dens")
+	_, f3 := tacTestMesh3D(t)
+	bound := RelBound(1e-4)
+	for _, fld := range []*Field{dens, f3} {
+		m := fld.Mesh()
+		orig := FieldValues(fld)
+		moved := make([]float64, len(orig))
+		for i, v := range orig {
+			moved[i] = 1.01*v + 1e-3*math.Sin(0.05*float64(i))
+		}
+		next, err := FieldFromValues(m, fld.Name, moved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, layout := range []Layout{LayoutLevel, LayoutSFC, LayoutZMesh, LayoutTAC} {
+			for _, codec := range []string{"sz", "zfp", "mgl", "gzip"} {
+				t.Run(fmt.Sprintf("%dd/%v/%s", m.Dims(), layout, codec), func(t *testing.T) {
+					opt := Options{Layout: layout, Curve: "hilbert", Codec: codec}
+					te, err := NewTemporalEncoder(opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					key, err := te.CompressSnapshot(fld, bound)
+					if err != nil {
+						t.Fatal(err)
+					}
+					enc, err := NewEncoder(m, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := enc.CompressField(fld, bound)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !key.Keyframe || !reflect.DeepEqual(&key.Compressed, want) {
+						t.Fatalf("keyframe (%d B) is not CompressField's artifact (%d B)", len(key.Payload), len(want.Payload))
+					}
+					// mgl under tac: the allowance of TestTACRoundTripAllCodecs.
+					slack := 1.0
+					if codec == "mgl" && layout == LayoutTAC {
+						slack = 2
+					}
+					got, err := NewDecoder(m).DecompressField(&key.Compressed)
+					if err != nil {
+						t.Fatalf("plain Decoder on the keyframe: %v", err)
+					}
+					checkWithinBound(t, got, orig, slack*key.Bound)
+
+					delta, err := te.CompressSnapshot(next, bound)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if delta.Keyframe || delta.Bound <= 0 {
+						t.Fatalf("second snapshot: keyframe=%v bound=%g", delta.Keyframe, delta.Bound)
+					}
+					td := NewTemporalDecoder()
+					if _, err := td.DecompressSnapshot(key); err != nil {
+						t.Fatal(err)
+					}
+					got, err = td.DecompressSnapshot(delta)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkWithinBound(t, got, moved, slack*delta.Bound)
+				})
+			}
+		}
 	}
 }

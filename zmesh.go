@@ -153,7 +153,7 @@ func Generate(problem string, opt GenerateOptions) (*Checkpoint, error) {
 // Problems lists the built-in simulation problems.
 func Problems() []string { return sim.Problems() }
 
-// Codecs lists the registered compressors ("sz", "zfp").
+// Codecs lists the registered compressors ("gzip", "mgl", "sz", "zfp").
 func Codecs() []string { return compress.Codecs() }
 
 // Options configures an Encoder/Decoder.
@@ -162,7 +162,7 @@ type Options struct {
 	Layout Layout
 	// Curve orders siblings: "morton" (Z-order), "hilbert", or "rowmajor".
 	Curve string
-	// Codec is the lossy compressor: "sz" or "zfp".
+	// Codec is the compressor: "sz", "zfp", "mgl", or lossless "gzip".
 	Codec string
 }
 
@@ -247,7 +247,7 @@ func NewEncoderObserved(m *Mesh, opt Options, r *Registry) (*Encoder, error) {
 // CompressField serializes the field in the encoder's layout and compresses
 // it with the error bound.
 func (e *Encoder) CompressField(f *Field, bound Bound) (*Compressed, error) {
-	return e.compressWith(e.codec, f, bound)
+	return e.compressInto(e.codec, f, bound, &Scratch{})
 }
 
 // CompressFields compresses several quantities of the mesh concurrently
@@ -293,7 +293,7 @@ func (e *Encoder) CompressFieldsContext(ctx context.Context, fields []*Field, bo
 			// Per-worker scratch: the level-order and reordered streams are
 			// reused across this worker's fields, so the pool allocates two
 			// stream buffers per worker instead of two per field.
-			var scratch encodeScratch
+			var scratch Scratch
 			for idx := range jobs {
 				if err := ctx.Err(); err != nil {
 					errs[idx] = err
@@ -341,19 +341,12 @@ func clampWorkers(workers, jobs int) int {
 	return workers
 }
 
-// encodeScratch carries the reusable stream buffers of one compression
-// worker.
-type encodeScratch struct {
-	flat    []float64
-	ordered []float64
-	tac     tacFrameScratch
-}
-
-// Scratch carries the reusable stream buffers of the value-stream hot paths
-// (CompressValuesScratch, DecompressValuesScratch). The zero value is ready
-// to use; the buffers grow on demand and are reused by subsequent calls, so
-// a pooled Scratch makes steady-state calls allocation-free on the
-// permutation stages. A Scratch must not be used concurrently.
+// Scratch carries the reusable stream buffers of one compression worker or
+// of the value-stream hot paths (CompressValuesScratch,
+// DecompressValuesScratch). The zero value is ready to use; the buffers grow
+// on demand and are reused by subsequent calls, so a pooled Scratch makes
+// steady-state calls allocation-free on the permutation stages. A Scratch
+// must not be used concurrently.
 type Scratch struct {
 	ordered []float64
 	flat    []float64
@@ -369,14 +362,10 @@ func (s *Scratch) PinnedBytes() int {
 	return 8*(cap(s.ordered)+cap(s.flat)) + s.tac.pinnedBytes()
 }
 
-// compressWith is CompressField with an explicit codec instance.
-func (e *Encoder) compressWith(codec compress.Compressor, f *Field, bound Bound) (*Compressed, error) {
-	return e.compressInto(codec, f, bound, &encodeScratch{})
-}
-
-// compressInto is compressWith with caller-owned scratch buffers; the
-// buffers are grown once and reused across calls.
-func (e *Encoder) compressInto(codec compress.Compressor, f *Field, bound Bound, scratch *encodeScratch) (*Compressed, error) {
+// compressInto is CompressField with an explicit codec instance and
+// caller-owned scratch buffers; the buffers are grown once and reused across
+// calls.
+func (e *Encoder) compressInto(codec compress.Compressor, f *Field, bound Bound, scratch *Scratch) (*Compressed, error) {
 	s := e.stats
 	if f.Mesh() != e.mesh {
 		s.fail()
@@ -402,9 +391,9 @@ func (e *Encoder) compressInto(codec compress.Compressor, f *Field, bound Bound,
 }
 
 // encodeOrdered runs the codec and container stages over a stream already
-// reordered by the encoder's recipe — the shared tail of compressInto and
-// CompressValuesScratch. t0 is the reorder-stage end time (unused without
-// telemetry).
+// reordered by the encoder's recipe — the shared tail of compressInto,
+// CompressValuesScratch and every temporal frame. t0 is the reorder-stage end
+// time (unused without telemetry).
 func (e *Encoder) encodeOrdered(codec compress.Compressor, name string, ordered []float64, bound Bound, tac *tacFrameScratch, t0 time.Time) (*Compressed, error) {
 	s := e.stats
 	var payload []byte
@@ -538,26 +527,6 @@ func (d *Decoder) recipeFor(layout Layout, curve string) (*core.Recipe, error) {
 	return recipe, nil
 }
 
-// unwrapPayload verifies the container envelope of a Compressed and returns
-// the codec name to dispatch on plus the bare codec payload. Envelope
-// metadata must agree with the artifact's own fields.
-func unwrapPayload(c *Compressed, cs *containerStats) (codec string, payload []byte, err error) {
-	env, err := container.Unwrap(c.Payload)
-	if err != nil {
-		cs.note(err)
-		return "", nil, fmt.Errorf("zmesh: field %q: %w", c.FieldName, err)
-	}
-	if c.Codec != "" && env.Codec != c.Codec {
-		return "", nil, fmt.Errorf("zmesh: field %q: envelope codec %q disagrees with metadata %q",
-			c.FieldName, env.Codec, c.Codec)
-	}
-	if c.NumValues != 0 && env.NumValues != c.NumValues {
-		return "", nil, fmt.Errorf("zmesh: field %q: envelope claims %d values, metadata %d",
-			c.FieldName, env.NumValues, c.NumValues)
-	}
-	return env.Codec, env.Payload, nil
-}
-
 // DecompressField reverses CompressField, returning a field bound to the
 // decoder's mesh. The reconstruction obeys the bound used at compression.
 // The container envelope (codec, value count, CRC32-C) is verified before
@@ -568,68 +537,85 @@ func (d *Decoder) DecompressField(c *Compressed) (*Field, error) {
 	return f, err
 }
 
-// restoreStream is the shared front half of the decompression paths:
-// envelope verification, codec dispatch, and the layout restore into
-// flatBuf (reused when capacity suffices). It returns the level-order
-// stream, the decoded value count, and the restore-stage start time; the
-// caller records the restore timer and success counters once its own tail
-// stages finish.
-func (d *Decoder) restoreStream(c *Compressed, flatBuf []float64) (flat []float64, nOrdered int, t0 time.Time, err error) {
+// decodeOrdered is a decompression up to the point where the stream is
+// decoded but still in layout order: recipe lookup, envelope verification
+// (CRC, then codec and count against the artifact's metadata), codec dispatch
+// and the value-count check. restoreStream finishes it for the field paths; a
+// temporal stream accumulates in layout order first. Failure accounting is the
+// caller's: it counts the error, and env is its envelope counter set (nil
+// when uninstrumented). t0 is the codec-stage end time.
+func (d *Decoder) decodeOrdered(c *Compressed, env *containerStats) (recipe *core.Recipe, ordered []float64, t0 time.Time, err error) {
 	s := d.stats
-	recipe, err := d.recipeFor(c.Layout, c.Curve)
-	if err != nil {
-		s.fail()
-		return nil, 0, t0, err
+	if recipe, err = d.recipeFor(c.Layout, c.Curve); err != nil {
+		return nil, nil, t0, err
 	}
 	t0 = stageStart(s != nil)
-	var envStats *containerStats
-	if s != nil {
-		envStats = &s.envelope
-	}
-	codecName, payload, err := unwrapPayload(c, envStats)
+	e, err := container.Unwrap(c.Payload)
 	if err != nil {
-		s.fail()
-		return nil, 0, t0, err
+		env.note(err)
+		return nil, nil, t0, fmt.Errorf("zmesh: field %q: %w", c.FieldName, err)
 	}
-	codec, err := compress.Get(codecName)
+	// Envelope metadata must agree with the artifact's own fields.
+	if c.Codec != "" && e.Codec != c.Codec {
+		return nil, nil, t0, fmt.Errorf("zmesh: field %q: envelope codec %q disagrees with metadata %q",
+			c.FieldName, e.Codec, c.Codec)
+	}
+	if c.NumValues != 0 && e.NumValues != c.NumValues {
+		return nil, nil, t0, fmt.Errorf("zmesh: field %q: envelope claims %d values, metadata %d",
+			c.FieldName, e.NumValues, c.NumValues)
+	}
+	codec, err := compress.Get(e.Codec)
 	if err != nil {
-		s.fail()
-		return nil, 0, t0, err
+		return nil, nil, t0, err
 	}
 	if s != nil {
 		s.unwrap.Since(t0)
 		t0 = time.Now()
 	}
-	var ordered []float64
 	if recipe.Layout() == core.TAC3D {
-		ordered, err = tacDecodeStream(codec, d.mesh.Dims(), recipe.TACPlan(), recipe.Len(), payload)
+		ordered, err = tacDecodeStream(codec, d.mesh.Dims(), recipe.TACPlan(), recipe.Len(), e.Payload)
 	} else {
-		ordered, err = codec.Decompress(payload)
+		ordered, err = codec.Decompress(e.Payload)
 	}
 	if err != nil {
-		s.fail()
-		return nil, 0, t0, err
+		return nil, nil, t0, err
 	}
 	if s != nil {
-		s.codecTimer(codecName).Since(t0)
+		s.codecTimer(e.Codec).Since(t0)
 		t0 = time.Now()
 	}
 	if c.NumValues != 0 && len(ordered) != c.NumValues {
-		s.fail()
-		return nil, 0, t0, fmt.Errorf("zmesh: field %q: payload decoded to %d values, expected %d",
+		return nil, nil, t0, fmt.Errorf("zmesh: field %q: payload decoded to %d values, expected %d",
 			c.FieldName, len(ordered), c.NumValues)
 	}
-	flat, err = recipe.RestoreTo(flatBuf, ordered)
-	if err != nil {
-		s.fail()
-		return nil, 0, t0, err
+	return recipe, ordered, t0, nil
+}
+
+// restoreStream is the shared front half of the field decompression paths:
+// decodeOrdered plus the layout restore into flatBuf (reused when capacity
+// suffices). It returns the level-order stream and the restore-stage start
+// time; the caller records the restore timer and success counters once its
+// own tail stages finish.
+func (d *Decoder) restoreStream(c *Compressed, flatBuf []float64) (flat []float64, t0 time.Time, err error) {
+	var env *containerStats
+	if d.stats != nil {
+		env = &d.stats.envelope
 	}
-	return flat, len(ordered), t0, nil
+	recipe, ordered, t0, err := d.decodeOrdered(c, env)
+	if err == nil {
+		flat, err = recipe.RestoreTo(flatBuf, ordered)
+	}
+	if err != nil {
+		d.stats.fail()
+		return nil, t0, err
+	}
+	return flat, t0, nil
 }
 
 // noteDecode records the success telemetry shared by the decompression
-// paths; t0 is the restore-stage start time from restoreStream.
-func (d *Decoder) noteDecode(c *Compressed, nOrdered int, t0 time.Time) {
+// paths: n values decoded, t0 the restore-stage start time from
+// restoreStream.
+func (d *Decoder) noteDecode(c *Compressed, n int, t0 time.Time) {
 	s := d.stats
 	if s == nil {
 		return
@@ -637,8 +623,8 @@ func (d *Decoder) noteDecode(c *Compressed, nOrdered int, t0 time.Time) {
 	s.restore.Since(t0)
 	s.fields.Inc()
 	s.bytesComp.Add(int64(len(c.Payload)))
-	s.bytesRaw.Add(int64(nOrdered * 8))
-	s.ratio.ObserveMilli(compress.Ratio(nOrdered, c.Payload))
+	s.bytesRaw.Add(int64(n * 8))
+	s.ratio.ObserveMilli(compress.Ratio(n, c.Payload))
 }
 
 // DecompressValues reverses CompressValues: it returns the reconstructed
@@ -652,12 +638,12 @@ func (d *Decoder) DecompressValues(c *Compressed) ([]float64, error) {
 // The returned slice aliases scratch's restore buffer: the caller must be
 // done with it before the Scratch is reused or returned to a pool.
 func (d *Decoder) DecompressValuesScratch(c *Compressed, scratch *Scratch) ([]float64, error) {
-	flat, nOrdered, t0, err := d.restoreStream(c, scratch.flat)
+	flat, t0, err := d.restoreStream(c, scratch.flat)
 	if err != nil {
 		return nil, err
 	}
 	scratch.flat = flat
-	d.noteDecode(c, nOrdered, t0)
+	d.noteDecode(c, len(flat), t0)
 	return flat, nil
 }
 
@@ -666,22 +652,16 @@ func (d *Decoder) DecompressValuesScratch(c *Compressed, scratch *Scratch) ([]fl
 // for reuse. The returned field owns its data — the scratch may be reused
 // immediately.
 func (d *Decoder) decompressInto(c *Compressed, flatBuf []float64) (*Field, []float64, error) {
-	s := d.stats
-	flat, nOrdered, t0, err := d.restoreStream(c, flatBuf)
+	flat, t0, err := d.restoreStream(c, flatBuf)
 	if err != nil {
 		return nil, flatBuf, err
 	}
-	levels, err := amr.SplitLevels(d.mesh, flat)
+	f, err := FieldFromValues(d.mesh, c.FieldName, flat)
 	if err != nil {
-		s.fail()
+		d.stats.fail()
 		return nil, flat, err
 	}
-	f, err := amr.FieldFromLevelArrays(d.mesh, c.FieldName, levels)
-	if err != nil {
-		s.fail()
-		return f, flat, err
-	}
-	d.noteDecode(c, nOrdered, t0)
+	d.noteDecode(c, len(flat), t0)
 	return f, flat, nil
 }
 
@@ -747,8 +727,7 @@ dispatch:
 // Serialize flattens a field in the encoder's layout without compressing —
 // used to measure smoothness of the reordered stream.
 func (e *Encoder) Serialize(f *Field) ([]float64, error) {
-	flat := amr.Flatten(amr.LevelArrays(f))
-	return e.recipe.Apply(flat)
+	return e.recipe.Apply(FieldValues(f))
 }
 
 // Smoothness measures, re-exported for evaluation code.
@@ -765,16 +744,12 @@ func SmoothnessImprovement(baseline, reordered []float64) float64 {
 // MaxAbsError reports the largest point-wise error between two fields that
 // share a mesh.
 func MaxAbsError(a, b *Field) (float64, error) {
-	fa := amr.Flatten(amr.LevelArrays(a))
-	fb := amr.Flatten(amr.LevelArrays(b))
-	return metrics.MaxAbsError(fa, fb)
+	return metrics.MaxAbsError(FieldValues(a), FieldValues(b))
 }
 
 // PSNR reports the reconstruction peak signal-to-noise ratio in dB.
 func PSNR(orig, recon *Field) (float64, error) {
-	fa := amr.Flatten(amr.LevelArrays(orig))
-	fb := amr.Flatten(amr.LevelArrays(recon))
-	return metrics.PSNR(fa, fb)
+	return metrics.PSNR(FieldValues(orig), FieldValues(recon))
 }
 
 // FieldValues returns the field serialized in the application's native
