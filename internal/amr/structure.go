@@ -39,7 +39,7 @@ func (m *Mesh) SortedLevel(level int) []BlockID {
 // recipe; AMR applications already persist it with every checkpoint, which
 // is why the paper counts it as zero additional overhead.
 func (m *Mesh) Structure() []byte {
-	head := make([]byte, 0, 32)
+	head := make([]byte, 0, 32+(m.NumBlocks()+7)/8)
 	head = binary.AppendUvarint(head, structureMagic)
 	head = binary.AppendUvarint(head, uint64(m.dims))
 	head = binary.AppendUvarint(head, uint64(m.blockSize))
@@ -48,7 +48,7 @@ func (m *Mesh) Structure() []byte {
 	head = binary.AppendUvarint(head, uint64(m.rootDims[2]))
 	head = binary.AppendUvarint(head, uint64(m.maxLevel))
 
-	flags := bitstream.NewWriter(m.NumBlocks())
+	flags := bitstream.NewWriter(head)
 	for level := 0; level <= m.maxLevel; level++ {
 		for _, id := range m.SortedLevel(level) {
 			if m.blocks[id].refined {
@@ -58,7 +58,7 @@ func (m *Mesh) Structure() []byte {
 			}
 		}
 	}
-	return append(head, flags.Bytes()...)
+	return flags.Bytes()
 }
 
 // ErrBadStructure is returned when a Structure blob cannot be decoded.

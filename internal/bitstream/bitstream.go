@@ -1,8 +1,10 @@
-// Package bitstream provides bit-granular writers and readers used by the
-// entropy-coding stages of the SZ-like and ZFP-like compressors.
+// Package bitstream provides the bit-granular writer and reader behind the
+// Huffman coder, the ZFP-like coder's bit planes and the refinement flags of
+// an AMR structure blob.
 //
 // Bits are packed LSB-first into 64-bit words: the first bit written to a
-// word occupies bit 0. Words are serialized little-endian. This matches the
+// word occupies bit 0. Words are serialized little-endian, and the last,
+// partial word only up to the byte that holds its last bit. This matches the
 // convention used by ZFP's stream layer and keeps single-bit operations
 // branch-light.
 package bitstream
@@ -16,93 +18,39 @@ import (
 // ErrShortStream is returned when a read requests more bits than remain.
 var ErrShortStream = errors.New("bitstream: read past end of stream")
 
-// Writer accumulates bits into an in-memory buffer.
-// The zero value is ready to use.
+// Writer appends bits to a byte slice through a 64-bit accumulator, so a
+// caller's header and the bits after it share one buffer.
 type Writer struct {
-	words []uint64
-	cur   uint64 // partially filled word
-	nbits uint   // bits used in cur (0..63)
-	total uint64 // total bits written
+	buf []byte
+	acc uint64 // bits not yet in buf
+	n   uint   // bits used in acc, 0..63
 }
 
-// NewWriter returns a Writer with capacity pre-allocated for sizeHint bits.
-func NewWriter(sizeHint int) *Writer {
-	w := &Writer{}
-	if sizeHint > 0 {
-		w.words = make([]uint64, 0, (sizeHint+63)/64)
-	}
-	return w
-}
+// NewWriter returns a Writer that appends to dst.
+func NewWriter(dst []byte) *Writer { return &Writer{buf: dst} }
 
 // WriteBit appends a single bit (the low bit of b).
-func (w *Writer) WriteBit(b uint) {
-	w.cur |= uint64(b&1) << w.nbits
-	w.nbits++
-	w.total++
-	if w.nbits == 64 {
-		w.words = append(w.words, w.cur)
-		w.cur = 0
-		w.nbits = 0
-	}
-}
+func (w *Writer) WriteBit(b uint) { w.WriteBits(uint64(b), 1) }
 
 // WriteBits appends the low n bits of v, least-significant bit first.
 // n must be in [0, 64].
 func (w *Writer) WriteBits(v uint64, n uint) {
-	if n == 0 {
-		return
-	}
-	if n > 64 {
-		panic(fmt.Sprintf("bitstream: WriteBits n=%d out of range", n))
-	}
-	if n < 64 {
-		v &= (1 << n) - 1
-	}
-	w.total += uint64(n)
-	w.cur |= v << w.nbits
-	used := 64 - w.nbits
-	if n < used {
-		w.nbits += n
-		return
-	}
-	// cur is full: flush it and start a new word with the remaining bits.
-	w.words = append(w.words, w.cur)
-	w.cur = 0
-	w.nbits = n - used
-	if used < 64 && w.nbits > 0 {
-		w.cur = v >> used
+	v &= 1<<n - 1 // all ones for n = 64: the shift yields 0
+	w.acc |= v << w.n
+	if w.n += n; w.n >= 64 {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, w.acc)
+		w.n -= 64
+		w.acc = v >> (n - w.n) // 0 once the shift reaches 64
 	}
 }
 
-// Len reports the number of bits written so far.
-func (w *Writer) Len() uint64 { return w.total }
-
-// Bytes serializes the stream. The final partial word is zero-padded.
-// The writer remains usable after calling Bytes.
+// Bytes returns dst with the stream appended, the final partial word
+// zero-padded to a whole byte. The result shares the writer's buffer, so
+// Bytes is the writer's last call.
 func (w *Writer) Bytes() []byte {
-	n := len(w.words)
-	hasTail := w.nbits > 0
-	out := make([]byte, 0, (n+1)*8)
-	var buf [8]byte
-	for _, word := range w.words {
-		binary.LittleEndian.PutUint64(buf[:], word)
-		out = append(out, buf[:]...)
-	}
-	if hasTail {
-		binary.LittleEndian.PutUint64(buf[:], w.cur)
-		// Only emit the bytes that carry data.
-		nb := (w.nbits + 7) / 8
-		out = append(out, buf[:nb]...)
-	}
-	return out
-}
-
-// Reset discards all written bits, retaining allocated capacity.
-func (w *Writer) Reset() {
-	w.words = w.words[:0]
-	w.cur = 0
-	w.nbits = 0
-	w.total = 0
+	var tail [8]byte
+	binary.LittleEndian.PutUint64(tail[:], w.acc)
+	return append(w.buf, tail[:(w.n+7)/8]...)
 }
 
 // Reader consumes bits from a byte slice produced by Writer.Bytes.

@@ -7,13 +7,10 @@ import (
 )
 
 func TestSingleBits(t *testing.T) {
-	w := NewWriter(0)
+	w := NewWriter(nil)
 	pattern := []uint{1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0}
 	for _, b := range pattern {
 		w.WriteBit(b)
-	}
-	if w.Len() != uint64(len(pattern)) {
-		t.Fatalf("Len = %d, want %d", w.Len(), len(pattern))
 	}
 	r := NewReader(w.Bytes())
 	for i, want := range pattern {
@@ -35,7 +32,7 @@ func TestWriteBitsBoundaries(t *testing.T) {
 		{0, 1}, {1, 1}, {0xff, 8}, {0x1234, 16}, {0xdeadbeef, 32},
 		{0xffffffffffffffff, 64}, {1, 64}, {0, 64}, {0x7, 3}, {0x15, 5},
 	}
-	w := NewWriter(0)
+	w := NewWriter(nil)
 	for _, c := range cases {
 		w.WriteBits(c.v, c.n)
 	}
@@ -56,7 +53,7 @@ func TestWriteBitsBoundaries(t *testing.T) {
 }
 
 func TestWriteBitsMasksHighBits(t *testing.T) {
-	w := NewWriter(0)
+	w := NewWriter(nil)
 	w.WriteBits(0xffff, 4) // only low 4 bits should land
 	w.WriteBits(0, 4)
 	r := NewReader(w.Bytes())
@@ -70,7 +67,7 @@ func TestWriteBitsMasksHighBits(t *testing.T) {
 }
 
 func TestShortStream(t *testing.T) {
-	w := NewWriter(0)
+	w := NewWriter(nil)
 	w.WriteBits(0xab, 8)
 	r := NewReader(w.Bytes())
 	if _, err := r.ReadBits(8); err != nil {
@@ -88,41 +85,36 @@ func TestEmptyReader(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	w := NewWriter(0)
-	w.WriteBits(0xffff, 16)
-	w.Reset()
-	if w.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", w.Len())
-	}
+// The stream is appended to the writer's buffer: what the caller put there
+// first comes back unchanged in front of it.
+func TestAppendsAfterPrefix(t *testing.T) {
+	w := NewWriter([]byte("head"))
 	w.WriteBits(0x5, 3)
-	r := NewReader(w.Bytes())
-	got, err := r.ReadBits(3)
-	if err != nil {
-		t.Fatal(err)
+	b := w.Bytes()
+	if string(b[:4]) != "head" || len(b) != 5 {
+		t.Fatalf("got %q, want \"head\" and one byte", b)
 	}
-	if got != 0x5 {
-		t.Fatalf("got %#x, want 0x5", got)
+	got, err := NewReader(b[4:]).ReadBits(3)
+	if err != nil || got != 0x5 {
+		t.Fatalf("got %#x, %v; want 0x5", got, err)
 	}
 }
 
 func TestBytesPadding(t *testing.T) {
-	w := NewWriter(0)
-	w.WriteBits(1, 1)
-	b := w.Bytes()
-	if len(b) != 1 {
-		t.Fatalf("1 bit should serialize to 1 byte, got %d", len(b))
-	}
-	w.WriteBits(0, 8) // 9 bits total
-	b = w.Bytes()
-	if len(b) != 2 {
-		t.Fatalf("9 bits should serialize to 2 bytes, got %d", len(b))
+	for _, c := range []struct{ bits, bytes int }{{0, 0}, {1, 1}, {9, 2}, {64, 8}, {65, 9}} {
+		w := NewWriter(nil)
+		for i := 0; i < c.bits; i++ {
+			w.WriteBit(1)
+		}
+		if b := w.Bytes(); len(b) != c.bytes {
+			t.Fatalf("%d bits serialize to %d bytes, want %d", c.bits, len(b), c.bytes)
+		}
 	}
 }
 
 func TestCrossWordBoundary(t *testing.T) {
 	// Force writes that straddle 64-bit word boundaries.
-	w := NewWriter(0)
+	w := NewWriter(nil)
 	w.WriteBits(0x1, 60)
 	w.WriteBits(0xff, 8) // straddles word 0/1
 	w.WriteBits(0xabcdef, 24)
@@ -145,7 +137,7 @@ func TestRoundTripQuick(t *testing.T) {
 		count := int(n%64) + 1
 		vals := make([]uint64, count)
 		widths := make([]uint, count)
-		w := NewWriter(0)
+		w := NewWriter(nil)
 		for i := range vals {
 			widths[i] = uint(rng.Intn(64)) + 1
 			vals[i] = rng.Uint64()
@@ -169,7 +161,7 @@ func TestRoundTripQuick(t *testing.T) {
 }
 
 func TestMixedBitAndBits(t *testing.T) {
-	w := NewWriter(0)
+	w := NewWriter(nil)
 	w.WriteBit(1)
 	w.WriteBits(0x2a, 7)
 	w.WriteBit(0)
@@ -190,18 +182,18 @@ func TestMixedBitAndBits(t *testing.T) {
 }
 
 func BenchmarkWriteBits(b *testing.B) {
-	w := NewWriter(1 << 20)
+	w := NewWriter(make([]byte, 0, 1<<20))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if i%100000 == 0 {
-			w.Reset()
+			w = NewWriter(w.buf[:0])
 		}
 		w.WriteBits(uint64(i), 13)
 	}
 }
 
 func BenchmarkReadBits(b *testing.B) {
-	w := NewWriter(1 << 20)
+	w := NewWriter(nil)
 	for i := 0; i < 100000; i++ {
 		w.WriteBits(uint64(i), 13)
 	}

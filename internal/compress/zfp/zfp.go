@@ -45,13 +45,10 @@ func init() {
 // Name implements compress.Compressor.
 func (c *Compressor) Name() string { return "zfp" }
 
-// perm2 and perm3 order block coefficients by total sequency (sum of
-// per-dimension frequencies), low frequencies first, ties broken
+// perms[d] orders the coefficients of a 4^d block by total sequency (sum
+// of per-dimension frequencies), low frequencies first, ties broken
 // lexicographically. ZFP uses the same total-degree ordering.
-var (
-	perm2 = makePerm(2)
-	perm3 = makePerm(3)
-)
+var perms = [4][]int{1: makePerm(1), 2: makePerm(2), 3: makePerm(3)}
 
 func makePerm(dims int) []int {
 	size := 1 << (2 * uint(dims)) // 4^dims
@@ -75,16 +72,21 @@ func makePerm(dims int) []int {
 	return idx
 }
 
-func perm(dims int) []int {
-	switch dims {
-	case 2:
-		return perm2
-	case 3:
-		return perm3
-	default:
-		return []int{0, 1, 2, 3}
+// lineStarts[a] lists, ascending, the block indices whose axis-a digit is
+// zero: the first value of every line along axis a, whose stride is 4^a. A
+// 4^d block uses the first 4^(d-1) of them.
+var lineStarts = func() (t [3][16]int) {
+	for a := range t {
+		k := 0
+		for i := 0; i < 64; i++ {
+			if i>>(2*a)&3 == 0 {
+				t[a][k] = i
+				k++
+			}
+		}
 	}
-}
+	return t
+}()
 
 // fwdLift applies ZFP's forward decorrelating lifting step to four values
 // at stride s starting at p[0].
@@ -144,64 +146,23 @@ func invLift(p []int64, off, s int) {
 	p[off+3*s] = w
 }
 
-// fwdXform decorrelates a 4^dims block in place.
+// fwdXform decorrelates a 4^dims block in place, one axis at a time from
+// x (stride 1) up.
 func fwdXform(blk []int64, dims int) {
-	switch dims {
-	case 1:
-		fwdLift(blk, 0, 1)
-	case 2:
-		for j := 0; j < 4; j++ {
-			fwdLift(blk, 4*j, 1) // rows (x)
-		}
-		for i := 0; i < 4; i++ {
-			fwdLift(blk, i, 4) // columns (y)
-		}
-	case 3:
-		for k := 0; k < 4; k++ {
-			for j := 0; j < 4; j++ {
-				fwdLift(blk, 16*k+4*j, 1) // x lines
-			}
-		}
-		for k := 0; k < 4; k++ {
-			for i := 0; i < 4; i++ {
-				fwdLift(blk, 16*k+i, 4) // y lines
-			}
-		}
-		for j := 0; j < 4; j++ {
-			for i := 0; i < 4; i++ {
-				fwdLift(blk, 4*j+i, 16) // z lines
-			}
+	lines := 1 << (2 * (dims - 1))
+	for a := 0; a < dims; a++ {
+		for _, off := range lineStarts[a][:lines] {
+			fwdLift(blk, off, 1<<(2*a))
 		}
 	}
 }
 
-// invXform inverts fwdXform (dimensions in reverse order).
+// invXform inverts fwdXform (axes in reverse order).
 func invXform(blk []int64, dims int) {
-	switch dims {
-	case 1:
-		invLift(blk, 0, 1)
-	case 2:
-		for i := 0; i < 4; i++ {
-			invLift(blk, i, 4)
-		}
-		for j := 0; j < 4; j++ {
-			invLift(blk, 4*j, 1)
-		}
-	case 3:
-		for j := 0; j < 4; j++ {
-			for i := 0; i < 4; i++ {
-				invLift(blk, 4*j+i, 16)
-			}
-		}
-		for k := 0; k < 4; k++ {
-			for i := 0; i < 4; i++ {
-				invLift(blk, 16*k+i, 4)
-			}
-		}
-		for k := 0; k < 4; k++ {
-			for j := 0; j < 4; j++ {
-				invLift(blk, 16*k+4*j, 1)
-			}
+	lines := 1 << (2 * (dims - 1))
+	for a := dims - 1; a >= 0; a-- {
+		for _, off := range lineStarts[a][:lines] {
+			invLift(blk, off, 1<<(2*a))
 		}
 	}
 }
@@ -314,20 +275,19 @@ func decodeInts(r *bitstream.Reader, u []uint64, maxprec int, pm []int) error {
 	return nil
 }
 
-// bitsLen reports the index just past the highest set bit of x.
-func bitsLen(x uint64) int {
-	n := 0
-	for x != 0 {
-		n++
-		x >>= 1
-	}
-	return n
+// block is the scratch of one 4^d tile, 4^d <= 64: its values, their
+// block-floating-point integers and the integers' negabinary codes.
+type block struct {
+	f [64]float64
+	q [64]int64
+	u [64]uint64
 }
 
-// encodeBlock writes one 4^dims block.
-func encodeBlock(w *bitstream.Writer, blk []float64, dims, minexp int) {
+// encodeBlock writes the first 4^dims values of b.f.
+func encodeBlock(w *bitstream.Writer, b *block, dims, minexp int) {
+	size := 1 << (2 * dims)
 	maxabs := 0.0
-	for _, v := range blk {
+	for _, v := range b.f[:size] {
 		if a := math.Abs(v); a > maxabs {
 			maxabs = a
 		}
@@ -347,28 +307,27 @@ func encodeBlock(w *bitstream.Writer, blk []float64, dims, minexp int) {
 	w.WriteBits(uint64(emax+ebias), 16)
 	// Block floating point: q = v * 2^(62-emax), |q| < 2^62.
 	s := math.Ldexp(1, intprec-2-emax)
-	iblk := make([]int64, len(blk))
-	for i, v := range blk {
-		iblk[i] = int64(v * s)
+	q := b.q[:size]
+	for i, v := range b.f[:size] {
+		q[i] = int64(v * s)
 	}
-	fwdXform(iblk, dims)
-	u := make([]uint64, len(iblk))
-	for i, q := range iblk {
-		u[i] = negabinary(q)
+	fwdXform(q, dims)
+	u := b.u[:size]
+	for i, x := range q {
+		u[i] = negabinary(x)
 	}
-	encodeInts(w, u, maxprec, perm(dims))
+	encodeInts(w, u, maxprec, perms[dims])
 }
 
-// decodeBlock reads one block into blk.
-func decodeBlock(r *bitstream.Reader, blk []float64, dims, minexp int) error {
+// decodeBlock reads one block into the first 4^dims values of b.f.
+func decodeBlock(r *bitstream.Reader, b *block, dims, minexp int) error {
+	size := 1 << (2 * dims)
 	nz, err := r.ReadBit()
 	if err != nil {
 		return err
 	}
 	if nz == 0 {
-		for i := range blk {
-			blk[i] = 0
-		}
+		clear(b.f[:size])
 		return nil
 	}
 	e64, err := r.ReadBits(16)
@@ -380,18 +339,19 @@ func decodeBlock(r *bitstream.Reader, blk []float64, dims, minexp int) error {
 	if maxprec == 0 {
 		return errors.New("zfp: inconsistent block header")
 	}
-	u := make([]uint64, len(blk))
-	if err := decodeInts(r, u, maxprec, perm(dims)); err != nil {
+	u := b.u[:size]
+	clear(u)
+	if err := decodeInts(r, u, maxprec, perms[dims]); err != nil {
 		return err
 	}
-	iblk := make([]int64, len(blk))
+	q := b.q[:size]
 	for i, v := range u {
-		iblk[i] = invNegabinary(v)
+		q[i] = invNegabinary(v)
 	}
-	invXform(iblk, dims)
+	invXform(q, dims)
 	s := math.Ldexp(1, emax-(intprec-2))
-	for i, q := range iblk {
-		blk[i] = float64(q) * s
+	for i, x := range q {
+		b.f[i] = float64(x) * s
 	}
 	return nil
 }
@@ -403,9 +363,6 @@ func minExpOf(tol float64) int {
 	return e - 1
 }
 
-// blockCount returns ceil(n/4).
-func blockCount(n int) int { return (n + 3) / 4 }
-
 // Compress implements compress.Compressor.
 func (c *Compressor) Compress(data []float64, dims []int, bound compress.Bound) ([]byte, error) {
 	if err := compress.Validate(data, dims); err != nil {
@@ -416,48 +373,27 @@ func (c *Compressor) Compress(data []float64, dims []int, bound compress.Bound) 
 		return nil, fmt.Errorf("zfp: invalid error bound %v", eb)
 	}
 	minexp := minExpOf(eb)
-	ndims := len(dims)
 
-	head := make([]byte, 0, 64)
+	head := make([]byte, 0, 64+2*len(data))
 	head = binary.AppendUvarint(head, magic)
 	head = binary.AppendUvarint(head, version)
-	head = binary.AppendUvarint(head, uint64(ndims))
+	head = binary.AppendUvarint(head, uint64(len(dims)))
 	for _, d := range dims {
 		head = binary.AppendUvarint(head, uint64(d))
 	}
 	head = binary.AppendUvarint(head, math.Float64bits(eb))
 
-	w := bitstream.NewWriter(len(data) * 16)
-	switch ndims {
-	case 1:
-		n := dims[0]
-		var blk [4]float64
-		for b := 0; b < blockCount(n); b++ {
-			gather1(data, n, b, blk[:])
-			encodeBlock(w, blk[:], 1, minexp)
+	w := bitstream.NewWriter(head)
+	var b block
+	walkTiles(dims, func(t *tile) error {
+		for i := range b.f[:1<<(2*len(dims))] {
+			j, _ := t.at(i)
+			b.f[i] = data[j]
 		}
-	case 2:
-		ny, nx := dims[0], dims[1]
-		var blk [16]float64
-		for bj := 0; bj < blockCount(ny); bj++ {
-			for bi := 0; bi < blockCount(nx); bi++ {
-				gather2(data, nx, ny, bi, bj, blk[:])
-				encodeBlock(w, blk[:], 2, minexp)
-			}
-		}
-	case 3:
-		nz, ny, nx := dims[0], dims[1], dims[2]
-		var blk [64]float64
-		for bk := 0; bk < blockCount(nz); bk++ {
-			for bj := 0; bj < blockCount(ny); bj++ {
-				for bi := 0; bi < blockCount(nx); bi++ {
-					gather3(data, nx, ny, nz, bi, bj, bk, blk[:])
-					encodeBlock(w, blk[:], 3, minexp)
-				}
-			}
-		}
-	}
-	return append(head, w.Bytes()...), nil
+		encodeBlock(w, &b, len(dims), minexp)
+		return nil
+	})
+	return w.Bytes(), nil
 }
 
 // ErrCorrupt is returned for malformed payloads.
@@ -489,128 +425,72 @@ func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
 	}
 	out := make([]float64, n)
 	bits := bitstream.NewReader(r.Rest())
-	switch len(dims) {
-	case 1:
-		var blk [4]float64
-		for b := 0; b < blockCount(dims[0]); b++ {
-			if err := decodeBlock(bits, blk[:], 1, minexp); err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-			}
-			scatter1(out, dims[0], b, blk[:])
+	var b block
+	err = walkTiles(dims, func(t *tile) error {
+		if err := decodeBlock(bits, &b, len(dims), minexp); err != nil {
+			return err
 		}
-	case 2:
-		ny, nx := dims[0], dims[1]
-		var blk [16]float64
-		for bj := 0; bj < blockCount(ny); bj++ {
-			for bi := 0; bi < blockCount(nx); bi++ {
-				if err := decodeBlock(bits, blk[:], 2, minexp); err != nil {
-					return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-				}
-				scatter2(out, nx, ny, bi, bj, blk[:])
+		for i, v := range b.f[:1<<(2*len(dims))] {
+			if j, in := t.at(i); in {
+				out[j] = v
 			}
 		}
-	case 3:
-		nz, ny, nx := dims[0], dims[1], dims[2]
-		var blk [64]float64
-		for bk := 0; bk < blockCount(nz); bk++ {
-			for bj := 0; bj < blockCount(ny); bj++ {
-				for bi := 0; bi < blockCount(nx); bi++ {
-					if err := decodeBlock(bits, blk[:], 3, minexp); err != nil {
-						return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-					}
-					scatter3(out, nx, ny, nz, bi, bj, bk, blk[:])
-				}
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return out, nil
 }
 
-// gather/scatter move 4^d tiles between the flat array and block buffers,
-// replicating edge values into the padding of partial blocks.
-
-func gather1(data []float64, n, b int, blk []float64) {
-	for i := 0; i < 4; i++ {
-		src := 4*b + i
-		if src >= n {
-			src = n - 1
-		}
-		blk[i] = data[src]
-	}
+// tile is one 4^d tile of a row-major array. Per block axis a (x = 0, the
+// array's last and fastest axis) it holds the array offset of each of the
+// tile's four positions along a, clamped to the array's last element on that
+// axis so that gathers replicate edge values, and whether the position lies
+// inside the array. An axis past the rank has extent 1: its one position is
+// offset 0 and inside.
+type tile struct {
+	off [3][4]int
+	in  [3][4]bool
 }
 
-func scatter1(out []float64, n, b int, blk []float64) {
-	for i := 0; i < 4; i++ {
-		if dst := 4*b + i; dst < n {
-			out[dst] = blk[i]
-		}
-	}
+// at returns the array index of block value i, block index i = x + 4y + 16z,
+// and whether it lies inside the array.
+func (t *tile) at(i int) (int, bool) {
+	x, y, z := i&3, i>>2&3, i>>4&3
+	return t.off[0][x] + t.off[1][y] + t.off[2][z], t.in[0][x] && t.in[1][y] && t.in[2][z]
 }
 
-func clampIdx(v, n int) int {
-	if v >= n {
-		return n - 1
-	}
-	return v
-}
-
-func gather2(data []float64, nx, ny, bi, bj int, blk []float64) {
-	for j := 0; j < 4; j++ {
-		sj := clampIdx(4*bj+j, ny)
-		for i := 0; i < 4; i++ {
-			si := clampIdx(4*bi+i, nx)
-			blk[4*j+i] = data[sj*nx+si]
+// walkTiles calls fn with each 4^d tile of a row-major array of shape dims
+// (slowest axis first), tiles along the last axis fastest, and stops at the
+// first error.
+func walkTiles(dims []int, fn func(t *tile) error) error {
+	var n, stride, first [3]int // per block axis: extent, array stride, tile's first position
+	s := 1
+	for a := range n {
+		n[a], stride[a] = 1, s
+		if a < len(dims) {
+			n[a] = dims[len(dims)-1-a]
 		}
+		s *= n[a]
 	}
-}
-
-func scatter2(out []float64, nx, ny, bi, bj int, blk []float64) {
-	for j := 0; j < 4; j++ {
-		dj := 4*bj + j
-		if dj >= ny {
-			continue
-		}
-		for i := 0; i < 4; i++ {
-			di := 4*bi + i
-			if di >= nx {
-				continue
-			}
-			out[dj*nx+di] = blk[4*j+i]
-		}
-	}
-}
-
-func gather3(data []float64, nx, ny, nz, bi, bj, bk int, blk []float64) {
-	for k := 0; k < 4; k++ {
-		sk := clampIdx(4*bk+k, nz)
-		for j := 0; j < 4; j++ {
-			sj := clampIdx(4*bj+j, ny)
-			for i := 0; i < 4; i++ {
-				si := clampIdx(4*bi+i, nx)
-				blk[(4*k+j)*4+i] = data[(sk*ny+sj)*nx+si]
+	var t tile
+	for a := 0; a < len(first); {
+		for k := range t.off {
+			for p := range t.off[k] {
+				t.off[k][p] = min(first[k]+p, n[k]-1) * stride[k]
+				t.in[k][p] = first[k]+p < n[k]
 			}
 		}
-	}
-}
-
-func scatter3(out []float64, nx, ny, nz, bi, bj, bk int, blk []float64) {
-	for k := 0; k < 4; k++ {
-		dk := 4*bk + k
-		if dk >= nz {
-			continue
+		if err := fn(&t); err != nil {
+			return err
 		}
-		for j := 0; j < 4; j++ {
-			dj := 4*bj + j
-			if dj >= ny {
-				continue
+		for a = 0; a < len(first); a++ { // advance like an odometer
+			if first[a] += 4; first[a] < n[a] {
+				break
 			}
-			for i := 0; i < 4; i++ {
-				di := 4*bi + i
-				if di >= nx {
-					continue
-				}
-				out[(dk*ny+dj)*nx+di] = blk[(4*k+j)*4+i]
-			}
+			first[a] = 0
 		}
 	}
+	return nil
 }

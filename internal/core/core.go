@@ -112,9 +112,9 @@ type Recipe struct {
 
 // KernelTier reports which apply/restore kernel tier this binary was built
 // with: "unsafe" (the default pointer-walking kernels) or "portable"
-// (`-tags zmesh_portable`, the reference loops with no unsafe). Performance
-// gates key on this — the unsafe tier's speedup floor does not bind the
-// portable tier.
+// (`-tags zmesh_portable`, the reference loops with no unsafe). The
+// benchmark records it with every result, so runs of the two tiers are
+// never compared as one.
 func KernelTier() string {
 	if kernelUnsafe {
 		return "unsafe"
@@ -163,9 +163,8 @@ func (r *Recipe) ApplyTo(dst, flat []float64) ([]float64, error) {
 }
 
 // ApplyToSerial is the straightforward reference gather loop, retained (like
-// BuildRecipeSerial) as the differential oracle for the unsafe kernel and
-// as the baseline the CI gate measures the kernel speedup against. Not on
-// the hot path.
+// BuildRecipeSerial) as the differential oracle for the unsafe kernel. Not
+// on the hot path.
 func (r *Recipe) ApplyToSerial(dst, flat []float64) ([]float64, error) {
 	if len(flat) != r.n {
 		return nil, fmt.Errorf("core: stream has %d values, recipe expects %d", len(flat), r.n)
@@ -204,8 +203,7 @@ func (r *Recipe) RestoreTo(dst, ordered []float64) ([]float64, error) {
 }
 
 // RestoreToSerial is the straightforward reference scatter loop — the
-// differential oracle and speedup baseline for the unsafe kernel, mirroring
-// ApplyToSerial.
+// differential oracle for the unsafe kernel, mirroring ApplyToSerial.
 func (r *Recipe) RestoreToSerial(dst, ordered []float64) ([]float64, error) {
 	if len(ordered) != r.n {
 		return nil, fmt.Errorf("core: stream has %d values, recipe expects %d", len(ordered), r.n)

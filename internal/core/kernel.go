@@ -13,9 +13,8 @@ package core
 //
 // The range loops stay as gatherSerial/scatterSerial: they are what
 // ApplyToSerial/RestoreToSerial run (the differential oracle, mirroring
-// BuildRecipeSerial, and the speedup baseline the CI gate measures against),
-// and they are the whole hot path of a `-tags zmesh_portable` build
-// (kernel_portable.go).
+// BuildRecipeSerial), and they are the whole hot path of a
+// `-tags zmesh_portable` build (kernel_portable.go).
 
 // gatherSerial is the reference gather loop.
 func gatherSerial(dst, src []float64, perm []int32) {

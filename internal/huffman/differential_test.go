@@ -194,13 +194,13 @@ func TestPoolsConcurrent(t *testing.T) {
 // forgedTable is a 10-byte stream declaring 2^28 symbols and 2^15 table
 // entries and breaking off in the second.
 func forgedTable() []byte {
-	w := bitWriter{}
-	w.put(maxAlphabet, 32)
-	w.gamma(1<<15 + 1)
-	w.gamma(1) // symbol 0
-	w.gamma(zigzag(5) + 1)
-	w.gamma(2)
-	return w.bytes()
+	w := bitstream.NewWriter(nil)
+	w.WriteBits(maxAlphabet, 32)
+	gamma(w, 1<<15+1)
+	gamma(w, 1) // symbol 0
+	gamma(w, zigzag(5)+1)
+	gamma(w, 2)
+	return w.Bytes()
 }
 
 // allocatedBy reports the bytes one call of f allocates, after a warm-up
@@ -243,13 +243,14 @@ func TestForgedCountAllocationBound(t *testing.T) {
 	}
 	const size = 1 << 12
 	forged := func(n uint64) []byte {
-		w := bitWriter{}
-		w.put(65536, 32)
-		w.gamma(1 + 1)
-		w.gamma(65536 + 1) // RUNB
-		w.gamma(zigzag(1) + 1)
-		w.put(n, 40)
-		return append(w.bytes(), make([]byte, size-len(w.buf)-int(w.n+7)/8)...)
+		w := bitstream.NewWriter(nil)
+		w.WriteBits(65536, 32)
+		gamma(w, 1+1)
+		gamma(w, 65536+1) // RUNB
+		gamma(w, zigzag(1)+1)
+		w.WriteBits(n, 40)
+		b := w.Bytes()
+		return append(b, make([]byte, size-len(b))...)
 	}
 	tableBits := uint64(32 + 3 + 33 + 3 + 40)
 	fits := (size*8 - tableBits) * maxValuesPerBit

@@ -97,35 +97,10 @@ type encScratch struct {
 
 var encPool = sync.Pool{New: func() any { return new(encScratch) }}
 
-// bitWriter appends bits LSB-first to a byte slice in little-endian 64-bit
-// words: the byte layout of bitstream.Writer without the intermediate words.
-type bitWriter struct {
-	buf []byte
-	acc uint64
-	n   uint // bits used in acc, 0..63
-}
-
-// put appends the low l bits of v; v < 1<<l and l <= MaxCodeLen.
-func (w *bitWriter) put(v uint64, l uint) {
-	w.acc |= v << w.n
-	if w.n += l; w.n >= 64 {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, w.acc)
-		w.n -= 64
-		w.acc = v >> (l - w.n)
-	}
-}
-
-// bytes flushes the partial word, zero-padded to a whole byte.
-func (w *bitWriter) bytes() []byte {
-	var tail [8]byte
-	binary.LittleEndian.PutUint64(tail[:], w.acc)
-	return append(w.buf, tail[:(w.n+7)/8]...)
-}
-
 // gamma appends the Elias-gamma code of v, 1 <= v < 1<<29.
-func (w *bitWriter) gamma(v uint64) {
+func gamma(w *bitstream.Writer, v uint64) {
 	n := uint(bits.Len64(v)) - 1
-	w.put(v&(1<<n-1)<<(n+1)|1<<n, 2*n+1)
+	w.WriteBits(v&(1<<n-1)<<(n+1)|1<<n, 2*n+1)
 }
 
 // runB is RUNB among folded symbols, so that symbol+1 indexes encScratch.tab.
@@ -277,23 +252,23 @@ func Encode(dst []byte, symbols []int, alphabet int) ([]byte, error) {
 
 	// One ascending pass writes the table and swaps each length in tab for
 	// its bit-reversed (LSB-first ready) canonical code.
-	w := bitWriter{buf: dst}
-	w.put(uint64(alphabet), 32)
-	w.gamma(uint64(len(used)) + 1)
+	w := bitstream.NewWriter(dst)
+	w.WriteBits(uint64(alphabet), 32)
+	gamma(w, uint64(len(used))+1)
 	prev, prevLen := -1, uint64(0)
 	for _, s := range used {
 		l := tab[slot(s)]
-		w.gamma(uint64(int(s) - prev))
-		w.gamma(zigzag(int64(l)-int64(prevLen)) + 1)
+		gamma(w, uint64(int(s)-prev))
+		gamma(w, zigzag(int64(l)-int64(prevLen))+1)
 		prev, prevLen = int(s), l
 		tab[slot(s)] = bits.Reverse64(next[l])>>(64-l)<<6 | l
 		next[l]++
 	}
-	w.put(uint64(len(symbols)), 40)
+	w.WriteBits(uint64(len(symbols)), 40)
 	for _, f := range folded {
-		w.put(tab[f+1]>>6, uint(tab[f+1]&63))
+		w.WriteBits(tab[f+1]>>6, uint(tab[f+1]&63))
 	}
-	return w.bytes(), nil
+	return w.Bytes(), nil
 }
 
 func zigzag(v int64) uint64 { return uint64(v<<1 ^ v>>63) }

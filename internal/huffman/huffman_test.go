@@ -150,7 +150,7 @@ func TestTableRoundTrip(t *testing.T) {
 	freqs[2047] = 10
 	freqs[2048] = 7 // RUNB
 	lengths := CodeLengths(freqs)
-	w := bitstream.NewWriter(0)
+	w := bitstream.NewWriter(nil)
 	w.WriteBits(2048, 32)
 	writeTable(w, lengths)
 	data := w.Bytes()
@@ -176,16 +176,16 @@ func TestTableRoundTrip(t *testing.T) {
 // count entries of which (gap, zigzag length delta) pairs are given, then
 // the value count.
 func stream(alphabet, count uint64, n uint64, entries ...[2]uint64) []byte {
-	w := bitWriter{}
-	w.put(alphabet, 32)
-	w.gamma(count + 1)
+	w := bitstream.NewWriter(nil)
+	w.WriteBits(alphabet, 32)
+	gamma(w, count+1)
 	for _, e := range entries {
-		w.gamma(e[0])
-		w.gamma(e[1] + 1)
+		gamma(w, e[0])
+		gamma(w, e[1]+1)
 	}
-	w.put(n, 40)
-	w.put(0, 16)
-	return w.bytes()
+	w.WriteBits(n, 40)
+	w.WriteBits(0, 16)
+	return w.Bytes()
 }
 
 func TestBadTableRejected(t *testing.T) {

@@ -241,7 +241,7 @@ func EncodeAll(symbols []int, alphabet int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := bitstream.NewWriter(0)
+	w := bitstream.NewWriter(nil)
 	w.WriteBits(uint64(alphabet), 32)
 	writeTable(w, lengths)
 	w.WriteBits(uint64(len(symbols)), 40)

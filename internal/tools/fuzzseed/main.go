@@ -233,7 +233,7 @@ func forgedTableSeeds() error {
 		w.WriteBit(1)
 		w.WriteBits(v, n)
 	}
-	w := bitstream.NewWriter(0)
+	w := bitstream.NewWriter(nil)
 	w.WriteBits(1<<28, 32) // declared alphabet
 	gamma(w, 1<<15+1)      // declared entries
 	gamma(w, 1)            // symbol 0 …

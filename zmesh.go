@@ -8,7 +8,8 @@
 //  1. Obtain a checkpoint — run one of the built-in simulations with
 //     Generate, or adapt a hierarchy to your own field with BuildAdaptive.
 //  2. Create an Encoder for the mesh with the desired layout (LayoutZMesh
-//     for the paper's reordering), sibling curve, and codec ("sz"/"zfp").
+//     for the paper's reordering), sibling curve, and codec ("sz", "zfp",
+//     "mgl" or the lossless "gzip").
 //     The encoder derives the restore recipe from the mesh topology once
 //     and reuses it for every quantity.
 //  3. CompressField each quantity. The compressed artifact stores no
