@@ -56,10 +56,9 @@ func (w *Writer) Bytes() []byte {
 // Reader consumes bits from a byte slice produced by Writer.Bytes.
 type Reader struct {
 	data  []byte
-	cur   uint64 // current word
+	cur   uint64 // buffered bits, next at bit 0; the bits above nbits are zero
 	nbits uint   // bits remaining in cur
 	pos   int    // byte offset of next load
-	read  uint64 // total bits consumed
 }
 
 // NewReader returns a Reader over data.
@@ -99,7 +98,6 @@ func (r *Reader) ReadBit() (uint, error) {
 	b := uint(r.cur & 1)
 	r.cur >>= 1
 	r.nbits--
-	r.read++
 	return b, nil
 }
 
@@ -121,7 +119,6 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 			r.cur >>= n
 		}
 		r.nbits -= n
-		r.read += uint64(n)
 		return v, nil
 	}
 	// Take what is buffered, then refill.
@@ -146,9 +143,44 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	}
 	r.nbits -= rest
 	v |= hi << got
-	r.read += uint64(n)
 	return v, nil
 }
 
+// Peek returns the unread bits buffered after topping the buffer up, next
+// bit at bit 0, and how many of them are valid: at least 57, or every bit
+// left in the stream. The bits above the valid ones are zero. With Skip it
+// lets a caller decode from a window in registers, one word at a time, and
+// peek again only when the window runs dry.
+func (r *Reader) Peek() (uint64, uint) {
+	if r.nbits < 57 {
+		r.refill()
+	}
+	return r.cur, r.nbits
+}
+
+// Skip consumes n bits, n no more than the valid count the last Peek
+// returned.
+func (r *Reader) Skip(n uint) {
+	r.cur >>= n
+	r.nbits -= n
+}
+
+// refill tops the buffer up with whole bytes, keeping the bits above nbits
+// zero as ReadBit and ReadBits expect.
+func (r *Reader) refill() {
+	if len(r.data)-r.pos >= 8 {
+		k := (64 - r.nbits) / 8 // whole bytes that fit
+		word := binary.LittleEndian.Uint64(r.data[r.pos:])
+		r.cur |= word & (^uint64(0) >> ((64 - 8*k) & 63)) << (r.nbits & 63)
+		r.pos += int(k)
+		r.nbits += 8 * k
+		return
+	}
+	for ; r.nbits <= 56 && r.pos < len(r.data); r.pos++ {
+		r.cur |= uint64(r.data[r.pos]) << r.nbits
+		r.nbits += 8
+	}
+}
+
 // BitsRead reports the total number of bits consumed.
-func (r *Reader) BitsRead() uint64 { return r.read }
+func (r *Reader) BitsRead() uint64 { return 8*uint64(r.pos) - uint64(r.nbits) }

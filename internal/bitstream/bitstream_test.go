@@ -206,3 +206,62 @@ func BenchmarkReadBits(b *testing.B) {
 		}
 	}
 }
+
+// property: Peek and Skip interleaved with ReadBit and ReadBits see the
+// stream's bits in order. Peek holds at least 57 valid bits, or every bit
+// left, with zeros above them, and BitsRead counts what was consumed.
+func TestPeekSkipQuick(t *testing.T) {
+	f := func(data []byte, ops []uint8) bool {
+		bit := func(i uint64) uint64 { return uint64(data[i/8]>>(i%8)) & 1 }
+		total := uint64(len(data)) * 8
+		r := NewReader(data)
+		pos := uint64(0)
+		for _, op := range ops {
+			switch n := uint(op % 65); op % 3 {
+			case 0:
+				b, avail := r.Peek()
+				if a := uint64(avail); a < min(total-pos, 57) || a > total-pos || a < 64 && b>>a != 0 {
+					return false
+				}
+				for i := uint64(0); i < uint64(avail); i++ {
+					if b>>i&1 != bit(pos+i) {
+						return false
+					}
+				}
+				n = min(n, avail)
+				r.Skip(n)
+				pos += uint64(n)
+			case 1:
+				b, err := r.ReadBit()
+				if pos == total {
+					return err == ErrShortStream
+				}
+				if err != nil || uint64(b) != bit(pos) {
+					return false
+				}
+				pos++
+			default:
+				v, err := r.ReadBits(n)
+				if pos+uint64(n) > total {
+					return err == ErrShortStream
+				}
+				for i := uint64(0); i < uint64(n); i++ {
+					if v>>i&1 != bit(pos+i) {
+						return false
+					}
+				}
+				if err != nil {
+					return false
+				}
+				pos += uint64(n)
+			}
+			if r.BitsRead() != pos {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}

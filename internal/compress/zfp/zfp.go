@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/bitstream"
 	"repro/internal/compress"
@@ -192,95 +193,142 @@ func blockPrecision(emax, minexp, dims int) int {
 	return p
 }
 
-// encodeInts is ZFP's embedded bit-plane coder: planes are emitted from the
-// most significant down to kmin; within a plane, bits of already-significant
-// coefficients are sent verbatim, and the rest of the plane is group-tested
-// with a unary run-length code.
-func encodeInts(w *bitstream.Writer, u []uint64, maxprec int, pm []int) {
-	size := len(u)
-	kmin := intprec - maxprec
-	n := 0
-	for k := intprec - 1; k >= kmin; k-- {
-		// Step 1: extract bit plane k (in sequency order).
-		var x uint64
-		for i := 0; i < size; i++ {
-			x |= ((u[pm[i]] >> uint(k)) & 1) << uint(i)
+// transpose transposes, in place, the size×size bit matrices that v[:size]
+// holds lane by lane: lane b of word i, bits [b·size, (b+1)·size), is row i
+// of matrix b. Afterwards bit i of lane b of word r is what bit b·size+r of
+// word i was, so bit plane k of the size codes is lane k/size of word
+// k%size. It is the masked-swap transpose of Hacker's Delight §7-3 started
+// at j = size/2, where each mask is correct lane by lane, and it is its own
+// inverse.
+func transpose(v *[64]uint64, dims int) {
+	size := 1 << (2 * dims)
+	for i := 2*dims - 1; i >= 0; i-- {
+		j, m := 1<<i, swapMasks[i]
+		for k := 0; k < size; k = (k | j + 1) &^ j {
+			t := (v[k&63]>>(uint(j)&63) ^ v[(k|j)&63]) & m
+			v[(k|j)&63] ^= t
+			v[k&63] ^= t << (uint(j) & 63)
 		}
-		// Step 2: first n bits verbatim.
+	}
+}
+
+// swapMasks[i] selects the low 2^i bits of every 2^(i+1)-bit field: the
+// bits transpose keeps in place when it swaps at distance j = 2^i.
+var swapMasks = [6]uint64{
+	0x5555555555555555, 0x3333333333333333, 0x0f0f0f0f0f0f0f0f,
+	0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff,
+}
+
+// encodeInts is ZFP's embedded bit-plane coder over the 4^dims codes in
+// v, in sequency order, which it transposes in place: planes are emitted
+// from the most significant down to intprec-maxprec; within a plane, bits
+// of already-significant coefficients are sent verbatim, and the rest of
+// the plane is group-tested with a unary run-length code.
+func encodeInts(w *bitstream.Writer, v *[64]uint64, dims, maxprec int) {
+	size := 1 << (2 * dims)
+	transpose(v, dims)
+	mask := uint64(1)<<uint(size) - 1
+	n := 0
+	for k := intprec - 1; k >= intprec-maxprec; k-- {
+		x := v[k&(size-1)&63] >> (uint(k&^(size-1)) & 63) & mask
 		w.WriteBits(x, uint(n))
 		x >>= uint(n)
-		// Step 3: unary run-length encode the remainder. Each group-test
-		// bit says whether any not-yet-significant coefficient has this
-		// plane's bit set; if so, zero positions are walked explicitly and
-		// the significant position is marked (implied for the final slot).
+		// Each group-test 1 says some not-yet-significant coefficient has
+		// this plane's bit set; the zeros after it walk to that position,
+		// and a closing 1 marks it unless it is the final slot, which is
+		// implied. The run never exceeds the size-n bits left in the plane.
 		for n < size {
 			if x == 0 {
 				w.WriteBit(0)
 				break
 			}
-			w.WriteBit(1)
-			for n < size-1 && x&1 == 0 {
-				w.WriteBit(0)
-				x >>= 1
-				n++
+			tz := bits.TrailingZeros64(x)
+			if n+tz == size-1 {
+				w.WriteBits(1, uint(size-n))
+				n = size
+				break
 			}
-			if n < size-1 {
-				w.WriteBit(1)
-			}
-			x >>= 1
-			n++
+			w.WriteBits(1|1<<uint(tz+1), uint(tz+2))
+			x >>= uint(tz + 1)
+			n += tz + 1
 		}
 	}
 }
 
-// decodeInts inverts encodeInts.
-func decodeInts(r *bitstream.Reader, u []uint64, maxprec int, pm []int) error {
-	size := len(u)
-	kmin := intprec - maxprec
+// decodeInts inverts encodeInts, leaving the codes in v in sequency order.
+// It decodes from a window of peeked bits, b with avail of them valid,
+// skipping in r what it consumes and peeking again only when the window
+// runs dry: one peek covers a 1-D or 2-D plane, at most 2·size+1 bits,
+// except at the end of the stream.
+func decodeInts(r *bitstream.Reader, v *[64]uint64, dims, maxprec int) error {
+	size := 1 << (2 * dims)
+	clear(v[:size])
 	n := 0
-	for k := intprec - 1; k >= kmin; k-- {
-		x, err := r.ReadBits(uint(n))
-		if err != nil {
-			return err
-		}
-		for n < size {
-			gb, err := r.ReadBit()
-			if err != nil {
+	for k := intprec - 1; k >= intprec-maxprec; k-- {
+		b, avail := r.Peek()
+		var x uint64
+		if uint(n) <= avail {
+			x = b & (1<<uint(n) - 1)
+			r.Skip(uint(n))
+			b, avail = b>>uint(n), avail-uint(n)
+		} else {
+			var err error
+			if x, err = r.ReadBits(uint(n)); err != nil {
 				return err
 			}
-			if gb == 0 {
+			b, avail = r.Peek()
+		}
+		for n < size {
+			if avail == 0 {
+				if b, avail = r.Peek(); avail == 0 {
+					return bitstream.ErrShortStream
+				}
+			}
+			group := b & 1
+			r.Skip(1)
+			b, avail = b>>1, avail-1
+			if group == 0 {
 				break
 			}
-			// Walk zero positions until the significant one (implied when
-			// only the final slot remains).
-			for n < size-1 {
-				b, err := r.ReadBit()
-				if err != nil {
-					return err
-				}
-				if b != 0 {
+			// Skip the zeros up to the significant position and the 1
+			// that closes them, which is implied at the final slot. Bits
+			// past avail are zero, so a 1 found lies inside the window.
+			for {
+				run := uint(size - 1 - n)
+				if tz := uint(bits.TrailingZeros64(b)); tz < run {
+					r.Skip(tz + 1)
+					b, avail = b>>(tz+1), avail-(tz+1)
+					n += int(tz)
 					break
 				}
-				n++
+				if run <= avail {
+					r.Skip(run)
+					b, avail = b>>run, avail-run
+					n = size - 1
+					break
+				}
+				r.Skip(avail)
+				n += int(avail)
+				if b, avail = r.Peek(); avail == 0 {
+					return bitstream.ErrShortStream
+				}
 			}
 			x |= 1 << uint(n)
 			n++
 		}
-		// Deposit plane.
-		for i := 0; i < size && x != 0; i++ {
-			u[pm[i]] |= (x & 1) << uint(k)
-			x >>= 1
-		}
+		v[k&(size-1)&63] |= x << (uint(k&^(size-1)) & 63)
 	}
+	transpose(v, dims)
 	return nil
 }
 
 // block is the scratch of one 4^d tile, 4^d <= 64: its values, their
-// block-floating-point integers and the integers' negabinary codes.
+// block-floating-point integers and the integers' negabinary codes in
+// sequency order.
 type block struct {
 	f [64]float64
 	q [64]int64
-	u [64]uint64
+	v [64]uint64
 }
 
 // encodeBlock writes the first 4^dims values of b.f.
@@ -312,11 +360,10 @@ func encodeBlock(w *bitstream.Writer, b *block, dims, minexp int) {
 		q[i] = int64(v * s)
 	}
 	fwdXform(q, dims)
-	u := b.u[:size]
-	for i, x := range q {
-		u[i] = negabinary(x)
+	for i, p := range perms[dims] {
+		b.v[i] = negabinary(q[p])
 	}
-	encodeInts(w, u, maxprec, perms[dims])
+	encodeInts(w, &b.v, dims, maxprec)
 }
 
 // decodeBlock reads one block into the first 4^dims values of b.f.
@@ -339,14 +386,12 @@ func decodeBlock(r *bitstream.Reader, b *block, dims, minexp int) error {
 	if maxprec == 0 {
 		return errors.New("zfp: inconsistent block header")
 	}
-	u := b.u[:size]
-	clear(u)
-	if err := decodeInts(r, u, maxprec, perms[dims]); err != nil {
+	if err := decodeInts(r, &b.v, dims, maxprec); err != nil {
 		return err
 	}
 	q := b.q[:size]
-	for i, v := range u {
-		q[i] = invNegabinary(v)
+	for i, p := range perms[dims] {
+		q[p] = invNegabinary(b.v[i])
 	}
 	invXform(q, dims)
 	s := math.Ldexp(1, emax-(intprec-2))

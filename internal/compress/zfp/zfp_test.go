@@ -9,7 +9,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/bitstream"
 	"repro/internal/compress"
 )
 
@@ -79,38 +78,37 @@ func TestNegabinaryMagnitudeOrdering(t *testing.T) {
 	}
 }
 
-// encodeInts/decodeInts at full precision must be lossless.
+// encodeInts/decodeInts match the oracle's bytes, are lossless at full
+// precision and keep exactly the top maxprec planes below it. The words
+// include bit 63, which negabinary codes set and which lands in the top
+// lane of the transpose.
 func TestIntsCoderLossless(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, dims := range []int{1, 2, 3} {
 		size := 1 << (2 * uint(dims))
-		pm := perms[dims]
-		for trial := 0; trial < 50; trial++ {
+		for trial := 0; trial < 60; trial++ {
 			u := make([]uint64, size)
 			for i := range u {
-				// Mix of magnitudes, including zeros.
-				switch rng.Intn(4) {
+				// Mix of magnitudes, including zeros, full words and single bits.
+				switch rng.Intn(7) {
 				case 0:
 					u[i] = 0
 				case 1:
 					u[i] = uint64(rng.Intn(16))
 				case 2:
 					u[i] = rng.Uint64() >> 33
+				case 3:
+					u[i] = rng.Uint64()
+				case 4:
+					u[i] = ^uint64(0)
+				case 5:
+					u[i] = 1 << 63
 				default:
-					u[i] = rng.Uint64() >> 2
+					u[i] = 1 << uint(rng.Intn(64))
 				}
 			}
-			w := bitstream.NewWriter(nil)
-			encodeInts(w, u, intprec, pm)
-			got := make([]uint64, size)
-			r := bitstream.NewReader(w.Bytes())
-			if err := decodeInts(r, got, intprec, pm); err != nil {
-				t.Fatalf("dims=%d trial=%d: %v", dims, trial, err)
-			}
-			for i := range u {
-				if got[i] != u[i] {
-					t.Fatalf("dims=%d trial=%d coeff=%d: %#x vs %#x", dims, trial, i, got[i], u[i])
-				}
+			for _, maxprec := range []int{intprec, 63, 40, 9, 1, 0} {
+				checkIntsCoder(t, dims, maxprec, u)
 			}
 		}
 	}
@@ -497,10 +495,7 @@ func TestCompressDigests(t *testing.T) {
 // to the header. Allocating two slices per tile cost 32 773 allocations to
 // compress the 512x512 benchmark field and 32 770 to decompress it.
 func TestAllocsPerCall(t *testing.T) {
-	box := make([]float64, 32*32*32)
-	for i := range box {
-		box[i] = math.Sin(float64(i) / 50)
-	}
+	box := sinBox()
 	for _, in := range []struct {
 		data []float64
 		dims []int
@@ -524,23 +519,20 @@ func TestAllocsPerCall(t *testing.T) {
 	}
 }
 
-func BenchmarkCompress2D(b *testing.B) {
-	c := New()
-	data := smooth2D(512, 512)
-	b.SetBytes(int64(len(data) * 8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Compress(data, []int{512, 512}, compress.RelBound(1e-4)); err != nil {
-			b.Fatal(err)
-		}
+// sinBox is the 32x32x32 field of TestAllocsPerCall and the 3-D benchmarks.
+func sinBox() []float64 {
+	box := make([]float64, 32*32*32)
+	for i := range box {
+		box[i] = math.Sin(float64(i) / 50)
 	}
+	return box
 }
 
-func BenchmarkDecompress2D(b *testing.B) {
+// benchmarkCodec times Compress, or Decompress of its output, on one field
+// at rel 1e-4, in MB/s of input values.
+func benchmarkCodec(b *testing.B, data []float64, dims []int, decompress bool) {
 	c := New()
-	data := smooth2D(512, 512)
-	buf, err := c.Compress(data, []int{512, 512}, compress.RelBound(1e-4))
+	buf, err := c.Compress(data, dims, compress.RelBound(1e-4))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -548,8 +540,39 @@ func BenchmarkDecompress2D(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decompress(buf); err != nil {
+		if decompress {
+			_, err = c.Decompress(buf)
+		} else {
+			_, err = c.Compress(data, dims, compress.RelBound(1e-4))
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// The 1-D field is an 850 000-value stream, the shape zmesh-ordered zfp
+// codes: 4-value tiles, the cheapest transpose.
+func BenchmarkCompress1D(b *testing.B) {
+	benchmarkCodec(b, smooth2D(1000, 850), []int{850000}, false)
+}
+
+func BenchmarkDecompress1D(b *testing.B) {
+	benchmarkCodec(b, smooth2D(1000, 850), []int{850000}, true)
+}
+
+func BenchmarkCompress2D(b *testing.B) {
+	benchmarkCodec(b, smooth2D(512, 512), []int{512, 512}, false)
+}
+
+func BenchmarkDecompress2D(b *testing.B) {
+	benchmarkCodec(b, smooth2D(512, 512), []int{512, 512}, true)
+}
+
+func BenchmarkCompress3D(b *testing.B) {
+	benchmarkCodec(b, sinBox(), []int{32, 32, 32}, false)
+}
+
+func BenchmarkDecompress3D(b *testing.B) {
+	benchmarkCodec(b, sinBox(), []int{32, 32, 32}, true)
 }

@@ -90,9 +90,23 @@ func TestServerStreamAllocs(t *testing.T) {
 // one full compress + decompress exchange through the handler with the real
 // sz codec and warm caches (105 when pinned, on the golden ratio table's
 // sedov density field). Machine speed does not move it; losing the scratch
-// pool or the zero-copy views shows up as a jump of hundreds. The slack
-// (25 % + 8) absorbs GC emptying the pools mid-measure, nothing more.
+// pool or the zero-copy views shows up as a jump of hundreds.
 func TestServerExchangeAllocs(t *testing.T) {
+	checkExchangeAllocs(t, "sz", zmesh.LayoutZMesh, 105)
+}
+
+// TestServerExchangeAllocsZFP pins the same exchange under zfp with
+// ?layout=auto, which resolves to tac, so every zTAC box is one zfp call
+// (187 when pinned).
+func TestServerExchangeAllocsZFP(t *testing.T) {
+	checkExchangeAllocs(t, "zfp", zmesh.LayoutAuto, 187)
+}
+
+// checkExchangeAllocs measures one compress + decompress exchange of the
+// sedov density field with the given codec and layout against its pinned
+// count. The slack (25 % + 8) absorbs GC emptying the pools mid-measure,
+// nothing more.
+func checkExchangeAllocs(t *testing.T, codec string, layout zmesh.Layout, pinned float64) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
@@ -120,24 +134,29 @@ func TestServerExchangeAllocs(t *testing.T) {
 	structure := ck.Mesh.Structure()
 	post(wire.PathMeshes, structure)
 	id := MeshID(structure)
+	resolved := layout
+	if layout == zmesh.LayoutAuto {
+		resolved = zmesh.ResolveAuto(ck.Mesh.Dims(), codec)
+	}
 	pipeline := url.Values{
 		wire.ParamField:  {"dens"},
-		wire.ParamLayout: {zmesh.LayoutZMesh.String()},
+		wire.ParamLayout: {resolved.String()},
 		wire.ParamCurve:  {"hilbert"},
 	}
 	decompressPath := wire.DecompressPath(id) + "?" + pipeline.Encode()
-	pipeline.Set(wire.ParamCodec, "sz")
+	pipeline.Set(wire.ParamLayout, layout.String())
+	pipeline.Set(wire.ParamCodec, codec)
 	pipeline.Set(wire.ParamBound, wire.FormatBound(zmesh.RelBound(1e-4)))
 	compressPath := wire.CompressPath(id) + "?" + pipeline.Encode()
 	body := wire.AppendFloats(nil, zmesh.FieldValues(dens))
 
-	const budget = 105*1.25 + 8
+	budget := pinned*1.25 + 8
 	allocs := testing.AllocsPerRun(30, func() {
 		post(decompressPath, post(compressPath, body).Body.Bytes())
 	})
-	t.Logf("compress + decompress exchange: %v allocs/op", allocs)
+	t.Logf("%s/%s compress + decompress exchange: %v allocs/op", codec, resolved, allocs)
 	if allocs > budget {
-		t.Fatalf("compress + decompress exchange allocates %v per op, budget %v", allocs, budget)
+		t.Fatalf("%s/%s compress + decompress exchange allocates %v per op, budget %v", codec, resolved, allocs, budget)
 	}
 }
 
