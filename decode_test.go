@@ -6,11 +6,13 @@ package zmesh
 // worker pools.
 
 import (
+	"encoding/hex"
 	"errors"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/compress/container"
 )
 
@@ -240,5 +242,36 @@ func TestCompressFieldsFailsFastOnUnknownCodec(t *testing.T) {
 	_, err = enc.CompressFields([]*Field{dens, dens, dens}, RelBound(1e-3), 2)
 	if err == nil {
 		t.Fatal("unknown codec accepted")
+	}
+}
+
+// A zmesh/hilbert "mgl" artifact of a one-block 2-D mesh (sin(9x)·cos(5y),
+// rel 1e-3), as written before the multilevel field codec was retired: the
+// mesh structure and the enveloped payload, hex.
+const (
+	retiredMGLStructure = "c8a6b5d20702080101010000"
+	retiredMGLPayload   = "7a4d633102036d676c40af01fadc449b00b1989dea0402014080800489d7a7a088e5ac9a3f00970100000100c0000068786301378170c0570097042c841868040af141171710124ea0d94113c44118134e070a411211d461841724514117191b1b4c793004db8147d0861f188415421a78c485191d4ea052a10651201c4238c1133c816da0186044b881000000000ea9dc130c5f43e535b9ee722095c8a3a2a6d954ce260a5e7e06bd67d11b90f6b1045f3380a622c73388371b743f9def01"
+)
+
+// "mgl" is no codec any more: an encoder for it and a decoder handed one of
+// its old artifacts both get the registry's unknown-codec error, the one the
+// server answers 400 for.
+func TestRetiredCodecIsUnknown(t *testing.T) {
+	ck := checkpoint(t)
+	if _, err := NewEncoder(ck.Mesh, Options{Codec: "mgl"}); !errors.Is(err, compress.ErrUnknownCodec) {
+		t.Fatalf("NewEncoder(mgl): %v, want ErrUnknownCodec", err)
+	}
+	structure, _ := hex.DecodeString(retiredMGLStructure)
+	payload, _ := hex.DecodeString(retiredMGLPayload)
+	dec, err := NewDecoderFromStructure(structure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Compressed{FieldName: "dens", Layout: LayoutZMesh, Curve: "hilbert", Codec: "mgl", NumValues: 64, Payload: payload}
+	if _, err := container.Unwrap(c.Payload); err != nil {
+		t.Fatalf("the artifact's envelope is intact: %v", err)
+	}
+	if _, err := dec.DecompressField(c); !errors.Is(err, compress.ErrUnknownCodec) {
+		t.Fatalf("DecompressField(mgl artifact): %v, want ErrUnknownCodec", err)
 	}
 }

@@ -45,36 +45,35 @@ func TestEntropyStageFixedCost(t *testing.T) {
 		data[i] = math.Sin(float64(i)/5) + 0.01*math.Cos(float64(3*i))
 	}
 	bound := compress.RelBound(1e-4)
-	mgl := multilevel.New()
-	for _, codec := range []compress.Compressor{sz.New(), mgl} {
-		for _, dims := range [][]int{{64}, {8, 8}, {4, 4, 4}} {
-			payload, err := codec.Compress(data, dims, bound)
-			if err != nil {
-				t.Fatal(err)
-			}
-			calls := map[string]func(){
-				"Compress":   func() { codec.Compress(data, dims, bound) },
-				"Decompress": func() { codec.Decompress(payload) },
-			}
-			for name, f := range calls {
-				if b, a := perCall(t, 51, f); b > 64<<10 || a > 32 {
-					t.Errorf("%s.%s of 64 values, dims %v: %d bytes in %d allocations per call, want <= 64 KiB in <= 32",
-						codec.Name(), name, dims, b, a)
-				}
+	codec := sz.New()
+	for _, dims := range [][]int{{64}, {8, 8}, {4, 4, 4}} {
+		payload, err := codec.Compress(data, dims, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := map[string]func(){
+			"Compress":   func() { codec.Compress(data, dims, bound) },
+			"Decompress": func() { codec.Decompress(payload) },
+		}
+		for name, f := range calls {
+			if b, a := perCall(t, 51, f); b > 64<<10 || a > 32 {
+				t.Errorf("sz.%s of 64 values, dims %v: %d bytes in %d allocations per call, want <= 64 KiB in <= 32",
+					name, dims, b, a)
 			}
 		}
 	}
-	tiers, err := mgl.CompressProgressive(data, []int{64}, compress.Rel, []float64{1e-1, 1e-2, 1e-3})
+	ml := multilevel.New()
+	tiers, err := ml.CompressProgressive(data, []int{64}, compress.Rel, []float64{1e-1, 1e-2, 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b, _ := perCall(t, 51, func() {
-		mgl.CompressProgressive(data, []int{64}, compress.Rel, []float64{1e-1, 1e-2, 1e-3})
+		ml.CompressProgressive(data, []int{64}, compress.Rel, []float64{1e-1, 1e-2, 1e-3})
 	}); b > 64<<10 {
-		t.Errorf("mgl.CompressProgressive of 64 values, 3 tiers: %d bytes per call, want <= 64 KiB", b)
+		t.Errorf("multilevel.CompressProgressive of 64 values, 3 tiers: %d bytes per call, want <= 64 KiB", b)
 	}
-	if b, _ := perCall(t, 51, func() { mgl.DecompressProgressive(tiers) }); b > 64<<10 {
-		t.Errorf("mgl.DecompressProgressive of 64 values, 3 tiers: %d bytes per call, want <= 64 KiB", b)
+	if b, _ := perCall(t, 51, func() { ml.DecompressProgressive(tiers) }); b > 64<<10 {
+		t.Errorf("multilevel.DecompressProgressive of 64 values, 3 tiers: %d bytes per call, want <= 64 KiB", b)
 	}
 }
 
@@ -100,7 +99,7 @@ func TestTACCompressAllocatesInProportion(t *testing.T) {
 }
 
 // What a codec call finds in the pools must not show in its output: inputs
-// of different sizes, dims and smoothness rotate through sz and mgl from 16
+// of different sizes, dims and smoothness rotate through sz from 16
 // goroutines, and every payload and reconstruction must equal the one the
 // same input produced on a single goroutine first.
 func TestEntropyStagePoolRotation(t *testing.T) {
@@ -122,38 +121,37 @@ func TestEntropyStagePoolRotation(t *testing.T) {
 		inputs = append(inputs, input{data, dims})
 	}
 	bound := compress.RelBound(1e-4)
-	for _, codec := range []compress.Compressor{sz.New(), multilevel.New()} {
-		want := make([][]byte, len(inputs))
-		recon := make([][]float64, len(inputs))
-		for i, in := range inputs {
-			var err error
-			if want[i], err = codec.Compress(in.data, in.dims, bound); err != nil {
-				t.Fatal(err)
-			}
-			if recon[i], err = codec.Decompress(want[i]); err != nil {
-				t.Fatal(err)
-			}
+	codec := sz.New()
+	want := make([][]byte, len(inputs))
+	recon := make([][]float64, len(inputs))
+	for i, in := range inputs {
+		var err error
+		if want[i], err = codec.Compress(in.data, in.dims, bound); err != nil {
+			t.Fatal(err)
 		}
-		var wg sync.WaitGroup
-		for g := 0; g < 16; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for r := 0; r < 12; r++ {
-					i := (g + 5*r) % len(inputs)
-					got, err := codec.Compress(inputs[i].data, inputs[i].dims, bound)
-					if err != nil || !bytes.Equal(got, want[i]) {
-						t.Errorf("%s: input %d, goroutine %d: payload depends on pool history (err %v)", codec.Name(), i, g, err)
-						return
-					}
-					back, err := codec.Decompress(got)
-					if err != nil || !slices.Equal(back, recon[i]) {
-						t.Errorf("%s: input %d, goroutine %d: reconstruction depends on pool history (err %v)", codec.Name(), i, g, err)
-						return
-					}
-				}
-			}(g)
+		if recon[i], err = codec.Decompress(want[i]); err != nil {
+			t.Fatal(err)
 		}
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 12; r++ {
+				i := (g + 5*r) % len(inputs)
+				got, err := codec.Compress(inputs[i].data, inputs[i].dims, bound)
+				if err != nil || !bytes.Equal(got, want[i]) {
+					t.Errorf("input %d, goroutine %d: payload depends on pool history (err %v)", i, g, err)
+					return
+				}
+				back, err := codec.Decompress(got)
+				if err != nil || !slices.Equal(back, recon[i]) {
+					t.Errorf("input %d, goroutine %d: reconstruction depends on pool history (err %v)", i, g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

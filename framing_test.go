@@ -40,8 +40,8 @@ func resealed(b []byte) []byte {
 	return binary.LittleEndian.AppendUint32(b[:len(b)-4:len(b)-4], frame.Checksum(body))
 }
 
-// rawBody is a sealed sz / mgl payload in the raw (marker 0) form, so its
-// header can be edited in the clear.
+// rawBody is a sealed sz payload or multilevel tier in the raw (marker 0)
+// form, so its header can be edited in the clear.
 func rawBody(t *testing.T, payload []byte) []byte {
 	t.Helper()
 	work := entropy.Get(0)
@@ -85,7 +85,14 @@ func TestEveryGrammarRejectsPrefixesAndPadding(t *testing.T) {
 
 	szBuf, szDec := codec(sz.New())
 	zfpBuf, zfpDec := codec(zfp.New())
-	mglBuf, mglDec := codec(multilevel.New())
+	tiers, err := multilevel.New().CompressProgressive(vals, dims, compress.Abs, []float64{1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tierDec := func(b []byte) error {
+		_, err := multilevel.New().DecompressProgressive([]multilevel.Tier{{Bound: 1e-3, Payload: b}})
+		return err
+	}
 	gzBuf, gzDec := codec(lossless.New())
 	chkBuf, chkDec := codec(&chunked.Compressor{Base: sz.New(), ChunkSize: 100})
 
@@ -123,7 +130,7 @@ func TestEveryGrammarRejectsPrefixesAndPadding(t *testing.T) {
 	}{
 		{"sz", szBuf, padVarint(rawBody(t, szBuf), 1), szDec, is(sz.ErrCorrupt)},
 		{"zfp", zfpBuf, padVarint(zfpBuf, 0), zfpDec, is(zfp.ErrCorrupt)},
-		{"mgl", mglBuf, padVarint(rawBody(t, mglBuf), 1), mglDec, is(multilevel.ErrCorrupt)},
+		{"mgl", tiers[0].Payload, padVarint(rawBody(t, tiers[0].Payload), 1), tierDec, is(multilevel.ErrCorrupt)}, // the MGLT tier
 		{"lossless", gzBuf, padVarint(gzBuf, 0), gzDec, is(lossless.ErrCorrupt)},
 		{"chunked", chkBuf, padVarint(chkBuf, 0), chkDec, is(chunked.ErrCorrupt)},
 		{"structure", structure, padVarint(structure, 0),

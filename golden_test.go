@@ -29,7 +29,7 @@ var updateGolden = flag.Bool("update", false, "regenerate golden fixtures under 
 const goldenDir = "testdata/golden"
 
 // goldenCodecs is every registered codec; each gets its own fixture.
-var goldenCodecs = []string{"sz", "zfp", "gzip", "mgl"}
+var goldenCodecs = []string{"sz", "zfp", "gzip"}
 
 // goldenFixture is one committed artifact. []byte fields marshal as base64.
 type goldenFixture struct {

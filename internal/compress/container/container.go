@@ -19,8 +19,8 @@
 //	...        payload (exactly P bytes; the envelope must end here)
 //
 // The magic's first byte (0x7a, 'z') is disjoint from every codec framing
-// in this repo: the SZ and multilevel codecs start with a 0x00/0x01
-// lossless-stage marker, and the ZFP, lossless and chunked framings start
+// in this repo: the SZ codec starts with a 0x00/0x01 lossless-stage
+// marker, and the ZFP, lossless and chunked framings start
 // with the uvarint encoding of a 32-bit magic whose first byte has the
 // continuation bit set (>= 0x80). A codec payload handed over without its
 // envelope is therefore refused at the magic (ErrCorrupt), never parsed as

@@ -37,7 +37,7 @@ func TestIsContainer(t *testing.T) {
 	if !IsContainer(buf) {
 		t.Fatal("wrapped payload not detected")
 	}
-	// Codec framings: sz/mgl marker bytes and the uvarint-magic codecs.
+	// Codec framings: sz marker bytes and the uvarint-magic codecs.
 	for _, bare := range [][]byte{{0x00, 1, 2}, {0x01, 1, 2}, {0xb1, 0xa0, 0x91}, nil, {'z'}, {'z', 'M', 'c'}} {
 		if IsContainer(bare) {
 			t.Fatalf("false positive on % x", bare)

@@ -1,5 +1,5 @@
-// Package entropy is the lossless tail shared by the quantizing codecs (sz,
-// mgl and mgl's progressive tiers): quantization codes go through the
+// Package entropy is the lossless tail shared by the quantizing codecs (sz
+// and the multilevel progressive tiers): quantization codes go through the
 // run-folding canonical Huffman coder, the codec's header, the coded stream
 // and the escaped values form a body, and the body goes through DEFLATE
 // where that shrinks it. A marker byte says which: 0 raw, 1 DEFLATE.

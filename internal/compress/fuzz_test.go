@@ -12,13 +12,12 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/compress/lossless"
-	"repro/internal/compress/multilevel"
 	"repro/internal/compress/sz"
 	"repro/internal/compress/zfp"
 )
 
 func codecs() []compress.Compressor {
-	return []compress.Compressor{sz.New(), zfp.New(), lossless.New(), multilevel.New()}
+	return []compress.Compressor{sz.New(), zfp.New(), lossless.New()}
 }
 
 func signal(n int) []float64 {

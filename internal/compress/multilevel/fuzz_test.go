@@ -7,31 +7,6 @@ import (
 	"repro/internal/compress"
 )
 
-// FuzzDecompress feeds arbitrary bytes to the multilevel decoder, seeded
-// with valid round-trip payloads. The decoder must never panic and must
-// never report more values than the payload could plausibly encode.
-func FuzzDecompress(f *testing.F) {
-	c := New()
-	data := make([]float64, 500)
-	for i := range data {
-		data[i] = math.Exp(-float64(i)/200) * math.Sin(float64(i)/11)
-	}
-	for _, dims := range [][]int{{500}, {20, 25}, {5, 10, 10}} {
-		if buf, err := c.Compress(data, dims, compress.AbsBound(1e-3)); err == nil {
-			f.Add(buf)
-		}
-	}
-	f.Add([]byte{})
-	f.Add([]byte{0})
-
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		out, err := c.Decompress(buf)
-		if err == nil && len(buf) > 0 && len(out) > compress.MaxExpansion*len(buf) {
-			t.Fatalf("decoded %d values from %d bytes", len(out), len(buf))
-		}
-	})
-}
-
 // FuzzDecompressProgressive drives the tier decode path, whose geometry
 // walk (recompose) indexes by the header dims and must therefore reject any
 // code stream whose length disagrees with them.

@@ -1,16 +1,20 @@
-// Package multilevel implements an MGARD-inspired error-bounded compressor
-// (Ainsworth, Tugluk, Whitney, Klasky — "Multilevel techniques for
-// compression and reduction of scientific data"): the input is decomposed
-// into a hierarchical (interpolation) basis — at each level, nodes at odd
-// multiples of the stride are replaced by their deviation from the linear
-// interpolant of their even neighbours, dimension by dimension — the
-// multilevel coefficients are uniformly quantized with a budget that splits
-// the error bound across levels, and the quantization codes are entropy
-// coded like SZ's (canonical Huffman + DEFLATE).
+// Package multilevel is the progressive tier cascade behind tiered reads
+// (Wan et al., "Error-controlled, progressive, and adaptable retrieval of
+// scientific data with multilevel decomposition"): a 1-D stream is encoded
+// once into a sequence of tiers with decreasing error bounds. A reader
+// fetches tiers incrementally — after any prefix of k tiers the
+// reconstruction satisfies the k-th bound, so analyses requesting coarse
+// accuracy move a fraction of the bytes.
 //
-// This is the hierarchical-basis core of MGARD without the L²-projection
-// correction; it preserves MGARD's defining behaviour — coefficients decay
-// with level for smooth data, so coarse levels carry almost all the signal.
+// The coefficients are the hierarchical (interpolation) basis of MGARD
+// (Ainsworth, Tugluk, Whitney, Klasky — "Multilevel techniques for
+// compression and reduction of scientific data") without its L²-projection
+// correction: at each level, nodes at odd multiples of the stride are
+// replaced by their deviation from the linear interpolant of their even
+// neighbours. For smooth data the coefficients decay with level, so coarse
+// tiers carry almost all the signal. Tier k stores the quantized residual
+// between the true coefficients and those reconstructed from tiers 0..k-1,
+// entropy coded like SZ's codes (canonical Huffman + DEFLATE).
 package multilevel
 
 import (
@@ -25,254 +29,170 @@ import (
 )
 
 const (
-	magic   = 0x4d474c31 // "MGL1"
-	version = 2
+	tierMagic = 0x4d474c54 // "MGLT"
+	version   = 2
+	// intervals is the quantization capacity (Huffman alphabet size).
+	intervals = 65536
 )
 
-// DefaultIntervals is the quantization capacity (Huffman alphabet size).
-const DefaultIntervals = 65536
+// ErrCorrupt is returned for malformed tier payloads.
+var ErrCorrupt = errors.New("multilevel: corrupt tier")
 
-// Compressor is the multilevel codec.
-type Compressor struct {
-	// Intervals is the quantization capacity; even, >= 4.
-	Intervals int
+// Tier is one increment of a progressive encoding.
+type Tier struct {
+	// Bound is the absolute error bound guaranteed after decoding this and
+	// all previous tiers.
+	Bound float64
+	// Payload is the tier's encoded residual stream.
+	Payload []byte
 }
 
-// New returns a multilevel codec with default settings.
-func New() *Compressor { return &Compressor{Intervals: DefaultIntervals} }
+// Compressor encodes and decodes tier cascades.
+type Compressor struct{}
 
-func init() {
-	compress.Register("mgl", func() compress.Compressor { return New() })
-}
+// New returns the tier codec.
+func New() *Compressor { return &Compressor{} }
 
-// Name implements compress.Compressor.
-func (c *Compressor) Name() string { return "mgl" }
-
-// numLevels reports the decomposition depth for extent n: strides
-// 1, 2, 4, ... while 2*stride < n gives level count.
-func numLevels(dims []int) int {
-	max := 0
-	for _, d := range dims {
-		l := 0
-		for s := 1; 2*s < d; s *= 2 {
-			l++
-		}
-		if l > max {
-			max = l
+// decompose applies the hierarchical transform in place, finest level
+// first: at stride s = 1, 2, 4, ... while 2s < n, every node at an odd
+// multiple of s becomes its deviation from predict.
+func decompose(data []float64) {
+	for s := 1; 2*s < len(data); s *= 2 {
+		for i := s; i < len(data); i += 2 * s {
+			data[i] -= predict(data, s, i)
 		}
 	}
-	return max
 }
 
-// forwardAxis applies one level of the hierarchical decomposition along an
-// axis: for every line, nodes at odd multiples of stride become details
-// (value minus linear interpolant of even neighbours). lineLen is the
-// extent along the axis, lineStride the memory stride between consecutive
-// axis elements.
-func forwardLine(data []float64, base, lineLen, lineStride, s int) {
-	for i := s; i < lineLen; i += 2 * s {
-		data[base+i*lineStride] -= linePred(data, base, lineLen, lineStride, s, i)
+// recompose inverts decompose, coarsest level first.
+func recompose(data []float64) {
+	top := 0
+	for s := 1; 2*s < len(data); s *= 2 {
+		top = s
+	}
+	for s := top; s >= 1; s /= 2 {
+		for i := s; i < len(data); i += 2 * s {
+			data[i] += predict(data, s, i)
+		}
 	}
 }
 
-// inverseLine inverts forwardLine.
-func inverseLine(data []float64, base, lineLen, lineStride, s int) {
-	for i := s; i < lineLen; i += 2 * s {
-		data[base+i*lineStride] += linePred(data, base, lineLen, lineStride, s, i)
-	}
-}
-
-// linePred predicts the odd node at i from the kept (even-multiple) nodes:
+// predict predicts the odd node at i from the kept (even-multiple) nodes:
 // the linear interpolant of its neighbours in the interior and the left
 // neighbour alone at the right boundary. The boundary deliberately stays
 // zeroth-order: its prediction weights sum to 1 in magnitude, which keeps
-// the level-wise error amplification linear (errorAmplification); a linear
+// the level-wise error amplification linear (amplification); a linear
 // extrapolation (weights 2, −1) would compound neighbour errors by 3 per
 // level and break the worst-case bound. Predictions read only kept nodes,
-// so forward and inverse apply them identically.
-func linePred(data []float64, base, lineLen, lineStride, s, i int) float64 {
-	left := data[base+(i-s)*lineStride]
-	if i+s < lineLen {
-		return 0.5 * (left + data[base+(i+s)*lineStride])
+// so decompose and recompose apply them identically.
+func predict(data []float64, s, i int) float64 {
+	if i+s < len(data) {
+		return 0.5 * (data[i-s] + data[i+s])
 	}
-	return left
+	return data[i-s]
 }
 
-// axisGeometry enumerates the lines of an N-D array along one axis.
-type axisGeometry struct {
-	lineLen    int
-	lineStride int
-	lines      []int // base offsets
+// amplification bounds how much per-coefficient quantization error can
+// grow through recompose: each inverse level adds at most the mean of two
+// already-erroneous neighbours on top of the coefficient's own error, so
+// the worst case is one more than the level count.
+func amplification(n int) float64 {
+	amp := 1
+	for s := 1; 2*s < n; s *= 2 {
+		amp++
+	}
+	return float64(amp)
 }
 
-// geometry computes the line decomposition of dims (slowest-first order,
-// as used throughout the compress packages) along axis a.
-func geometry(dims []int, a int) axisGeometry {
-	// Strides, slowest-first: stride[last] = 1.
-	nd := len(dims)
-	strides := make([]int, nd)
-	strides[nd-1] = 1
-	for i := nd - 2; i >= 0; i-- {
-		strides[i] = strides[i+1] * dims[i+1]
-	}
-	g := axisGeometry{lineLen: dims[a], lineStride: strides[a]}
-	// Enumerate all index combinations of the other axes.
-	total := 1
-	for i, d := range dims {
-		if i != a {
-			total *= d
-		}
-	}
-	g.lines = make([]int, 0, total)
-	idx := make([]int, nd)
-	for {
-		base := 0
-		for i := range idx {
-			base += idx[i] * strides[i]
-		}
-		g.lines = append(g.lines, base)
-		// Increment the multi-index, skipping axis a.
-		i := nd - 1
-		for ; i >= 0; i-- {
-			if i == a {
-				continue
-			}
-			idx[i]++
-			if idx[i] < dims[i] {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
-			break
-		}
-	}
-	return g
-}
-
-// decompose applies the full multilevel transform in place and returns the
-// level of each element (0 = finest detail, L = coarsest nodes), used for
-// diagnostics and level-wise statistics.
-func decompose(data []float64, dims []int) {
-	levels := numLevels(dims)
-	for l, s := 0, 1; l < levels; l, s = l+1, s*2 {
-		for a := 0; a < len(dims); a++ {
-			if 2*s >= dims[a] && s >= dims[a] {
-				continue
-			}
-			g := geometry(dims, a)
-			for _, base := range g.lines {
-				forwardLine(data, base, g.lineLen, g.lineStride, s)
-			}
-		}
-	}
-}
-
-// recompose inverts decompose.
-func recompose(data []float64, dims []int) {
-	levels := numLevels(dims)
-	// Levels in reverse, axes in reverse.
-	s := 1
-	for l := 0; l < levels-1; l++ {
-		s *= 2
-	}
-	for l := levels - 1; l >= 0; l, s = l-1, s/2 {
-		for a := len(dims) - 1; a >= 0; a-- {
-			if 2*s >= dims[a] && s >= dims[a] {
-				continue
-			}
-			g := geometry(dims, a)
-			for _, base := range g.lines {
-				inverseLine(data, base, g.lineLen, g.lineStride, s)
-			}
-		}
-	}
-}
-
-// errorAmplification bounds how much per-coefficient quantization error can
-// amplify through recomposition: each inverse level adds at most the mean
-// of two already-erroneous neighbours on top of the coefficient's own
-// error, so the worst case grows linearly with level count per dimension.
-func errorAmplification(dims []int) float64 {
-	amp := float64(numLevels(dims)*len(dims) + 1)
-	return amp
-}
-
-// Compress implements compress.Compressor.
-func (c *Compressor) Compress(data []float64, dims []int, bound compress.Bound) ([]byte, error) {
+// CompressProgressive encodes data into one tier per bound. dims must be
+// 1-D: tiers code the level-order stream of a field. Bounds must be
+// strictly decreasing and positive; they are interpreted per the given
+// bound mode against the whole dataset (Rel resolves against the range).
+func (c *Compressor) CompressProgressive(data []float64, dims []int, mode compress.BoundMode, bounds []float64) ([]Tier, error) {
 	if err := compress.Validate(data, dims); err != nil {
 		return nil, err
 	}
-	if c.Intervals < 4 || c.Intervals%2 != 0 {
-		return nil, fmt.Errorf("mgl: intervals must be even and >= 4, got %d", c.Intervals)
+	if len(dims) != 1 {
+		return nil, fmt.Errorf("multilevel: tiers code a 1-D stream, got dims %v", dims)
 	}
-	eb := bound.Absolute(data)
-	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
-		return nil, fmt.Errorf("mgl: invalid error bound %v", eb)
+	if len(bounds) == 0 {
+		return nil, fmt.Errorf("multilevel: no tier bounds given")
 	}
+	abs := make([]float64, len(bounds))
+	for i, b := range bounds {
+		a := compress.Bound{Mode: mode, Value: b}.Absolute(data)
+		if a <= 0 || math.IsNaN(a) || math.IsInf(a, 0) {
+			return nil, fmt.Errorf("multilevel: invalid tier bound %v", b)
+		}
+		if i > 0 && a >= abs[i-1] {
+			return nil, fmt.Errorf("multilevel: tier bounds must decrease (%v >= %v)", a, abs[i-1])
+		}
+		abs[i] = a
+	}
+
 	buf := entropy.Get(len(data))
 	defer buf.Put()
-	work, codes := buf.Work, buf.Codes
-	copy(work, data)
-	decompose(work, dims)
+	coeffs, codes := buf.Work, buf.Codes
+	copy(coeffs, data)
+	decompose(coeffs)
+	amp := amplification(len(data))
+	reconC := make([]float64, len(coeffs))
+	const radius = intervals / 2
 
-	// Quantize coefficients with the amplification-adjusted budget.
-	q := eb / errorAmplification(dims)
-	twoQ := 2 * q
-	radius := c.Intervals / 2
-	for i, v := range work {
-		k := math.Floor(v/twoQ + 0.5)
-		if math.Abs(k) < float64(radius) && math.Abs(k*twoQ-v) <= q {
-			codes[i] = int(k) + radius
-			continue
+	tiers := make([]Tier, 0, len(abs))
+	for ti, bound := range abs {
+		q := bound / amp
+		twoQ := 2 * q
+		buf.Unpred = buf.Unpred[:0]
+		for i, v := range coeffs {
+			r := v - reconC[i]
+			k := math.Floor(r/twoQ + 0.5)
+			if math.Abs(k) < radius {
+				d := k * twoQ
+				if math.Abs(d-r) <= q {
+					codes[i] = int(k) + radius
+					reconC[i] += d
+					continue
+				}
+			}
+			codes[i] = 0
+			buf.Unpred = append(buf.Unpred, r)
+			reconC[i] = v
 		}
-		codes[i] = 0
-		buf.Unpred = append(buf.Unpred, v)
+		payload, err := buf.Seal(intervals, func(head []byte, codedLen int) []byte {
+			head = binary.AppendUvarint(head, tierMagic)
+			head = binary.AppendUvarint(head, version)
+			head = binary.AppendUvarint(head, uint64(ti))
+			head = binary.AppendUvarint(head, 1) // rank: the shape stays in the format
+			head = binary.AppendUvarint(head, uint64(len(data)))
+			head = binary.AppendUvarint(head, intervals)
+			head = binary.AppendUvarint(head, math.Float64bits(q))
+			head = binary.AppendUvarint(head, uint64(len(buf.Unpred)))
+			return binary.AppendUvarint(head, uint64(codedLen))
+		})
+		if err != nil {
+			return nil, fmt.Errorf("multilevel: tier %d: %w", ti, err)
+		}
+		tiers = append(tiers, Tier{Bound: bound, Payload: payload})
 	}
-	out, err := buf.Seal(c.Intervals, func(head []byte, codedLen int) []byte {
-		head = binary.AppendUvarint(head, magic)
-		head = binary.AppendUvarint(head, version)
-		head = appendDims(head, dims)
-		head = binary.AppendUvarint(head, uint64(c.Intervals))
-		head = binary.AppendUvarint(head, math.Float64bits(q))
-		head = binary.AppendUvarint(head, uint64(len(buf.Unpred)))
-		return binary.AppendUvarint(head, uint64(codedLen))
-	})
-	if err != nil {
-		return nil, fmt.Errorf("mgl: %w", err)
-	}
-	return out, nil
+	return tiers, nil
 }
 
-// appendDims appends the dimension count and extents as uvarints.
-func appendDims(head []byte, dims []int) []byte {
-	head = binary.AppendUvarint(head, uint64(len(dims)))
-	for _, d := range dims {
-		head = binary.AppendUvarint(head, uint64(d))
-	}
-	return head
-}
-
-// ErrCorrupt is returned for malformed payloads.
-var ErrCorrupt = errors.New("mgl: corrupt payload")
-
-// stream is one parsed MGL1 or MGLT payload: quantization codes (0 = escape)
-// still in the entropy.Buf that decoded them, and the escaped values.
-type stream struct {
-	tier      int // MGLT only
-	dims      []int
+// tierStream is one parsed tier: quantization codes (0 = escape) still in
+// the entropy.Buf that decoded them, and the escaped residuals.
+type tierStream struct {
+	index     int
 	radius    int
 	q         float64
 	codes     []int
 	rawUnpred []byte // float64-LE
 }
 
-// parseStream undoes the lossless and entropy stages of a payload with the
-// given magic (tierMagic payloads carry a tier index after the version) and
+// parseTier undoes the lossless and entropy stages of a tier payload and
 // validates every header field against the bytes that remain. The result
 // aliases work and buf.
-func parseStream(work *entropy.Buf, buf []byte, wantMagic uint64) (stream, error) {
-	var st stream
+func parseTier(work *entropy.Buf, buf []byte) (tierStream, error) {
+	var st tierStream
 	if len(buf) < 2 || buf[0] > 1 {
 		return st, ErrCorrupt
 	}
@@ -281,25 +201,26 @@ func parseStream(work *entropy.Buf, buf []byte, wantMagic uint64) (stream, error
 		return st, fmt.Errorf("%w: lossless stage: %w", ErrCorrupt, err)
 	}
 	r := frame.NewReader(body)
-	if r.Uvarint() != wantMagic || r.Bad() {
+	if r.Uvarint() != tierMagic || r.Bad() {
 		return st, ErrCorrupt
 	}
 	if ver := r.Uvarint(); ver != version || r.Bad() {
 		return st, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
-	if wantMagic == tierMagic {
-		st.tier = int(r.Uvarint())
-	}
-	var n int
-	if st.dims, n, err = compress.ReadShape(&r); err != nil {
+	st.index = int(r.Uvarint())
+	dims, n, err := compress.ReadShape(&r)
+	if err != nil {
 		return st, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	intervals := r.Uvarint()
-	st.radius = int(intervals / 2)
+	if len(dims) != 1 {
+		return st, fmt.Errorf("%w: shape %v is not 1-D", ErrCorrupt, dims)
+	}
+	alphabet := r.Uvarint()
+	st.radius = int(alphabet / 2)
 	st.q = math.Float64frombits(r.Uvarint())
 	nUnpred, codedLen := r.Uvarint(), r.Uvarint()
 	// No more values escape than there are values, so 8*nUnpred cannot wrap.
-	if r.Bad() || intervals < 4 || intervals%2 != 0 || intervals > 1<<30 ||
+	if r.Bad() || alphabet < 4 || alphabet%2 != 0 || alphabet > 1<<30 ||
 		st.q <= 0 || math.IsNaN(st.q) || math.IsInf(st.q, 0) || nUnpred > uint64(n) {
 		return st, ErrCorrupt
 	}
@@ -308,7 +229,7 @@ func parseStream(work *entropy.Buf, buf []byte, wantMagic uint64) (stream, error
 	if r.Bad() {
 		return st, ErrCorrupt
 	}
-	// recompose walks the full dims geometry, so the code count must match.
+	// recompose walks the header's extent, so the code count must match.
 	if err := work.Decode(coded, n); err != nil {
 		return st, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
@@ -317,9 +238,9 @@ func parseStream(work *entropy.Buf, buf []byte, wantMagic uint64) (stream, error
 }
 
 // accumulate adds the stream's dequantized coefficients into coeffs; an
-// escaped coefficient adds its stored value verbatim. Into zeroed coeffs
-// this is assignment, bit for bit: the encoder produces no −0 of either kind.
-func (st *stream) accumulate(coeffs []float64) error {
+// escaped coefficient adds its stored residual verbatim, which makes it
+// exact from this tier on.
+func (st *tierStream) accumulate(coeffs []float64) error {
 	raw, twoQ := st.rawUnpred, 2*st.q
 	for i, code := range st.codes {
 		if code != 0 {
@@ -338,18 +259,32 @@ func (st *stream) accumulate(coeffs []float64) error {
 	return nil
 }
 
-// Decompress implements compress.Compressor.
-func (c *Compressor) Decompress(buf []byte) ([]float64, error) {
+// DecompressProgressive reconstructs from any prefix of tiers; the result
+// satisfies the last provided tier's bound.
+func (c *Compressor) DecompressProgressive(tiers []Tier) ([]float64, error) {
+	if len(tiers) == 0 {
+		return nil, fmt.Errorf("multilevel: no tiers")
+	}
 	work := entropy.Get(0)
 	defer work.Put()
-	st, err := parseStream(work, buf, magic)
-	if err != nil {
-		return nil, err
+	var out []float64
+	for ti, tier := range tiers {
+		st, err := parseTier(work, tier.Payload)
+		if err != nil {
+			return nil, fmt.Errorf("multilevel: tier %d: %w", ti, err)
+		}
+		if st.index != ti {
+			return nil, fmt.Errorf("multilevel: tier %d out of order (stream says %d)", ti, st.index)
+		}
+		if out == nil {
+			out = make([]float64, len(st.codes))
+		} else if len(st.codes) != len(out) {
+			return nil, fmt.Errorf("multilevel: tier %d has %d values, tier 0 has %d", ti, len(st.codes), len(out))
+		}
+		if err := st.accumulate(out); err != nil {
+			return nil, err
+		}
 	}
-	out := make([]float64, len(st.codes))
-	if err := st.accumulate(out); err != nil {
-		return nil, err
-	}
-	recompose(out, st.dims)
+	recompose(out)
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package multilevel
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -20,25 +22,34 @@ func maxErr(a, b []float64) float64 {
 	return m
 }
 
+// oneTier encodes data as a single tier at bound b and decodes it back.
+func oneTier(t testing.TB, data []float64, b compress.Bound) (payload []byte, back []float64) {
+	t.Helper()
+	tiers, err := New().CompressProgressive(data, []int{len(data)}, b.Mode, []float64{b.Value})
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err = New().DecompressProgressive(tiers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tiers[0].Payload, back
+}
+
 func TestDecomposeRecomposeIdentity(t *testing.T) {
 	// Without quantization the transform must be exactly invertible.
 	rng := rand.New(rand.NewSource(5))
-	cases := [][]int{{1}, {2}, {3}, {17}, {64}, {65}, {8, 8}, {7, 9}, {16, 5}, {4, 6, 8}, {5, 5, 5}}
-	for _, dims := range cases {
-		n := 1
-		for _, d := range dims {
-			n *= d
-		}
+	for _, n := range []int{1, 2, 3, 17, 64, 65, 1001} {
 		data := make([]float64, n)
 		for i := range data {
 			data[i] = rng.NormFloat64()
 		}
 		work := append([]float64(nil), data...)
-		decompose(work, dims)
-		recompose(work, dims)
+		decompose(work)
+		recompose(work)
 		for i := range data {
 			if math.Abs(work[i]-data[i]) > 1e-12*(1+math.Abs(data[i])) {
-				t.Fatalf("dims %v: cell %d drifted %v -> %v", dims, i, data[i], work[i])
+				t.Fatalf("n %d: cell %d drifted %v -> %v", n, i, data[i], work[i])
 			}
 		}
 	}
@@ -53,7 +64,7 @@ func TestCoefficientsDecayForSmoothData(t *testing.T) {
 		data[i] = math.Sin(2 * math.Pi * float64(i) / float64(n))
 	}
 	work := append([]float64(nil), data...)
-	decompose(work, []int{n})
+	decompose(work)
 	// Odd indices hold the finest-level details. The last node uses the
 	// zeroth-order boundary predictor and carries a first-difference-sized
 	// detail by design, so exclude it.
@@ -69,133 +80,62 @@ func TestCoefficientsDecayForSmoothData(t *testing.T) {
 }
 
 func TestRoundTrip1D(t *testing.T) {
-	c := New()
 	n := 10000
 	data := make([]float64, n)
 	for i := range data {
 		data[i] = math.Sin(float64(i)/50) + 0.1*math.Cos(float64(i)/7)
 	}
 	for _, eb := range []float64{1e-2, 1e-4, 1e-6} {
-		buf, err := c.Compress(data, []int{n}, compress.AbsBound(eb))
-		if err != nil {
-			t.Fatal(err)
+		if _, got := oneTier(t, data, compress.AbsBound(eb)); maxErr(data, got) > eb {
+			t.Fatalf("eb=%g: max error %g", eb, maxErr(data, got))
 		}
-		got, err := c.Decompress(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e := maxErr(data, got); e > eb {
-			t.Fatalf("eb=%g: max error %g", eb, e)
-		}
-	}
-}
-
-func TestRoundTrip2D3D(t *testing.T) {
-	c := New()
-	ny, nx := 33, 47
-	data := make([]float64, ny*nx)
-	for j := 0; j < ny; j++ {
-		for i := 0; i < nx; i++ {
-			data[j*nx+i] = math.Exp(-float64((i-20)*(i-20)+(j-15)*(j-15)) / 100)
-		}
-	}
-	eb := 1e-4
-	buf, err := c.Compress(data, []int{ny, nx}, compress.AbsBound(eb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Decompress(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := maxErr(data, got); e > eb {
-		t.Fatalf("2-D max error %g", e)
-	}
-
-	nz := 9
-	d3 := make([]float64, nz*ny*nx)
-	for k := 0; k < nz; k++ {
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				d3[(k*ny+j)*nx+i] = float64(i) + 2*float64(j) - float64(k*k)/10
-			}
-		}
-	}
-	buf, err = c.Compress(d3, []int{nz, ny, nx}, compress.AbsBound(eb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = c.Decompress(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := maxErr(d3, got); e > eb {
-		t.Fatalf("3-D max error %g", e)
 	}
 }
 
 func TestSmoothBeatsGzipFloor(t *testing.T) {
-	c := New()
 	n := 65536
 	data := make([]float64, n)
 	for i := range data {
 		data[i] = math.Sin(float64(i) / 100)
 	}
-	buf, err := c.Compress(data, []int{n}, compress.RelBound(1e-4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf, _ := oneTier(t, data, compress.RelBound(1e-4))
 	if r := compress.Ratio(n, buf); r < 10 {
-		t.Fatalf("multilevel ratio %.2f on smooth data, want >= 10", r)
+		t.Fatalf("tier ratio %.2f on smooth data, want >= 10", r)
 	}
 }
 
 func TestRandomDataBounded(t *testing.T) {
-	c := New()
 	rng := rand.New(rand.NewSource(77))
 	data := make([]float64, 5000)
 	for i := range data {
 		data[i] = rng.NormFloat64() * 50
 	}
 	eb := 0.25
-	buf, err := c.Compress(data, []int{len(data)}, compress.AbsBound(eb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Decompress(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := maxErr(data, got); e > eb {
-		t.Fatalf("max error %g", e)
+	if _, got := oneTier(t, data, compress.AbsBound(eb)); maxErr(data, got) > eb {
+		t.Fatalf("max error %g", maxErr(data, got))
 	}
 }
 
 func TestInvalidInputs(t *testing.T) {
 	c := New()
-	if _, err := c.Compress([]float64{1, 2}, []int{3}, compress.AbsBound(1e-3)); err == nil {
+	if _, err := c.CompressProgressive([]float64{1, 2}, []int{3}, compress.Abs, []float64{1e-3}); err == nil {
 		t.Fatal("dims mismatch accepted")
 	}
-	if _, err := c.Compress([]float64{1}, []int{1}, compress.AbsBound(0)); err == nil {
+	if _, err := c.CompressProgressive([]float64{1}, []int{1}, compress.Abs, []float64{0}); err == nil {
 		t.Fatal("zero bound accepted")
 	}
-	bad := &Compressor{Intervals: 5}
-	if _, err := bad.Compress([]float64{1}, []int{1}, compress.AbsBound(1)); err == nil {
-		t.Fatal("odd intervals accepted")
+	if _, err := c.CompressProgressive([]float64{1, math.NaN()}, []int{2}, compress.Abs, []float64{1}); err == nil {
+		t.Fatal("NaN accepted")
 	}
 }
 
 func TestCorrupt(t *testing.T) {
 	c := New()
-	if _, err := c.Decompress(nil); err == nil {
-		t.Fatal("nil accepted")
+	if _, err := c.DecompressProgressive([]Tier{{Bound: 1}}); err == nil {
+		t.Fatal("empty payload accepted")
 	}
-	data := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	buf, err := c.Compress(data, []int{8}, compress.AbsBound(1e-3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Decompress(buf[:len(buf)/2]); err == nil {
+	buf, _ := oneTier(t, []float64{1, 2, 3, 4, 5, 6, 7, 8}, compress.AbsBound(1e-3))
+	if _, err := c.DecompressProgressive([]Tier{{Bound: 1e-3, Payload: buf[:len(buf)/2]}}); err == nil {
 		t.Fatal("truncated accepted")
 	}
 }
@@ -204,101 +144,129 @@ func TestCorrupt(t *testing.T) {
 func TestVersion1Rejected(t *testing.T) {
 	c := New()
 	data := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	buf, err := c.Compress(data, []int{8}, compress.AbsBound(1e-3))
-	if err != nil {
-		t.Fatal(err)
-	}
 	tiers, err := c.CompressProgressive(data, []int{8}, compress.Abs, []float64{1e-1, 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const versionAt = 1 + 5 // marker, then the magic as a 5-byte uvarint
-	for _, p := range [][]byte{buf, tiers[0].Payload} {
-		if p[0] != 0 || p[versionAt] != version {
-			t.Fatalf("payload starts % x: expected a raw body with the version at byte %d", p[:versionAt+1], versionAt)
-		}
-		p[versionAt] = 1
+	p := tiers[0].Payload
+	if p[0] != 0 || p[versionAt] != version {
+		t.Fatalf("payload starts % x: expected a raw body with the version at byte %d", p[:versionAt+1], versionAt)
 	}
-	if _, err := c.Decompress(buf); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("version 1 payload: %v, want unsupported version", err)
-	}
+	p[versionAt] = 1
 	if _, err := c.DecompressProgressive(tiers); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
 		t.Fatalf("version 1 tier: %v, want unsupported version", err)
 	}
 }
 
-func TestRegistered(t *testing.T) {
-	c, err := compress.Get("mgl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Name() != "mgl" {
-		t.Fatalf("name %q", c.Name())
-	}
-}
-
-// property: the error bound holds across random walks, shapes, and bounds.
+// property: every tier prefix holds its bound across random walks, lengths
+// and bounds.
 func TestBoundQuick(t *testing.T) {
 	c := New()
-	f := func(seed int64, size uint16, ebExp uint8, shape uint8) bool {
+	f := func(seed int64, size uint16, ebExp uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := int(size%2000) + 1
-		var dims []int
-		switch shape % 3 {
-		case 0:
-			dims = []int{n}
-		case 1:
-			ny := int(math.Sqrt(float64(n)))
-			if ny < 1 {
-				ny = 1
-			}
-			nx := (n + ny - 1) / ny
-			n = ny * nx
-			dims = []int{ny, nx}
-		default:
-			nz := 3
-			ny := 5
-			nx := (n + nz*ny - 1) / (nz * ny)
-			if nx < 1 {
-				nx = 1
-			}
-			n = nz * ny * nx
-			dims = []int{nz, ny, nx}
-		}
-		data := make([]float64, n)
+		data := make([]float64, int(size%2000)+1)
 		v := 0.0
 		for i := range data {
 			v += rng.NormFloat64()
 			data[i] = v
 		}
-		eb := math.Pow(10, -float64(ebExp%7)-1)
-		buf, err := c.Compress(data, dims, compress.AbsBound(eb))
+		eb := math.Pow(10, -float64(ebExp%6)-1)
+		bounds := []float64{10 * eb, eb}
+		tiers, err := c.CompressProgressive(data, []int{len(data)}, compress.Abs, bounds)
 		if err != nil {
 			return false
 		}
-		got, err := c.Decompress(buf)
-		if err != nil || len(got) != n {
-			return false
+		for k := 1; k <= len(tiers); k++ {
+			got, err := c.DecompressProgressive(tiers[:k])
+			if err != nil || len(got) != len(data) || maxErr(data, got) > bounds[k-1] {
+				return false
+			}
 		}
-		return maxErr(data, got) <= eb
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func BenchmarkCompress1D(b *testing.B) {
+// tierDigestInputs are the streams TestTierDigests pins: a single value, a
+// smooth wave of odd length (so the last node takes the boundary
+// predictor), a plateau then a step, and a constant (whose Rel bound falls
+// back to the bound value).
+func tierDigestInputs() map[string][]float64 {
+	wave := make([]float64, 1001)
+	for i := range wave {
+		wave[i] = math.Sin(float64(i)/37) + 0.25*math.Cos(float64(i)/5)
+	}
+	step := make([]float64, 600)
+	for i := range step {
+		step[i] = 2.5
+		if i >= 400 {
+			step[i] = -1
+		}
+	}
+	constant := make([]float64, 257)
+	for i := range constant {
+		constant[i] = 7
+	}
+	return map[string][]float64{"one": {3.25}, "wave": wave, "step": step, "constant": constant}
+}
+
+// tierDigests are the SHA-256 sums of every tier payload of
+// tierDigestInputs at Rel 1e-2, 1e-4, 1e-6. They were computed by the
+// encoder that walked N-D line geometry, before the 1-D rewrite.
+var tierDigests = map[string]string{
+	"one/0":      "4ced4adcac1812efcd34290fe2dedc9a7cf6799cf9f839e5be96d3f6dc19dacc",
+	"one/1":      "79c36bcd6ab651509a7905daed0fcd48953b758cbe5a021068d410e24d8cb9b9",
+	"one/2":      "3f1cbbb1b836a656adc9929233cced3385622c882ed55912b67b0a0106caeaa3",
+	"wave/0":     "4b1e4153ad3d44398646f86d93c595e236e23c398e69d42f7dc2bd9e5f4a315b",
+	"wave/1":     "b42104771ec1b20e84ca243671bdb5c310c2d7de36b28d3e0590ef2400c4e643",
+	"wave/2":     "bcbb43b74dbbc1658f6e13bb8b0fde07044da44eaeed8c2e229e800b2944a6c0",
+	"step/0":     "0ce9b9e9f6428032e4cebaa123343c6bd6f3879850a5de0a19bbe8c9551f5d2a",
+	"step/1":     "bd687284945b332e289e32895f834ec917a8bcf900fe2206645093522a48e22f",
+	"step/2":     "62cf6971ff107788adb154de73c63f5809e34198f346d4f411a5b252e9308d05",
+	"constant/0": "0aba9baff80ca44bb92e53be2329b1bc06c8f0f7aa22d277b6bf4b049b694e06",
+	"constant/1": "013f3e840d67d248f93795db6f8eeaba9d802d6c7740708a5d3c018994a645af",
+	"constant/2": "62c9554686b4755191fc250e07c198707ebe6d99848f34682e8cdf37f26c893d",
+}
+
+func TestTierDigests(t *testing.T) {
+	bounds := []float64{1e-2, 1e-4, 1e-6}
+	for name, data := range tierDigestInputs() {
+		tiers, err := New().CompressProgressive(data, []int{len(data)}, compress.Rel, bounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, tier := range tiers {
+			key := fmt.Sprintf("%s/%d", name, k)
+			if got := fmt.Sprintf("%x", sha256.Sum256(tier.Payload)); got != tierDigests[key] {
+				t.Errorf("%s: digest %s, want %s", key, got, tierDigests[key])
+			}
+			back, err := New().DecompressProgressive(tiers[:k+1])
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			if e := maxErr(data, back); e > tier.Bound {
+				t.Errorf("%s: max error %g exceeds %g", key, e, tier.Bound)
+			}
+		}
+	}
+}
+
+func BenchmarkCompressProgressive(b *testing.B) {
 	c := New()
 	n := 1 << 18
 	data := make([]float64, n)
 	for i := range data {
 		data[i] = math.Sin(float64(i) / 40)
 	}
+	bounds := []float64{1e-2, 1e-3, 1e-4, 1e-5}
 	b.SetBytes(int64(n * 8))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Compress(data, []int{n}, compress.RelBound(1e-4)); err != nil {
+		if _, err := c.CompressProgressive(data, []int{n}, compress.Rel, bounds); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -63,7 +64,8 @@ func TestProgressiveMonotoneImprovement(t *testing.T) {
 
 func TestProgressiveCostVsOneShot(t *testing.T) {
 	// All tiers together should not cost more than ~3x a one-shot encode
-	// at the final bound (the progressive premium must be bounded).
+	// (a single tier) at the final bound: the progressive premium must be
+	// bounded.
 	c := New()
 	data := progressiveSignal(50000)
 	bounds := []float64{1e-2, 1e-4}
@@ -75,10 +77,7 @@ func TestProgressiveCostVsOneShot(t *testing.T) {
 	for _, tier := range tiers {
 		total += len(tier.Payload)
 	}
-	oneShot, err := c.Compress(data, []int{len(data)}, compress.AbsBound(bounds[len(bounds)-1]))
-	if err != nil {
-		t.Fatal(err)
-	}
+	oneShot, _ := oneTier(t, data, compress.AbsBound(bounds[len(bounds)-1]))
 	if total > 3*len(oneShot) {
 		t.Fatalf("progressive total %d bytes vs one-shot %d", total, len(oneShot))
 	}
@@ -89,29 +88,28 @@ func TestProgressiveCostVsOneShot(t *testing.T) {
 	}
 }
 
+// Tiers code the 1-D level-order stream of a field. The encoder refuses any
+// other shape, and the decoder refuses a header that declares one.
 func TestProgressive2D(t *testing.T) {
 	c := New()
-	ny, nx := 48, 64
-	data := make([]float64, ny*nx)
-	for j := 0; j < ny; j++ {
-		for i := 0; i < nx; i++ {
-			data[j*nx+i] = math.Exp(-float64((i-30)*(i-30)+(j-20)*(j-20)) / 200)
-		}
+	data := progressiveSignal(48 * 64)
+	if _, err := c.CompressProgressive(data, []int{48, 64}, compress.Rel, []float64{1e-2, 1e-4}); err == nil {
+		t.Fatal("2-D dims accepted")
 	}
-	bounds := []float64{1e-2, 1e-4}
-	tiers, err := c.CompressProgressive(data, []int{ny, nx}, compress.Rel, bounds)
+	tiers, err := c.CompressProgressive(data[:64], []int{64}, compress.Rel, []float64{1e-2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := compress.RelBound(1).Absolute(data) // = value range (bound 1.0 * range)
-	for k := 1; k <= len(tiers); k++ {
-		got, err := c.DecompressProgressive(tiers[:k])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e := maxErr(data, got); e > bounds[k-1]*rng {
-			t.Fatalf("prefix %d: error %g exceeds %g", k, e, bounds[k-1]*rng)
-		}
+	// The raw body reads marker, magic (5 bytes), version, tier index, then
+	// the rank; declare rank 2 with extents 8 × 8.
+	p := tiers[0].Payload
+	const rankAt = 1 + 5 + 1 + 1
+	if p[0] != 0 || p[rankAt] != 1 || p[rankAt+1] != 64 {
+		t.Fatalf("payload starts % x: expected a raw body with rank 1 at byte %d", p[:rankAt+2], rankAt)
+	}
+	forged := append(append(append([]byte(nil), p[:rankAt]...), 2, 8, 8), p[rankAt+2:]...)
+	if _, err := c.DecompressProgressive([]Tier{{Bound: 1e-2, Payload: forged}}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("2-D tier header: %v, want ErrCorrupt", err)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 
 	// Register codecs.
 	_ "repro/internal/compress/lossless"
-	_ "repro/internal/compress/multilevel"
 	_ "repro/internal/compress/sz"
 	_ "repro/internal/compress/zfp"
 )

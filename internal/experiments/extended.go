@@ -93,7 +93,7 @@ func (s *Suite) ThreeD() (*Table, error) {
 // cross-compressor view papers in this area lead with.
 func (s *Suite) CodecComparison() (*Table, error) {
 	const eb = 1e-3
-	codecNames := []string{"gzip", "zfp", "mgl", "sz"}
+	codecNames := []string{"gzip", "zfp", "sz"}
 	header := []string{"dataset", "field"}
 	for _, cn := range codecNames {
 		header = append(header, cn+" (level)", cn+" (zmesh)")
@@ -138,12 +138,12 @@ func (s *Suite) CodecComparison() (*Table, error) {
 
 // UniformGrid (T12) evaluates the codecs' native multi-dimensional modes on
 // the raw uniform solver output (no AMR, no reordering): SZ as 1-D stream,
-// SZ 2-D Lorenzo, ZFP 2-D and the multilevel codec 2-D. This isolates the
-// codec machinery itself from the layouts.
+// SZ 2-D Lorenzo and ZFP 2-D. This isolates the codec machinery itself from
+// the layouts.
 func (s *Suite) UniformGrid() (*Table, error) {
 	t := &Table{
 		Title:  "T12 — uniform-grid codec modes at rel 1e-4 (no AMR)",
-		Header: []string{"dataset", "field", "sz 1-D", "sz 2-D", "zfp 2-D", "mgl 2-D"},
+		Header: []string{"dataset", "field", "sz 1-D", "sz 2-D", "zfp 2-D"},
 	}
 	for _, p := range s.Cfg.Problems {
 		prob, err := sim.Lookup(p)
@@ -170,7 +170,6 @@ func (s *Suite) UniformGrid() (*Table, error) {
 				{"sz", []int{nx * ny}},
 				{"sz", []int{ny, nx}},
 				{"zfp", []int{ny, nx}},
-				{"mgl", []int{ny, nx}},
 			} {
 				c, err := compress.Get(mode.codec)
 				if err != nil {

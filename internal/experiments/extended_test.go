@@ -37,19 +37,18 @@ func TestCodecComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Columns: dataset, field, then (level, zmesh) pairs for gzip, zfp,
-	// mgl, sz. SZ must clear the lossless floor comfortably at the 1e-3
+	// Columns: dataset, field, then (level, zmesh) pairs for gzip, zfp, sz.
+	// SZ must clear the lossless floor comfortably at the 1e-3
 	// bound; ZFP's fixed-rate-ish coding can dip near it on tiny,
 	// repetition-heavy checkpoints, so only sanity-check it is positive.
 	for _, row := range tbl.Rows {
 		gz, _ := strconv.ParseFloat(row[2], 64)
 		zfp, _ := strconv.ParseFloat(row[4], 64)
-		mgl, _ := strconv.ParseFloat(row[6], 64)
-		sz, _ := strconv.ParseFloat(row[8], 64)
-		if sz <= gz {
+		sz, _ := strconv.ParseFloat(row[6], 64)
+		if len(row) != 8 || sz <= gz {
 			t.Fatalf("SZ below lossless floor: %v", row)
 		}
-		if zfp <= 1 || gz <= 1 || mgl <= 1 {
+		if zfp <= 1 || gz <= 1 {
 			t.Fatalf("degenerate ratios: %v", row)
 		}
 	}
@@ -76,12 +75,12 @@ func TestUniformGridExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Columns: dataset, field, sz1d, sz2d, zfp2d, mgl2d. On a smooth 2-D
+	// Columns: dataset, field, sz1d, sz2d, zfp2d. On a smooth 2-D
 	// grid the prediction-based codec must beat the transform codec.
 	for _, row := range tbl.Rows {
 		sz2, _ := strconv.ParseFloat(row[3], 64)
 		zfp2, _ := strconv.ParseFloat(row[4], 64)
-		if len(row) != 6 || sz2 <= zfp2 {
+		if len(row) != 5 || sz2 <= zfp2 {
 			t.Fatalf("sz 2-D does not beat zfp 2-D: %v", row)
 		}
 	}

@@ -1,6 +1,6 @@
 // Package huffman implements a canonical Huffman coder over dense integer
-// alphabets. It is the entropy backend of the SZ-like and multilevel
-// compressors, which encode quantization codes drawn from a bounded alphabet
+// alphabets. It is the entropy backend of the SZ-like codec and the
+// multilevel progressive tiers, which encode quantization codes drawn from a bounded alphabet
 // (the quantization radius). Only code lengths are serialized; canonical code
 // assignment makes the table reconstruction deterministic and compact.
 //

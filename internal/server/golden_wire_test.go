@@ -240,6 +240,7 @@ func TestWireErrorShapes(t *testing.T) {
 		{"missing bound", wire.CompressPath(id) + "?field=dens", []byte{0, 0, 0, 0, 0, 0, 0, 0}, http.StatusBadRequest, ""},
 		{"bad bound", wire.CompressPath(id) + "?bound=abs:-1", []byte{0, 0, 0, 0, 0, 0, 0, 0}, http.StatusBadRequest, ""},
 		{"unknown codec", wire.CompressPath(id) + "?codec=nope&bound=abs:1e-3", nil, http.StatusBadRequest, ""},
+		{"retired codec mgl", wire.CompressPath(id) + "?codec=mgl&bound=abs:1e-3", []byte{0, 0, 0, 0, 0, 0, 0, 0}, http.StatusBadRequest, "unknown codec"},
 		{"ragged floats", wire.CompressPath(id) + "?bound=abs:1e-3", []byte{1, 2, 3}, http.StatusBadRequest, ""},
 		{"empty payload", wire.DecompressPath(id), nil, http.StatusBadRequest, ""},
 		{"garbage payload", wire.DecompressPath(id), []byte("not a container"), http.StatusBadRequest, ""},

@@ -300,6 +300,8 @@ func TestStreamErrorShapes(t *testing.T) {
 		{"truncated stream", wire.CompressStreamPath(id) + "?" + streamQuery("sz", "abs:1e-3"), wire.ContentTypeChunked, okBody[:len(okBody)-8], http.StatusBadRequest},
 		{"wrong cell count", wire.CompressStreamPath(id) + "?" + streamQuery("sz", "abs:1e-3"), wire.ContentTypeChunked, short, http.StatusBadRequest},
 		{"unknown codec", wire.CompressStreamPath(id) + "?" + streamQuery("nope", "abs:1e-3"), wire.ContentTypeChunked, okBody, http.StatusBadRequest},
+		{"retired codec mgl", wire.CompressStreamPath(id) + "?" + streamQuery("mgl", "abs:1e-3"), wire.ContentTypeChunked, okBody, http.StatusBadRequest},
+		{"checkpoint retired codec mgl", wire.CheckpointPath(id) + "?codec=mgl&bound=abs:1e-3", wire.ContentTypeBatch, batchBody(t, [][2]string{{"dens", ""}}), http.StatusBadRequest},
 		{"decompress empty", wire.DecompressStreamPath(id), wire.ContentTypeChunked, wire.AppendChunked(nil, nil, 0), http.StatusBadRequest},
 		{"checkpoint empty batch", wire.CheckpointPath(id) + "?bound=abs:1e-3", wire.ContentTypeBatch, batchBody(t, nil), http.StatusBadRequest},
 		{"checkpoint no bound", wire.CheckpointPath(id), wire.ContentTypeBatch, batchBody(t, [][2]string{{"dens", ""}}), http.StatusBadRequest},

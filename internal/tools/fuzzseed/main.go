@@ -103,7 +103,6 @@ func run() error {
 		{"internal/compress/sz", sz.New()},
 		{"internal/compress/zfp", zfp.New()},
 		{"internal/compress/lossless", lossless.New()},
-		{"internal/compress/multilevel", multilevel.New()},
 		{"internal/compress/chunked", chunked.New(sz.New())},
 	}
 	for _, c := range codecs {
@@ -138,16 +137,21 @@ func run() error {
 		return err
 	}
 
-	// Progressive multilevel decode shares the multilevel payload format.
-	mglPayload, err := multilevel.New().Compress(vals, dims, bound)
+	// Progressive tiers: the first two tiers of a real cascade. The fuzz
+	// target decodes its input as tier 0, so tier 1 is refused for its index
+	// only after its header and codes have been parsed.
+	tiers, err := multilevel.New().CompressProgressive(vals, dims, compress.Abs, []float64{1e-1, 1e-3})
 	if err != nil {
 		return err
 	}
 	progDir := filepath.Join("internal/compress/multilevel", "testdata", "fuzz", "FuzzDecompressProgressive")
-	if err := write(progDir, "seed-valid-wave", corpusEntry(mglPayload)); err != nil {
+	if err := write(progDir, "seed-valid-wave", corpusEntry(tiers[0].Payload)); err != nil {
 		return err
 	}
-	if err := write(progDir, "seed-bitflip", corpusEntry(flipMiddle(mglPayload))); err != nil {
+	if err := write(progDir, "seed-valid-tier1", corpusEntry(tiers[1].Payload)); err != nil {
+		return err
+	}
+	if err := write(progDir, "seed-bitflip", corpusEntry(flipMiddle(tiers[0].Payload))); err != nil {
 		return err
 	}
 
@@ -222,9 +226,9 @@ func run() error {
 }
 
 // forgedTableSeeds writes, for each decoder behind the shared entropy stage
-// (sz, mgl, mgl tiers), an otherwise well-formed raw payload whose Huffman
-// stream is 10 bytes declaring 2^28 symbols and 2^15 table entries and
-// breaking off in the second. The table reader must fail on the count
+// (sz and the multilevel tiers), an otherwise well-formed raw payload whose
+// Huffman stream is 10 bytes declaring 2^28 symbols and 2^15 table entries
+// and breaking off in the second. The table reader must fail on the count
 // without sizing anything from it or from the declared alphabet.
 func forgedTableSeeds() error {
 	gamma := func(w *bitstream.Writer, v uint64) { // Elias-gamma, as internal/huffman reads it
@@ -254,7 +258,6 @@ func forgedTableSeeds() error {
 		payload []byte
 	}{ // magic, version, [tier,] ndims, extent, [predictor, scheme,] intervals, bound, escapes, coded length[, selection length]
 		{"internal/compress/sz/testdata/fuzz/FuzzDecompress", body(0x535a4731, 2, 1, values, 1, 0, intervals, bound, 0, coded, 0)},
-		{"internal/compress/multilevel/testdata/fuzz/FuzzDecompress", body(0x4d474c31, 2, 1, values, intervals, bound, 0, coded)},
 		{"internal/compress/multilevel/testdata/fuzz/FuzzDecompressProgressive", body(0x4d474c54, 2, 0, 1, values, intervals, bound, 0, coded)},
 	}
 	for _, s := range seeds {

@@ -204,7 +204,7 @@ func TestTemporalFramesAreEncoderArtifacts(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, layout := range []Layout{LayoutLevel, LayoutSFC, LayoutZMesh, LayoutTAC} {
-			for _, codec := range []string{"sz", "zfp", "mgl", "gzip"} {
+			for _, codec := range []string{"sz", "zfp", "gzip"} {
 				t.Run(fmt.Sprintf("%dd/%v/%s", m.Dims(), layout, codec), func(t *testing.T) {
 					opt := Options{Layout: layout, Curve: "hilbert", Codec: codec}
 					te, err := NewTemporalEncoder(opt)
@@ -226,16 +226,11 @@ func TestTemporalFramesAreEncoderArtifacts(t *testing.T) {
 					if !key.Keyframe || !reflect.DeepEqual(&key.Compressed, want) {
 						t.Fatalf("keyframe (%d B) is not CompressField's artifact (%d B)", len(key.Payload), len(want.Payload))
 					}
-					// mgl under tac: the allowance of TestTACRoundTripAllCodecs.
-					slack := 1.0
-					if codec == "mgl" && layout == LayoutTAC {
-						slack = 2
-					}
 					got, err := NewDecoder(m).DecompressField(&key.Compressed)
 					if err != nil {
 						t.Fatalf("plain Decoder on the keyframe: %v", err)
 					}
-					checkWithinBound(t, got, orig, slack*key.Bound)
+					checkWithinBound(t, got, orig, key.Bound)
 
 					delta, err := te.CompressSnapshot(next, bound)
 					if err != nil {
@@ -252,7 +247,7 @@ func TestTemporalFramesAreEncoderArtifacts(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkWithinBound(t, got, moved, slack*delta.Bound)
+					checkWithinBound(t, got, moved, delta.Bound)
 				})
 			}
 		}

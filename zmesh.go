@@ -8,8 +8,8 @@
 //  1. Obtain a checkpoint — run one of the built-in simulations with
 //     Generate, or adapt a hierarchy to your own field with BuildAdaptive.
 //  2. Create an Encoder for the mesh with the desired layout (LayoutZMesh
-//     for the paper's reordering), sibling curve, and codec ("sz", "zfp",
-//     "mgl" or the lossless "gzip").
+//     for the paper's reordering), sibling curve, and codec ("sz", "zfp"
+//     or the lossless "gzip").
 //     The encoder derives the restore recipe from the mesh topology once
 //     and reuses it for every quantity.
 //  3. CompressField each quantity. The compressed artifact stores no
@@ -35,7 +35,6 @@ import (
 
 	// Register the built-in codecs.
 	_ "repro/internal/compress/lossless"
-	_ "repro/internal/compress/multilevel"
 	_ "repro/internal/compress/sz"
 	_ "repro/internal/compress/zfp"
 )
@@ -154,7 +153,7 @@ func Generate(problem string, opt GenerateOptions) (*Checkpoint, error) {
 // Problems lists the built-in simulation problems.
 func Problems() []string { return sim.Problems() }
 
-// Codecs lists the registered compressors ("gzip", "mgl", "sz", "zfp").
+// Codecs lists the registered compressors ("gzip", "sz", "zfp").
 func Codecs() []string { return compress.Codecs() }
 
 // Options configures an Encoder/Decoder.
@@ -163,7 +162,7 @@ type Options struct {
 	Layout Layout
 	// Curve orders siblings: "morton" (Z-order), "hilbert", or "rowmajor".
 	Curve string
-	// Codec is the compressor: "sz", "zfp", "mgl", or lossless "gzip".
+	// Codec is the compressor: "sz", "zfp", or lossless "gzip".
 	Codec string
 }
 

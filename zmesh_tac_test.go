@@ -51,7 +51,7 @@ func TestTACRoundTripAllCodecs(t *testing.T) {
 	for _, tc := range cases {
 		orig := FieldValues(tc.fld)
 		eb := bound.Absolute(orig)
-		for _, codec := range []string{"sz", "zfp", "gzip", "mgl"} {
+		for _, codec := range []string{"sz", "zfp", "gzip"} {
 			enc, err := NewEncoder(tc.mesh, Options{Layout: LayoutTAC, Curve: "hilbert", Codec: codec})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.name, codec, err)
@@ -72,22 +72,12 @@ func TestTACRoundTripAllCodecs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			limit := eb
-			if codec == "mgl" {
-				// mgl's linear amplification budget is slightly optimistic on
-				// the axis-aligned plateaus carry-last padding creates; it
-				// lands within a small factor of the bound (observed ~1.3x),
-				// not within it. gzip's exact round trip below proves the
-				// frame's fill/extract alignment, so this is the codec's
-				// corner, not the frame's.
-				limit = 2 * eb
-			}
 			if codec == "gzip" {
 				if e != 0 {
 					t.Fatalf("%s/gzip: lossless codec lost data (max err %g)", tc.name, e)
 				}
-			} else if e > limit {
-				t.Fatalf("%s/%s: max error %g exceeds bound %g", tc.name, codec, e, limit)
+			} else if e > eb {
+				t.Fatalf("%s/%s: max error %g exceeds bound %g", tc.name, codec, e, eb)
 			}
 		}
 	}
@@ -275,8 +265,8 @@ func TestResolveAuto(t *testing.T) {
 		codec string
 		want  Layout
 	}{
-		{2, "sz", LayoutZMesh}, {2, "zfp", LayoutTAC}, {2, "mgl", LayoutZMesh}, {2, "gzip", LayoutLevel},
-		{3, "sz", LayoutTAC}, {3, "zfp", LayoutTAC}, {3, "mgl", LayoutTAC}, {3, "gzip", LayoutLevel},
+		{2, "sz", LayoutZMesh}, {2, "zfp", LayoutTAC}, {2, "gzip", LayoutLevel},
+		{3, "sz", LayoutTAC}, {3, "zfp", LayoutTAC}, {3, "gzip", LayoutLevel},
 	} {
 		if got := ResolveAuto(tc.dims, tc.codec); got != tc.want {
 			t.Errorf("ResolveAuto(%d, %q) = %v, want %v", tc.dims, tc.codec, got, tc.want)
@@ -301,7 +291,7 @@ func TestAutoMatchesResolvedLayout(t *testing.T) {
 		{"2d", ck.Mesh, dens},
 		{"3d", m3, f3},
 	} {
-		for _, codec := range []string{"sz", "zfp", "mgl", "gzip"} {
+		for _, codec := range []string{"sz", "zfp", "gzip"} {
 			want := ResolveAuto(tc.mesh.Dims(), codec)
 			compressAs := func(layout Layout) *Compressed {
 				enc, err := NewEncoder(tc.mesh, Options{Layout: layout, Curve: "hilbert", Codec: codec})
@@ -331,12 +321,6 @@ func TestAutoMatchesResolvedLayout(t *testing.T) {
 			}
 			orig := FieldValues(tc.fld)
 			eb := bound.Absolute(orig)
-			if codec == "mgl" && want == LayoutTAC {
-				// Same allowance, for the same reason, as the static layout
-				// gets in TestTACRoundTripAllCodecs: mgl overshoots on the
-				// plateaus carry-last padding creates (observed ~1.2x).
-				eb *= 2
-			}
 			for i := range orig {
 				if d := math.Abs(orig[i] - got[i]); d > eb {
 					t.Fatalf("%s/%s: value %d error %g exceeds bound %g", tc.name, codec, i, d, eb)
