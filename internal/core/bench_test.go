@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// BenchmarkBuildRecipe sweeps the parallel builder over layout × curve ×
+// BenchmarkBuildRecipe sweeps the recipe builder over layout × curve ×
 // depth on the ring-front mesh (see parallel_test.go). Compare against
-// BenchmarkBuildRecipeSerial for the parallelization + radix-sort speedup.
+// BenchmarkBuildRecipeSerial for the gain over the serial oracle.
 func BenchmarkBuildRecipe(b *testing.B) {
 	for _, depth := range []int{2, 4, 5} {
 		m := ringMesh(b, 2, depth)
@@ -26,7 +26,7 @@ func BenchmarkBuildRecipe(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildRecipeSerial is the single-threaded reference baseline for
+// BenchmarkBuildRecipeSerial runs the serial oracle (oracle_test.go) over
 // the sweep above.
 func BenchmarkBuildRecipeSerial(b *testing.B) {
 	for _, depth := range []int{2, 4, 5} {
@@ -36,7 +36,7 @@ func BenchmarkBuildRecipeSerial(b *testing.B) {
 				b.Run(fmt.Sprintf("layout=%s/curve=%s/depth=%d", layout, curve, depth), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := BuildRecipeSerial(m, layout, curve); err != nil {
+						if _, err := buildRecipeSerial(m, layout, curve); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -86,9 +86,8 @@ func BenchmarkApplyTo(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyToSerial is the straightforward-loop baseline for
-// BenchmarkApplyTo: the ratio between the two is the kernel speedup the CI
-// gate enforces (report.MeasureCIGate, apply_speedup).
+// BenchmarkApplyToSerial is the plain-loop oracle's baseline for
+// BenchmarkApplyTo: the ratio between the two is the kernel speedup.
 func BenchmarkApplyToSerial(b *testing.B) {
 	r, flat := applyRestoreMesh(b)
 	dst := make([]float64, r.Len())
@@ -97,7 +96,7 @@ func BenchmarkApplyToSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		dst, err = r.ApplyToSerial(dst, flat)
+		dst, err = r.applyToSerial(dst, flat)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +133,7 @@ func BenchmarkRestoreToSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, err = r.RestoreToSerial(dst, ordered)
+		dst, err = r.restoreToSerial(dst, ordered)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,11 +16,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 
 	"repro/internal/amr"
-	"repro/internal/sfc"
 )
 
 // Layout selects a serialization order for an AMR field.
@@ -145,8 +143,8 @@ func (r *Recipe) Apply(flat []float64) ([]float64, error) {
 // temporal streams) permute without a fresh slice per call. dst must not
 // overlap flat.
 //
-// The permutation runs through the tuned gather kernel (kernel.go):
-// bit-for-bit identical to ApplyToSerial, just faster.
+// The permutation runs through the tuned gather kernel (kernel.go), which
+// the tests hold bit-for-bit to the plain gather loop.
 func (r *Recipe) ApplyTo(dst, flat []float64) ([]float64, error) {
 	if len(flat) != r.n {
 		return nil, fmt.Errorf("core: stream has %d values, recipe expects %d", len(flat), r.n)
@@ -162,21 +160,6 @@ func (r *Recipe) ApplyTo(dst, flat []float64) ([]float64, error) {
 	return out, nil
 }
 
-// ApplyToSerial is the straightforward reference gather loop, retained (like
-// BuildRecipeSerial) as the differential oracle for the unsafe kernel. Not
-// on the hot path.
-func (r *Recipe) ApplyToSerial(dst, flat []float64) ([]float64, error) {
-	if len(flat) != r.n {
-		return nil, fmt.Errorf("core: stream has %d values, recipe expects %d", len(flat), r.n)
-	}
-	out, err := r.sizeDst(dst, flat)
-	if err != nil {
-		return nil, err
-	}
-	gatherSerial(out, flat, r.perm)
-	return out, nil
-}
-
 // Restore inverts Apply.
 func (r *Recipe) Restore(ordered []float64) ([]float64, error) {
 	return r.RestoreTo(nil, ordered)
@@ -185,8 +168,8 @@ func (r *Recipe) Restore(ordered []float64) ([]float64, error) {
 // RestoreTo is Restore with a caller-provided destination, with the same
 // reuse contract as ApplyTo. dst must not overlap ordered.
 //
-// The permutation runs through the tuned scatter kernel (kernel.go):
-// bit-for-bit identical to RestoreToSerial, just faster.
+// The permutation runs through the tuned scatter kernel (kernel.go), which
+// the tests hold bit-for-bit to the plain scatter loop.
 func (r *Recipe) RestoreTo(dst, ordered []float64) ([]float64, error) {
 	if len(ordered) != r.n {
 		return nil, fmt.Errorf("core: stream has %d values, recipe expects %d", len(ordered), r.n)
@@ -199,20 +182,6 @@ func (r *Recipe) RestoreTo(dst, ordered []float64) ([]float64, error) {
 		return nil, fmt.Errorf("core: recipe permutation has out-of-range entries")
 	}
 	restoreScatter(out, ordered, r.perm)
-	return out, nil
-}
-
-// RestoreToSerial is the straightforward reference scatter loop — the
-// differential oracle for the unsafe kernel, mirroring ApplyToSerial.
-func (r *Recipe) RestoreToSerial(dst, ordered []float64) ([]float64, error) {
-	if len(ordered) != r.n {
-		return nil, fmt.Errorf("core: stream has %d values, recipe expects %d", len(ordered), r.n)
-	}
-	out, err := r.sizeDst(dst, ordered)
-	if err != nil {
-		return nil, err
-	}
-	scatterSerial(out, ordered, r.perm)
 	return out, nil
 }
 
@@ -277,102 +246,14 @@ func ceilLog2(v int) uint {
 	return uint(bits.Len(uint(v - 1)))
 }
 
-// builder carries the traversal state of the serial reference
-// implementation. It is retained verbatim (append-based emission, comparator
-// sort) as the differential oracle for the span-based parallel builder in
-// parallel.go: the two share no emission or sorting code, so bit-for-bit
-// permutation equality between them is a meaningful check.
-type builder struct {
-	m     *amr.Mesh
-	curve sfc.Curve
-	// levelOffset[l] is the position of level l's first value in the
-	// level-order stream; blockBase[id] the position of a block's first cell.
-	blockBase []int32
-	perm      []int32
-	cpb       int
-	bs        int
-	kmax      int
-}
-
-func newBuilder(m *amr.Mesh, curveName string) (*builder, error) {
-	curve, err := sfc.New(curveName, m.Dims())
-	if err != nil {
-		return nil, err
-	}
-	if err := CheckMeshSize(m.NumBlocks(), m.CellsPerBlock()); err != nil {
-		return nil, err
-	}
-	b := &builder{
-		m:     m,
-		curve: curve,
-		cpb:   m.CellsPerBlock(),
-		bs:    m.BlockSize(),
-		kmax:  1,
-	}
-	if m.Dims() == 3 {
-		b.kmax = b.bs
-	}
-	// Level-order base position for every block.
-	b.blockBase = make([]int32, m.NumBlocks())
-	pos := int32(0)
-	for level := 0; level <= m.MaxLevel(); level++ {
-		for _, id := range m.SortedLevel(level) {
-			b.blockBase[id] = pos
-			pos += int32(b.cpb)
-		}
-	}
-	b.perm = make([]int32, 0, pos)
-	return b, nil
-}
-
-// cellPos is the level-order stream position of cell (i,j,k) of a block.
-func (b *builder) cellPos(id amr.BlockID, i, j, k int) int32 {
-	off := j*b.bs + i
-	if b.m.Dims() == 3 {
-		off = (k*b.bs+j)*b.bs + i
-	}
-	return b.blockBase[id] + int32(off)
-}
-
 // BuildRecipe derives the restore recipe for the given layout and sibling
 // curve ("morton", "hilbert" or "rowmajor") from the mesh topology alone.
-// Construction is parallel (see BuildRecipeParallel); the permutation it
-// produces is bit-for-bit identical to BuildRecipeSerial's.
+// This is also the decompression path: a decoder rebuilds the recipe from
+// the tree metadata (amr.MeshFromStructure), never from the payload.
+// Construction fans disjoint spans out over GOMAXPROCS workers (parallel.go);
+// the permutation does not depend on the worker count.
 func BuildRecipe(m *amr.Mesh, layout Layout, curveName string) (*Recipe, error) {
-	return BuildRecipeParallel(m, layout, curveName, 0)
-}
-
-// BuildRecipeSerial is the single-threaded reference builder: a recursive
-// descent appending to one slice, ordering curve keys with a comparison
-// sort. It exists as the differential oracle for BuildRecipeParallel and is
-// not on the hot path.
-func BuildRecipeSerial(m *amr.Mesh, layout Layout, curveName string) (*Recipe, error) {
-	b, err := newBuilder(m, curveName)
-	if err != nil {
-		return nil, err
-	}
-	var plan *TACPlan
-	switch layout {
-	case LevelOrder:
-		b.buildLevelOrder()
-	case SFCWithinLevel:
-		b.buildSFCWithinLevel()
-	case ZMesh:
-		b.buildZMeshCells()
-	case TAC3D:
-		if plan, err = b.buildTAC(); err != nil {
-			return nil, err
-		}
-	case AutoLayout:
-		return nil, fmt.Errorf("core: %w", ErrAutoLayout)
-	default:
-		return nil, fmt.Errorf("core: unknown layout %v", layout)
-	}
-	n := m.NumBlocks() * m.CellsPerBlock()
-	if len(b.perm) != n {
-		return nil, fmt.Errorf("core: traversal emitted %d of %d cells", len(b.perm), n)
-	}
-	return &Recipe{layout: layout, curve: curveName, n: n, perm: b.perm, tac: plan}, nil
+	return buildRecipeParallel(m, layout, curveName, 0, nil)
 }
 
 // ErrAutoLayout is returned by the recipe builders when asked for
@@ -382,186 +263,3 @@ func BuildRecipeSerial(m *amr.Mesh, layout Layout, curveName string) (*Recipe, e
 // protocol never produces — callers should surface this loudly (the zmeshd
 // decompress endpoints turn it into a 400).
 var ErrAutoLayout = fmt.Errorf("layout \"auto\" is resolved when an encoder is built and never names a concrete order; decode with the layout recorded in the artifact")
-
-// RecipeFromStructure rebuilds the recipe from serialized AMR tree metadata
-// (amr.Mesh.Structure). This is the decompression path: the permutation is
-// reconstructed from topology, never read from the compressed payload.
-func RecipeFromStructure(structure []byte, layout Layout, curveName string) (*Recipe, error) {
-	m, err := amr.MeshFromStructure(structure)
-	if err != nil {
-		return nil, err
-	}
-	return BuildRecipe(m, layout, curveName)
-}
-
-// buildLevelOrder emits the identity permutation (useful as a uniform code
-// path for the baseline).
-func (b *builder) buildLevelOrder() {
-	n := int32(b.m.NumBlocks() * b.cpb)
-	for p := int32(0); p < n; p++ {
-		b.perm = append(b.perm, p)
-	}
-}
-
-// buildSFCWithinLevel orders each level's cells by the curve index of their
-// global cell coordinates, levels kept separate.
-func (b *builder) buildSFCWithinLevel() {
-	m := b.m
-	for level := 0; level <= m.MaxLevel(); level++ {
-		cellDims := m.LevelCellDims(level)
-		maxDim := cellDims[0]
-		for d := 1; d < m.Dims(); d++ {
-			if cellDims[d] > maxDim {
-				maxDim = cellDims[d]
-			}
-		}
-		cbits := ceilLog2(maxDim)
-		if cbits == 0 {
-			cbits = 1
-		}
-		blocks := m.SortedLevel(level)
-		entries := make([]orderEntry, 0, len(blocks)*b.cpb)
-		coords := make([]uint32, m.Dims())
-		for _, id := range blocks {
-			for k := 0; k < b.kmax; k++ {
-				for j := 0; j < b.bs; j++ {
-					for i := 0; i < b.bs; i++ {
-						g := m.GlobalCellCoord(id, i, j, k)
-						coords[0], coords[1] = g[0], g[1]
-						if m.Dims() == 3 {
-							coords[2] = g[2]
-						}
-						entries = append(entries, orderEntry{
-							key: b.curve.Index(coords, cbits),
-							pos: b.cellPos(id, i, j, k),
-						})
-					}
-				}
-			}
-		}
-		sortEntries(entries)
-		for _, e := range entries {
-			b.perm = append(b.perm, e.pos)
-		}
-	}
-}
-
-// sortedRoots orders the root blocks along the curve over the root lattice.
-func (b *builder) sortedRoots() []amr.BlockID {
-	m := b.m
-	rd := m.RootDims()
-	maxRoot := rd[0]
-	for d := 1; d < m.Dims(); d++ {
-		if rd[d] > maxRoot {
-			maxRoot = rd[d]
-		}
-	}
-	rbits := ceilLog2(maxRoot)
-	if rbits == 0 {
-		rbits = 1
-	}
-	roots := m.Roots()
-	entries := make([]orderEntry, 0, len(roots))
-	coords := make([]uint32, m.Dims())
-	for _, id := range roots {
-		c := m.Block(id).Coord
-		coords[0], coords[1] = uint32(c[0]), uint32(c[1])
-		if m.Dims() == 3 {
-			coords[2] = uint32(c[2])
-		}
-		entries = append(entries, orderEntry{key: b.curve.Index(coords, rbits), pos: int32(id)})
-	}
-	sortEntries(entries)
-	out := make([]amr.BlockID, len(entries))
-	for i, e := range entries {
-		out[i] = amr.BlockID(e.pos)
-	}
-	return out
-}
-
-// buildZMeshCells performs the chained-tree traversal at cell granularity:
-// roots in curve order, and within each tree a per-cell depth-first descent
-// that emits a coarse cell immediately before the 2^dims finer cells
-// covering the same region, sub-cells visited in curve order.
-func (b *builder) buildZMeshCells() {
-	cellBits := ceilLog2(b.bs)
-	if cellBits == 0 {
-		cellBits = 1
-	}
-	for _, root := range b.sortedRoots() {
-		// Visit the root block's cells in curve order, descending at each.
-		for ci := 0; ci < b.cpb; ci++ {
-			i, j, k := b.cellFromCurve(uint64(ci), cellBits)
-			g := b.m.GlobalCellCoord(root, i, j, k)
-			b.emitCell(0, g, root, i, j, k)
-		}
-	}
-}
-
-// cellFromCurve maps a curve index within a block to cell coordinates.
-func (b *builder) cellFromCurve(idx uint64, cellBits uint) (i, j, k int) {
-	c := b.curve.Coords(idx, cellBits)
-	i, j = int(c[0]), int(c[1])
-	if b.m.Dims() == 3 {
-		k = int(c[2])
-	}
-	return
-}
-
-// emitCell appends the cell at (level, global coord g) — stored in block id
-// at (i,j,k) — and then recursively emits the 2^dims cells of the next
-// level covering the same region, in curve order, if that region is refined.
-func (b *builder) emitCell(level int, g [3]uint32, id amr.BlockID, i, j, k int) {
-	b.perm = append(b.perm, b.cellPos(id, i, j, k))
-	// The refining cells live at level+1, coordinates 2g .. 2g+1. They exist
-	// iff the child block covering them exists.
-	m := b.m
-	fine := [3]uint32{g[0] * 2, g[1] * 2, g[2] * 2}
-	bs := b.bs
-	// Child block coordinate for the first fine cell.
-	bc := [3]int{int(fine[0]) / bs, int(fine[1]) / bs, int(fine[2]) / bs}
-	if m.Dims() == 2 {
-		bc[2] = 0
-	}
-	cid, ok := m.Lookup(level+1, bc)
-	if !ok {
-		return
-	}
-	// All four/eight fine cells lie in the same child block because block
-	// sizes are even: a coarse cell's 2x2(x2) refinement never straddles a
-	// block boundary.
-	subBits := uint(1)
-	nsub := 1 << uint(m.Dims())
-	for s := 0; s < nsub; s++ {
-		c := b.curve.Coords(uint64(s), subBits)
-		fi := int(fine[0]) + int(c[0])
-		fj := int(fine[1]) + int(c[1])
-		fk := 0
-		if m.Dims() == 3 {
-			fk = int(fine[2]) + int(c[2])
-		}
-		gg := [3]uint32{uint32(fi), uint32(fj), uint32(fk)}
-		b.emitCell(level+1, gg, cid, fi%bs, fj%bs, fk%bs)
-	}
-}
-
-// orderEntry pairs a curve key with a stream position for sorting.
-type orderEntry struct {
-	key uint64
-	pos int32
-}
-
-// sortEntries orders by key ascending with a pos tie-break, so equal curve
-// indices (which cannot occur within one level, but keep it total) resolve
-// deterministically. This comparator version backs only the serial reference
-// builder; the hot path uses the LSD radix sort in radix.go, which yields
-// the identical order (it is stable, and entries are generated in ascending
-// pos order).
-func sortEntries(entries []orderEntry) {
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].key != entries[b].key {
-			return entries[a].key < entries[b].key
-		}
-		return entries[a].pos < entries[b].pos
-	})
-}

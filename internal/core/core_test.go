@@ -199,7 +199,11 @@ func TestRecipeFromStructureMatches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RecipeFromStructure(blob, layout, curve)
+			mesh, err := amr.MeshFromStructure(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := BuildRecipe(mesh, layout, curve)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,7 +220,7 @@ func TestRecipeFromStructureMatches(t *testing.T) {
 }
 
 func TestRecipeFromStructureRejectsGarbage(t *testing.T) {
-	if _, err := RecipeFromStructure([]byte{1, 2, 3}, ZMesh, "morton"); err == nil {
+	if _, err := amr.MeshFromStructure([]byte{1, 2, 3}); err == nil {
 		t.Fatal("garbage structure accepted")
 	}
 }

@@ -19,8 +19,8 @@ const (
 	// order and each level's curve-key sort (SFCWithinLevel).
 	StageRecipeSort = "recipe.sort"
 	// StageRecipeDescent covers span emission: the chained-tree descent
-	// (ZMesh) or the per-level curve-key generation
-	// (SFCWithinLevel).
+	// (ZMesh), the per-level curve-key generation (SFCWithinLevel), or each
+	// level's box partition and emission (TAC3D).
 	StageRecipeDescent = "recipe.descent"
 
 	// CounterRecipeBuilds counts completed recipe constructions.
@@ -30,8 +30,8 @@ const (
 )
 
 // recipeMetrics holds the pre-resolved metrics of one observed build. A nil
-// *recipeMetrics (the BuildRecipe/BuildRecipeParallel path) disables
-// instrumentation entirely: the builder pays one nil check per stage.
+// *recipeMetrics (the BuildRecipe path) disables instrumentation entirely:
+// the builder pays one nil check per stage.
 type recipeMetrics struct {
 	setup   *telemetry.Timer
 	sort    *telemetry.Timer
@@ -53,13 +53,13 @@ func newRecipeMetrics(reg *telemetry.Registry) *recipeMetrics {
 	}
 }
 
-// BuildRecipeObserved is BuildRecipeParallel with per-stage telemetry: span
-// partitioning, radix sorts and the descent record into reg's
-// recipe.* timers and counters. A nil reg makes it identical to
-// BuildRecipeParallel. The permutation produced is bit-for-bit the same
-// with or without instrumentation.
-func BuildRecipeObserved(m *amr.Mesh, layout Layout, curveName string, workers int, reg *telemetry.Registry) (*Recipe, error) {
-	return buildRecipeParallel(m, layout, curveName, workers, newRecipeMetrics(reg))
+// BuildRecipeObserved is BuildRecipe with per-stage telemetry: span
+// partitioning, radix sorts and the descent record into reg's recipe.*
+// timers and counters. A nil reg makes it identical to BuildRecipe. The
+// permutation produced is bit-for-bit the same with or without
+// instrumentation.
+func BuildRecipeObserved(m *amr.Mesh, layout Layout, curveName string, reg *telemetry.Registry) (*Recipe, error) {
+	return buildRecipeParallel(m, layout, curveName, 0, newRecipeMetrics(reg))
 }
 
 // now returns the stage clock when instrumented; the zero Time otherwise.

@@ -21,13 +21,13 @@ func TestBuildRecipeObserved(t *testing.T) {
 	if err := m.Refine(m.Roots()[3]); err != nil {
 		t.Fatal(err)
 	}
-	for _, layout := range []Layout{LevelOrder, SFCWithinLevel, ZMesh} {
+	for _, layout := range allLayouts() {
 		reg := telemetry.NewRegistry()
-		got, err := BuildRecipeObserved(m, layout, "hilbert", 2, reg)
+		got, err := BuildRecipeObserved(m, layout, "hilbert", reg)
 		if err != nil {
 			t.Fatalf("%v: %v", layout, err)
 		}
-		want, err := BuildRecipeParallel(m, layout, "hilbert", 2)
+		want, err := buildRecipeParallel(m, layout, "hilbert", 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,10 +61,14 @@ func TestBuildRecipeObserved(t *testing.T) {
 			if s.Timers[StageRecipeDescent].Count == 0 {
 				t.Errorf("%v: descent unobserved", layout)
 			}
+		case TAC3D:
+			if s.Timers[StageRecipeDescent].Count == 0 {
+				t.Errorf("%v: partition and emission unobserved", layout)
+			}
 		}
 	}
 	// Nil registry must behave exactly like the uninstrumented entry point.
-	if _, err := BuildRecipeObserved(m, ZMesh, "hilbert", 0, nil); err != nil {
+	if _, err := BuildRecipeObserved(m, ZMesh, "hilbert", nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,10 +11,10 @@ package core
 // per-recipe validation that all perm entries lie in [0, n) — see
 // Recipe.kernelSafe.
 //
-// The range loops stay as gatherSerial/scatterSerial: they are what
-// ApplyToSerial/RestoreToSerial run (the differential oracle, mirroring
-// BuildRecipeSerial), and they are the whole hot path of a
-// `-tags zmesh_portable` build (kernel_portable.go).
+// The range loops stay as gatherSerial/scatterSerial: they are the whole hot
+// path of a `-tags zmesh_portable` build (kernel_portable.go), and the
+// differential oracle the tests hold the unsafe kernels to
+// (oracle_test.go).
 
 // gatherSerial is the reference gather loop.
 func gatherSerial(dst, src []float64, perm []int32) {

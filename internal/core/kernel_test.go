@@ -47,7 +47,7 @@ func equalBits(tb testing.TB, what string, got, want []float64) {
 // identity.
 func checkKernelAgreement(tb testing.TB, r *Recipe, flat []float64) {
 	tb.Helper()
-	wantOrdered, err := r.ApplyToSerial(nil, flat)
+	wantOrdered, err := r.applyToSerial(nil, flat)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -55,18 +55,18 @@ func checkKernelAgreement(tb testing.TB, r *Recipe, flat []float64) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	equalBits(tb, "ApplyTo vs ApplyToSerial", gotOrdered, wantOrdered)
+	equalBits(tb, "ApplyTo vs applyToSerial", gotOrdered, wantOrdered)
 
-	wantFlat, err := r.RestoreToSerial(nil, wantOrdered)
+	wantFlat, err := r.restoreToSerial(nil, wantOrdered)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	equalBits(tb, "RestoreToSerial∘ApplyToSerial vs identity", wantFlat, flat)
+	equalBits(tb, "restoreToSerial∘applyToSerial vs identity", wantFlat, flat)
 	gotFlat, err := r.RestoreTo(nil, gotOrdered)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	equalBits(tb, "RestoreTo vs RestoreToSerial", gotFlat, wantFlat)
+	equalBits(tb, "RestoreTo vs restoreToSerial", gotFlat, wantFlat)
 }
 
 // TestKernelDifferentialMeshes runs the dispatched kernels against the serial

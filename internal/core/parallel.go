@@ -14,8 +14,9 @@ package core
 // Each worker therefore writes its descent into a disjoint, pre-sized span
 // of the shared perm slice: no appends, no locks, no post-hoc merge. The
 // result is deterministic — span boundaries and span contents are pure
-// functions of the mesh, never of scheduling — which the differential test
-// against the serial reference builder asserts.
+// functions of the mesh, never of scheduling — which the differential tests
+// against the serial oracle in oracle_test.go assert for several worker
+// counts.
 
 import (
 	"fmt"
@@ -28,33 +29,37 @@ import (
 )
 
 // buildContext is the read-only state shared by every span writer of one
-// recipe construction.
+// recipe construction. Curves are stateless values, so one serves every
+// writer.
 type buildContext struct {
 	m         *amr.Mesh
-	curveName string
+	curve     sfc.Curve
 	levels    [][]amr.BlockID // canonical SortedLevel order, computed once
 	blockBase []int32         // level-order position of each block's first cell
 	cpb       int
 	bs        int
 	kmax      int
+	cellBits  uint           // curve bit budget over one block's cells
 	met       *recipeMetrics // nil unless BuildRecipeObserved
 }
 
 func newBuildContext(m *amr.Mesh, curveName string, met *recipeMetrics) (*buildContext, error) {
 	t0 := met.now()
-	if _, err := sfc.New(curveName, m.Dims()); err != nil {
+	curve, err := sfc.New(curveName, m.Dims())
+	if err != nil {
 		return nil, err
 	}
 	if err := CheckMeshSize(m.NumBlocks(), m.CellsPerBlock()); err != nil {
 		return nil, err
 	}
 	ctx := &buildContext{
-		m:         m,
-		curveName: curveName,
-		cpb:       m.CellsPerBlock(),
-		bs:        m.BlockSize(),
-		kmax:      1,
-		met:       met,
+		m:        m,
+		curve:    curve,
+		cpb:      m.CellsPerBlock(),
+		bs:       m.BlockSize(),
+		kmax:     1,
+		cellBits: max(1, ceilLog2(m.BlockSize())),
+		met:      met,
 	}
 	if m.Dims() == 3 {
 		ctx.kmax = ctx.bs
@@ -76,13 +81,16 @@ func newBuildContext(m *amr.Mesh, curveName string, met *recipeMetrics) (*buildC
 	return ctx, nil
 }
 
-// cellPos is the level-order stream position of cell (i,j,k) of a block.
+// curveBits is the per-axis curve bit budget covering a lattice of extent
+// ext (z = 1 in 2-D), at least 1.
+func curveBits(ext [3]int) uint {
+	return max(1, ceilLog2(max(ext[0], ext[1], ext[2])))
+}
+
+// cellPos is the level-order stream position of cell (i,j,k) of a block
+// (k = 0 in 2-D).
 func (c *buildContext) cellPos(id amr.BlockID, i, j, k int) int32 {
-	off := j*c.bs + i
-	if c.m.Dims() == 3 {
-		off = (k*c.bs+j)*c.bs + i
-	}
-	return c.blockBase[id] + int32(off)
+	return c.blockBase[id] + int32((k*c.bs+j)*c.bs+i)
 }
 
 // subtreeBlocks counts the blocks of the refinement tree rooted at id.
@@ -99,34 +107,14 @@ func (c *buildContext) subtreeBlocks(id amr.BlockID) int {
 	return n
 }
 
-// spanWriter owns one goroutine's traversal state: a disjoint output span,
-// a private curve instance, and reusable sort scratch.
+// spanWriter owns one goroutine's traversal state: a disjoint output span
+// and reusable sort scratch.
 type spanWriter struct {
-	ctx      *buildContext
-	curve    sfc.Curve
-	cellBits uint
-	out      []int32
-	next     int
-	coords   []uint32
-	entries  []orderEntry
-	scratch  []orderEntry
-}
-
-func newSpanWriter(ctx *buildContext) (*spanWriter, error) {
-	curve, err := sfc.New(ctx.curveName, ctx.m.Dims())
-	if err != nil {
-		return nil, err
-	}
-	cellBits := ceilLog2(ctx.bs)
-	if cellBits == 0 {
-		cellBits = 1
-	}
-	return &spanWriter{
-		ctx:      ctx,
-		curve:    curve,
-		cellBits: cellBits,
-		coords:   make([]uint32, ctx.m.Dims()),
-	}, nil
+	ctx     *buildContext
+	out     []int32
+	next    int
+	entries []orderEntry
+	scratch []orderEntry
 }
 
 func (w *spanWriter) emit(pos int32) {
@@ -134,24 +122,14 @@ func (w *spanWriter) emit(pos int32) {
 	w.next++
 }
 
-// cellFromCurve maps a curve index within a block to cell coordinates.
-func (w *spanWriter) cellFromCurve(idx uint64) (i, j, k int) {
-	c := w.curve.Coords(idx, w.cellBits)
-	i, j = int(c[0]), int(c[1])
-	if w.ctx.m.Dims() == 3 {
-		k = int(c[2])
-	}
-	return
-}
-
 // runTree emits the chained tree rooted at root into span.
 func (w *spanWriter) runTree(root amr.BlockID, span []int32) error {
 	t0 := w.ctx.met.now()
 	w.out, w.next = span, 0
 	for ci := 0; ci < w.ctx.cpb; ci++ {
-		i, j, k := w.cellFromCurve(uint64(ci))
-		g := w.ctx.m.GlobalCellCoord(root, i, j, k)
-		w.emitCell(0, g, root, i, j, k)
+		c := w.ctx.curve.Coords(uint64(ci), w.ctx.cellBits)
+		i, j, k := int(c[0]), int(c[1]), int(c[2])
+		w.emitCell(0, w.ctx.m.GlobalCellCoord(root, i, j, k), root, i, j, k)
 	}
 	if w.next != len(span) {
 		return fmt.Errorf("core: tree at root %d emitted %d of %d cells", root, w.next, len(span))
@@ -162,32 +140,25 @@ func (w *spanWriter) runTree(root amr.BlockID, span []int32) error {
 	return nil
 }
 
-// emitCell mirrors builder.emitCell: the cell, then (if refined) the 2^dims
-// finer cells covering the same region, in curve order, recursively.
+// emitCell emits the cell at (level, global coord g) — stored in block id
+// at (i,j,k) — and then, if that region is refined, the 2^dims finer cells
+// covering it, in curve order, recursively. In 2-D every z is 0.
 func (w *spanWriter) emitCell(level int, g [3]uint32, id amr.BlockID, i, j, k int) {
 	w.emit(w.ctx.cellPos(id, i, j, k))
 	m := w.ctx.m
 	fine := [3]uint32{g[0] * 2, g[1] * 2, g[2] * 2}
 	bs := w.ctx.bs
-	bc := [3]int{int(fine[0]) / bs, int(fine[1]) / bs, int(fine[2]) / bs}
-	if m.Dims() == 2 {
-		bc[2] = 0
-	}
-	cid, ok := m.Lookup(level+1, bc)
+	// The refining cells all lie in one child block: block sizes are even,
+	// so a coarse cell's 2x2(x2) refinement never straddles a block boundary.
+	cid, ok := m.Lookup(level+1, [3]int{int(fine[0]) / bs, int(fine[1]) / bs, int(fine[2]) / bs})
 	if !ok {
 		return
 	}
 	nsub := 1 << uint(m.Dims())
 	for s := 0; s < nsub; s++ {
-		c := w.curve.Coords(uint64(s), 1)
-		fi := int(fine[0]) + int(c[0])
-		fj := int(fine[1]) + int(c[1])
-		fk := 0
-		if m.Dims() == 3 {
-			fk = int(fine[2]) + int(c[2])
-		}
-		gg := [3]uint32{uint32(fi), uint32(fj), uint32(fk)}
-		w.emitCell(level+1, gg, cid, fi%bs, fj%bs, fk%bs)
+		c := w.ctx.curve.Coords(uint64(s), 1)
+		f := [3]uint32{fine[0] + c[0], fine[1] + c[1], fine[2] + c[2]}
+		w.emitCell(level+1, f, cid, int(f[0])%bs, int(f[1])%bs, int(f[2])%bs)
 	}
 }
 
@@ -196,29 +167,14 @@ func (w *spanWriter) emitCell(level int, g [3]uint32, id amr.BlockID, i, j, k in
 func (w *spanWriter) runLevel(level int, span []int32) error {
 	t0 := w.ctx.met.now()
 	m := w.ctx.m
-	cellDims := m.LevelCellDims(level)
-	maxDim := cellDims[0]
-	for d := 1; d < m.Dims(); d++ {
-		if cellDims[d] > maxDim {
-			maxDim = cellDims[d]
-		}
-	}
-	cbits := ceilLog2(maxDim)
-	if cbits == 0 {
-		cbits = 1
-	}
+	cbits := curveBits(m.LevelCellDims(level))
 	w.entries = w.entries[:0]
 	for _, id := range w.ctx.levels[level] {
 		for k := 0; k < w.ctx.kmax; k++ {
 			for j := 0; j < w.ctx.bs; j++ {
 				for i := 0; i < w.ctx.bs; i++ {
-					g := m.GlobalCellCoord(id, i, j, k)
-					w.coords[0], w.coords[1] = g[0], g[1]
-					if m.Dims() == 3 {
-						w.coords[2] = g[2]
-					}
 					w.entries = append(w.entries, orderEntry{
-						key: w.curve.Index(w.coords, cbits),
+						key: w.ctx.curve.Index(m.GlobalCellCoord(id, i, j, k), cbits),
 						pos: w.ctx.cellPos(id, i, j, k),
 					})
 				}
@@ -252,37 +208,18 @@ func (w *spanWriter) runLevel(level int, span []int32) error {
 
 // sortedRootsFast orders the root blocks along the curve over the root
 // lattice using the radix sort.
-func (ctx *buildContext) sortedRootsFast() ([]amr.BlockID, error) {
+func (ctx *buildContext) sortedRootsFast() []amr.BlockID {
 	t0 := ctx.met.now()
 	m := ctx.m
-	curve, err := sfc.New(ctx.curveName, m.Dims())
-	if err != nil {
-		return nil, err
-	}
-	rd := m.RootDims()
-	maxRoot := rd[0]
-	for d := 1; d < m.Dims(); d++ {
-		if rd[d] > maxRoot {
-			maxRoot = rd[d]
-		}
-	}
-	rbits := ceilLog2(maxRoot)
-	if rbits == 0 {
-		rbits = 1
-	}
+	rbits := curveBits(m.RootDims())
 	roots := m.Roots()
-	entries := make([]orderEntry, 0, len(roots))
-	scratch := make([]orderEntry, len(roots))
-	coords := make([]uint32, m.Dims())
-	for _, id := range roots {
+	entries := make([]orderEntry, len(roots))
+	for i, id := range roots {
 		c := m.Block(id).Coord
-		coords[0], coords[1] = uint32(c[0]), uint32(c[1])
-		if m.Dims() == 3 {
-			coords[2] = uint32(c[2])
-		}
-		entries = append(entries, orderEntry{key: curve.Index(coords, rbits), pos: int32(id)})
+		key := ctx.curve.Index([3]uint32{uint32(c[0]), uint32(c[1]), uint32(c[2])}, rbits)
+		entries[i] = orderEntry{key: key, pos: int32(id)}
 	}
-	radixSortEntries(entries, scratch)
+	radixSortEntries(entries, make([]orderEntry, len(entries)))
 	out := make([]amr.BlockID, len(entries))
 	for i, e := range entries {
 		out[i] = amr.BlockID(e.pos)
@@ -290,16 +227,13 @@ func (ctx *buildContext) sortedRootsFast() ([]amr.BlockID, error) {
 	if ctx.met != nil {
 		ctx.met.sort.Since(t0)
 	}
-	return out, nil
+	return out
 }
 
-// BuildRecipeParallel builds the recipe with an explicit worker budget;
-// workers <= 0 uses GOMAXPROCS. Any worker count (including 1) produces the
-// identical permutation: partitioning is by topology, not by scheduling.
-func BuildRecipeParallel(m *amr.Mesh, layout Layout, curveName string, workers int) (*Recipe, error) {
-	return buildRecipeParallel(m, layout, curveName, workers, nil)
-}
-
+// buildRecipeParallel builds the recipe with a worker budget; workers <= 0
+// uses GOMAXPROCS. Any worker count (including 1) produces the identical
+// permutation: partitioning is by topology, not by scheduling. A nil met
+// records nothing.
 func buildRecipeParallel(m *amr.Mesh, layout Layout, curveName string, workers int, met *recipeMetrics) (*Recipe, error) {
 	bctx, err := newBuildContext(m, curveName, met)
 	if err != nil {
@@ -342,24 +276,13 @@ func (bctx *buildContext) runSpans(numJobs, workers int, run func(w *spanWriter,
 		workers = numJobs
 	}
 	if workers <= 1 {
-		w, err := newSpanWriter(bctx)
-		if err != nil {
-			return err
-		}
+		w := &spanWriter{ctx: bctx}
 		for i := 0; i < numJobs; i++ {
 			if err := run(w, i); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	writers := make([]*spanWriter, workers)
-	for g := range writers {
-		w, err := newSpanWriter(bctx)
-		if err != nil {
-			return err
-		}
-		writers[g] = w
 	}
 	jobs := make(chan int)
 	errs := make([]error, numJobs)
@@ -371,7 +294,7 @@ func (bctx *buildContext) runSpans(numJobs, workers int, run func(w *spanWriter,
 			for i := range jobs {
 				errs[i] = run(w, i)
 			}
-		}(writers[g])
+		}(&spanWriter{ctx: bctx})
 	}
 	for i := 0; i < numJobs; i++ {
 		jobs <- i
@@ -388,10 +311,7 @@ func (bctx *buildContext) runSpans(numJobs, workers int, run func(w *spanWriter,
 
 // buildTreesParallel fans the chained-tree layout out across root trees.
 func (bctx *buildContext) buildTreesParallel(perm []int32, workers int) error {
-	roots, err := bctx.sortedRootsFast()
-	if err != nil {
-		return err
-	}
+	roots := bctx.sortedRootsFast()
 	t0 := bctx.met.now()
 	spans := make([][]int32, len(roots))
 	off := 0
@@ -411,8 +331,9 @@ func (bctx *buildContext) buildTreesParallel(perm []int32, workers int) error {
 	})
 }
 
-// buildLevelsParallel fans the within-level SFC layout out across levels.
-func (bctx *buildContext) buildLevelsParallel(perm []int32, workers int) error {
+// levelSpans carves perm into one span per level, in level order: the
+// SFCWithinLevel and TAC3D layouts both emit each level contiguously.
+func (bctx *buildContext) levelSpans(perm []int32) ([][]int32, error) {
 	spans := make([][]int32, len(bctx.levels))
 	off := 0
 	for l, ids := range bctx.levels {
@@ -421,7 +342,16 @@ func (bctx *buildContext) buildLevelsParallel(perm []int32, workers int) error {
 		off += size
 	}
 	if off != len(perm) {
-		return fmt.Errorf("core: level spans cover %d of %d cells", off, len(perm))
+		return nil, fmt.Errorf("core: level spans cover %d of %d cells", off, len(perm))
+	}
+	return spans, nil
+}
+
+// buildLevelsParallel fans the within-level SFC layout out across levels.
+func (bctx *buildContext) buildLevelsParallel(perm []int32, workers int) error {
+	spans, err := bctx.levelSpans(perm)
+	if err != nil {
+		return err
 	}
 	return bctx.runSpans(len(spans), workers, func(w *spanWriter, l int) error {
 		return w.runLevel(l, spans[l])

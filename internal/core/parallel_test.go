@@ -55,8 +55,8 @@ func ringMesh(tb testing.TB, dims, depth int) *amr.Mesh {
 	return m
 }
 
-// The tentpole invariant: the span-based parallel builder reproduces the
-// serial reference builder bit for bit — for every layout, curve,
+// The builder's invariant: the span-based builder reproduces the serial
+// oracle (oracle_test.go) bit for bit — for every layout, curve,
 // dimensionality and worker count.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	curves := []string{"morton", "hilbert", "rowmajor"}
@@ -68,12 +68,12 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 		for name, m := range meshes {
 			for _, layout := range allLayouts() {
 				for _, curve := range curves {
-					want, err := BuildRecipeSerial(m, layout, curve)
+					want, err := buildRecipeSerial(m, layout, curve)
 					if err != nil {
 						t.Fatalf("serial dims=%d %s %v/%s: %v", dims, name, layout, curve, err)
 					}
-					for _, workers := range []int{0, 1, 3} {
-						got, err := BuildRecipeParallel(m, layout, curve, workers)
+					for _, workers := range differentialWorkers {
+						got, err := buildRecipeParallel(m, layout, curve, workers, nil)
 						if err != nil {
 							t.Fatalf("parallel dims=%d %s %v/%s workers=%d: %v",
 								dims, name, layout, curve, workers, err)
@@ -90,6 +90,34 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// differentialWorkers are the worker budgets every builder differential
+// runs: GOMAXPROCS, serial, a pair, an odd count, and more workers than any
+// test mesh has spans.
+var differentialWorkers = []int{0, 1, 2, 3, 64}
+
+// TestBuildRecipeAllocs pins the builder's allocations to a per-build
+// constant: the curve works on stack values, so no layout allocates per
+// cell. One worker, 2-D and 3-D ring meshes (26 624 and 987 136 cells).
+func TestBuildRecipeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact in a race build")
+	}
+	const maxAllocs = 128
+	for _, dims := range []int{2, 3} {
+		m := ringMesh(t, dims, 3)
+		for _, layout := range allLayouts() {
+			allocs := testing.AllocsPerRun(2, func() {
+				if _, err := buildRecipeParallel(m, layout, "hilbert", 1, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > maxAllocs {
+				t.Errorf("dims=%d %v: %v allocations per build, want <= %d", dims, layout, allocs, maxAllocs)
 			}
 		}
 	}

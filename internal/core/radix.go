@@ -8,9 +8,15 @@ package core
 // entries in ascending pos order means equal keys keep their pos order,
 // matching the comparator's explicit pos tie-break exactly.
 
-// radixThreshold is the size below which a binary insertion-free simple sort
-// beats the counting passes.
+// radixThreshold is the size below which insertion sort beats the counting
+// passes.
 const radixThreshold = 48
+
+// orderEntry pairs a curve key with a stream position for sorting.
+type orderEntry struct {
+	key uint64
+	pos int32
+}
 
 // radixSortEntries sorts entries in place by key ascending (stable). scratch
 // must be at least len(entries) long; it is used as the ping-pong buffer so

@@ -9,7 +9,8 @@ package core
 // greedy partition of every level into boxes, and a Recipe that serializes
 // the field box by box in 3D-local row-major order.
 //
-// Partition spec (both builders implement exactly this, independently):
+// Partition spec (the production partition in tac_parallel.go and the test
+// oracle in oracle_test.go implement exactly this, independently):
 //
 //   - Each level is partitioned separately, on its block lattice
 //     (levelBlockDims). Boxes never cross levels.
@@ -38,11 +39,7 @@ package core
 // of the dense padded array are real cells and which are padding, and the
 // mask itself is rebuilt from topology at decode time, never stored.
 
-import (
-	"math/bits"
-
-	"repro/internal/amr"
-)
+import "math/bits"
 
 // TAC partition tuning. These are part of the layout definition: changing
 // them changes every TAC permutation, so they are constants, not options.
@@ -127,138 +124,4 @@ func finalizeMask(mask []uint64, volume int) ([]uint64, int) {
 		return nil, n
 	}
 	return mask, n
-}
-
-// ---------------------------------------------------------------------------
-// Serial reference implementation (map-based). Mirrors the BuildRecipeSerial
-// discipline: shares no occupancy, growth, or emission code with the
-// parallel builder in tac_parallel.go, so bit-for-bit equality of both the
-// permutation and the plan between the two is a meaningful differential.
-
-// buildTAC runs the serial TAC partition and emission, returning the plan.
-func (b *builder) buildTAC() (*TACPlan, error) {
-	m := b.m
-	maxSide := tacMaxSideBlocks(b.bs)
-	plan := &TACPlan{}
-	for level := 0; level <= m.MaxLevel(); level++ {
-		ids := m.SortedLevel(level)
-		if len(ids) == 0 {
-			continue
-		}
-		bd := m.LevelCellDims(level)
-		for d := 0; d < m.Dims(); d++ {
-			bd[d] /= b.bs
-		}
-		if m.Dims() == 2 {
-			bd[2] = 1
-		}
-		// Occupancy and ownership maps over the level's block lattice.
-		occ := make(map[[3]int]amr.BlockID, len(ids))
-		owner := make(map[[3]int]int, len(ids))
-		for _, id := range ids {
-			c := m.Block(id).Coord
-			occ[[3]int{c[0], c[1], c[2]}] = id
-		}
-		for _, seed := range ids {
-			sc := m.Block(seed).Coord
-			if _, taken := owner[sc]; taken {
-				continue
-			}
-			min, size := sc, [3]int{1, 1, 1}
-			claimed := 1
-			// Greedy growth: rounds of +x/+y/+z slab extensions.
-			for {
-				extended := false
-				for d := 0; d < m.Dims(); d++ {
-					if size[d] >= maxSide || min[d]+size[d] >= bd[d] {
-						continue
-					}
-					gain := b.slabGain(occ, owner, min, size, d)
-					if gain == 0 {
-						continue
-					}
-					grown := size
-					grown[d]++
-					volume := grown[0] * grown[1] * grown[2]
-					if (claimed+gain)*tacMinFillDen < volume*tacMinFillNum {
-						continue
-					}
-					size = grown
-					claimed += gain
-					extended = true
-				}
-				if !extended {
-					break
-				}
-			}
-			// Claim and emit.
-			box := b.emitTACBox(occ, owner, level, min, size, len(plan.Boxes))
-			plan.Boxes = append(plan.Boxes, box)
-		}
-	}
-	return plan, nil
-}
-
-// slabGain counts the occupied, unassigned blocks in the one-slab extension
-// of box (min, size) in direction d.
-func (b *builder) slabGain(occ map[[3]int]amr.BlockID, owner map[[3]int]int, min, size [3]int, d int) int {
-	lo, hi := min, [3]int{min[0] + size[0], min[1] + size[1], min[2] + size[2]}
-	lo[d] = min[d] + size[d]
-	hi[d] = lo[d] + 1
-	gain := 0
-	for z := lo[2]; z < hi[2]; z++ {
-		for y := lo[1]; y < hi[1]; y++ {
-			for x := lo[0]; x < hi[0]; x++ {
-				c := [3]int{x, y, z}
-				if _, ok := occ[c]; !ok {
-					continue
-				}
-				if _, taken := owner[c]; !taken {
-					gain++
-				}
-			}
-		}
-	}
-	return gain
-}
-
-// emitTACBox claims the box's blocks, appends its cells to the permutation
-// in local row-major order, and returns the box with its fill mask.
-func (b *builder) emitTACBox(occ map[[3]int]amr.BlockID, owner map[[3]int]int, level int, min, size [3]int, boxIdx int) TACBox {
-	m := b.m
-	for z := min[2]; z < min[2]+size[2]; z++ {
-		for y := min[1]; y < min[1]+size[1]; y++ {
-			for x := min[0]; x < min[0]+size[0]; x++ {
-				c := [3]int{x, y, z}
-				if _, ok := occ[c]; !ok {
-					continue
-				}
-				if _, taken := owner[c]; !taken {
-					owner[c] = boxIdx
-				}
-			}
-		}
-	}
-	cd := [3]int{size[0] * b.bs, size[1] * b.bs, 1}
-	if m.Dims() == 3 {
-		cd[2] = size[2] * b.bs
-	}
-	volume := cd[0] * cd[1] * cd[2]
-	mask := make([]uint64, maskWords(volume))
-	idx := 0
-	for z := 0; z < cd[2]; z++ {
-		for y := 0; y < cd[1]; y++ {
-			for x := 0; x < cd[0]; x++ {
-				bc := [3]int{min[0] + x/b.bs, min[1] + y/b.bs, min[2] + z/b.bs}
-				if own, taken := owner[bc]; taken && own == boxIdx {
-					id := occ[bc]
-					b.perm = append(b.perm, b.cellPos(id, x%b.bs, y%b.bs, z%b.bs))
-					mask[idx>>6] |= 1 << (uint(idx) & 63)
-				}
-				idx++
-			}
-		}
-	}
-	mask, n := finalizeMask(mask, volume)
-	return TACBox{Level: level, Min: min, Size: size, CellDims: cd, NumCells: n, Mask: mask}
 }

@@ -7,8 +7,8 @@ package core
 // permutation. The partition here is grid-based — dense occupancy/owner
 // arrays indexed by lattice position, falling back to int64-keyed maps when
 // the lattice is much larger than the level's population — and shares no
-// code with the map-based serial reference in tac.go; the differential test
-// asserts bit-for-bit equality of both the permutation and the plan.
+// code with the map-based serial oracle in oracle_test.go; the differential
+// test asserts bit-for-bit equality of both the permutation and the plan.
 
 import (
 	"fmt"
@@ -16,11 +16,11 @@ import (
 	"repro/internal/amr"
 )
 
-// tacLattice is the parallel builder's occupancy/ownership index over one
-// level's block lattice. Dense arrays when the lattice volume is within a
-// small factor of the block population; int64-keyed maps otherwise, so a
-// deep, sparsely-refined level never allocates memory proportional to the
-// full lattice volume.
+// tacLattice is the builder's occupancy/ownership index over one level's
+// block lattice. Dense arrays when the lattice volume is within a small
+// factor of the block population; int64-keyed maps otherwise, so a deep,
+// sparsely-refined level never allocates memory proportional to the full
+// lattice volume.
 type tacLattice struct {
 	bd     [3]int
 	blocks []int32 // dense: block id + 1, 0 = empty
@@ -91,8 +91,10 @@ func (g *tacLattice) setOwner(x, y, z, boxIdx int) {
 
 // tacPartitionLevel partitions one level and writes its cells into span,
 // returning the level's boxes in creation order. The greedy growth follows
-// the partition spec documented in tac.go.
+// the partition spec documented in tac.go. Partition and emission together
+// record into recipe.descent.
 func (bctx *buildContext) tacPartitionLevel(level int, span []int32) ([]TACBox, error) {
+	t0 := bctx.met.now()
 	m := bctx.m
 	ids := bctx.levels[level]
 	if len(ids) == 0 {
@@ -145,6 +147,9 @@ func (bctx *buildContext) tacPartitionLevel(level int, span []int32) ([]TACBox, 
 	}
 	if next != len(span) {
 		return nil, fmt.Errorf("core: tac level %d emitted %d of %d cells", level, next, len(span))
+	}
+	if bctx.met != nil {
+		bctx.met.descent.Since(t0)
 	}
 	return boxes, nil
 }
@@ -215,18 +220,12 @@ func (bctx *buildContext) writeTACBox(g *tacLattice, level int, min, size [3]int
 // buildTACParallel fans the TAC layout out across levels and assembles the
 // plan in level order.
 func (bctx *buildContext) buildTACParallel(perm []int32, workers int) (*TACPlan, error) {
-	spans := make([][]int32, len(bctx.levels))
-	off := 0
-	for l, ids := range bctx.levels {
-		size := len(ids) * bctx.cpb
-		spans[l] = perm[off : off+size]
-		off += size
-	}
-	if off != len(perm) {
-		return nil, fmt.Errorf("core: tac level spans cover %d of %d cells", off, len(perm))
+	spans, err := bctx.levelSpans(perm)
+	if err != nil {
+		return nil, err
 	}
 	boxesByLevel := make([][]TACBox, len(bctx.levels))
-	err := bctx.runSpans(len(spans), workers, func(w *spanWriter, l int) error {
+	err = bctx.runSpans(len(spans), workers, func(w *spanWriter, l int) error {
 		boxes, err := bctx.tacPartitionLevel(l, spans[l])
 		boxesByLevel[l] = boxes
 		return err

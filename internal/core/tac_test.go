@@ -21,22 +21,22 @@ func tacTestMeshes(t testing.TB) map[string]*amr.Mesh {
 	}
 }
 
-// The TAC differential oracle: the grid-based parallel partition must
-// reproduce the map-based serial reference bit for bit — the permutation
+// The TAC differential: the grid-based partition must reproduce the
+// map-based serial oracle bit for bit — the permutation
 // (already covered layout-generically by TestParallelBuildMatchesSerial) AND
 // the plan: box extents, fill masks, cell counts, order. Any worker count
 // must yield the identical plan.
 func TestTACPlanMatchesSerial(t *testing.T) {
 	for name, m := range tacTestMeshes(t) {
-		want, err := BuildRecipeSerial(m, TAC3D, "hilbert")
+		want, err := buildRecipeSerial(m, TAC3D, "hilbert")
 		if err != nil {
 			t.Fatalf("%s: serial: %v", name, err)
 		}
 		if want.TACPlan() == nil || len(want.TACPlan().Boxes) == 0 {
 			t.Fatalf("%s: serial recipe has no plan", name)
 		}
-		for _, workers := range []int{0, 1, 3} {
-			got, err := BuildRecipeParallel(m, TAC3D, "hilbert", workers)
+		for _, workers := range differentialWorkers {
+			got, err := buildRecipeParallel(m, TAC3D, "hilbert", workers, nil)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
@@ -161,10 +161,10 @@ func TestTACPlanNilForOtherLayouts(t *testing.T) {
 // parameters can request it.
 func TestAutoLayoutRejectedByBuilders(t *testing.T) {
 	m := randomMesh(t, 9, 2)
-	if _, err := BuildRecipeSerial(m, AutoLayout, "hilbert"); !errors.Is(err, ErrAutoLayout) {
+	if _, err := buildRecipeSerial(m, AutoLayout, "hilbert"); !errors.Is(err, ErrAutoLayout) {
 		t.Fatalf("serial builder: got %v, want ErrAutoLayout", err)
 	}
-	if _, err := BuildRecipeParallel(m, AutoLayout, "hilbert", 2); !errors.Is(err, ErrAutoLayout) {
+	if _, err := buildRecipeParallel(m, AutoLayout, "hilbert", 2, nil); !errors.Is(err, ErrAutoLayout) {
 		t.Fatalf("parallel builder: got %v, want ErrAutoLayout", err)
 	}
 	got, err := ParseLayout(AutoLayout.String())
@@ -175,8 +175,8 @@ func TestAutoLayoutRejectedByBuilders(t *testing.T) {
 
 // FuzzTACPlanDifferential drives the plan differential from fuzzed
 // (seed, dims) mesh shapes, letting the fuzzer search for refinement
-// patterns where the grid-based parallel partition and the map-based serial
-// reference disagree — the same role FuzzKernelDifferential plays for the
+// patterns where the grid-based partition and the map-based serial oracle
+// disagree — the same role FuzzKernelDifferential plays for the
 // gather/scatter kernels.
 func FuzzTACPlanDifferential(f *testing.F) {
 	f.Add(int64(1), false)
@@ -189,26 +189,28 @@ func FuzzTACPlanDifferential(f *testing.F) {
 			dims = 3
 		}
 		m := randomMesh(t, seed, dims)
-		want, err := BuildRecipeSerial(m, TAC3D, "hilbert")
+		want, err := buildRecipeSerial(m, TAC3D, "hilbert")
 		if err != nil {
 			t.Fatalf("serial: %v", err)
 		}
-		got, err := BuildRecipeParallel(m, TAC3D, "hilbert", 3)
-		if err != nil {
-			t.Fatalf("parallel: %v", err)
-		}
-		gp, wp := got.TACPlan(), want.TACPlan()
-		if len(gp.Boxes) != len(wp.Boxes) {
-			t.Fatalf("%d boxes, want %d", len(gp.Boxes), len(wp.Boxes))
-		}
-		for i := range wp.Boxes {
-			if !reflect.DeepEqual(gp.Boxes[i], wp.Boxes[i]) {
-				t.Fatalf("box %d differs:\n got %+v\nwant %+v", i, gp.Boxes[i], wp.Boxes[i])
+		for _, workers := range differentialWorkers {
+			got, err := buildRecipeParallel(m, TAC3D, "hilbert", workers, nil)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
 			}
-		}
-		for i := range want.Perm() {
-			if got.Perm()[i] != want.Perm()[i] {
-				t.Fatalf("perm differs at %d", i)
+			gp, wp := got.TACPlan(), want.TACPlan()
+			if len(gp.Boxes) != len(wp.Boxes) {
+				t.Fatalf("workers=%d: %d boxes, want %d", workers, len(gp.Boxes), len(wp.Boxes))
+			}
+			for i := range wp.Boxes {
+				if !reflect.DeepEqual(gp.Boxes[i], wp.Boxes[i]) {
+					t.Fatalf("workers=%d: box %d differs:\n got %+v\nwant %+v", workers, i, gp.Boxes[i], wp.Boxes[i])
+				}
+			}
+			for i := range want.Perm() {
+				if got.Perm()[i] != want.Perm()[i] {
+					t.Fatalf("workers=%d: perm differs at %d", workers, i)
+				}
 			}
 		}
 	})

@@ -77,9 +77,10 @@ func transposeToIndex(x []uint32, b uint) uint64 {
 	return idx
 }
 
-// indexToTranspose inverts transposeToIndex.
-func indexToTranspose(idx uint64, b uint, n int) []uint32 {
-	x := make([]uint32, n)
+// indexToTranspose inverts transposeToIndex, filling x (zeroed by the
+// caller) from idx.
+func indexToTranspose(idx uint64, b uint, x []uint32) {
+	n := len(x)
 	total := b * uint(n)
 	for pos := uint(0); pos < total; pos++ {
 		// pos counts from the MSB of idx.
@@ -88,62 +89,42 @@ func indexToTranspose(idx uint64, b uint, n int) []uint32 {
 		k := int(pos) % n  // which coordinate
 		x[k] |= uint32(bit) << (b - 1 - j)
 	}
-	return x
 }
 
 // Hilbert2D is the 2-D Hilbert curve.
 type Hilbert2D struct{}
 
-// Name implements Curve.
-func (Hilbert2D) Name() string { return "hilbert" }
-
-// Dims implements Curve.
-func (Hilbert2D) Dims() int { return 2 }
-
 // Index implements Curve.
-func (Hilbert2D) Index(coords []uint32, bits uint) uint64 {
-	return hilbertIndex(coords, bits, 2)
-}
+func (Hilbert2D) Index(c [3]uint32, bits uint) uint64 { return hilbertIndex(c, bits, 2) }
 
 // Coords implements Curve.
-func (Hilbert2D) Coords(index uint64, bits uint) []uint32 {
-	return hilbertCoords(index, bits, 2)
-}
+func (Hilbert2D) Coords(index uint64, bits uint) [3]uint32 { return hilbertCoords(index, bits, 2) }
 
 // Hilbert3D is the 3-D Hilbert curve.
 type Hilbert3D struct{}
 
-// Name implements Curve.
-func (Hilbert3D) Name() string { return "hilbert" }
-
-// Dims implements Curve.
-func (Hilbert3D) Dims() int { return 3 }
-
 // Index implements Curve.
-func (Hilbert3D) Index(coords []uint32, bits uint) uint64 {
-	return hilbertIndex(coords, bits, 3)
-}
+func (Hilbert3D) Index(c [3]uint32, bits uint) uint64 { return hilbertIndex(c, bits, 3) }
 
 // Coords implements Curve.
-func (Hilbert3D) Coords(index uint64, bits uint) []uint32 {
-	return hilbertCoords(index, bits, 3)
-}
+func (Hilbert3D) Coords(index uint64, bits uint) [3]uint32 { return hilbertCoords(index, bits, 3) }
 
-func hilbertIndex(coords []uint32, bits uint, n int) uint64 {
+// hilbertIndex transposes the first n coordinates of its own copy of c in
+// place, so the conversion stays on the stack.
+func hilbertIndex(c [3]uint32, bits uint, n int) uint64 {
 	if bits == 0 {
 		return 0
 	}
-	x := make([]uint32, n)
-	copy(x, coords)
-	axesToTranspose(x, bits)
-	return transposeToIndex(x, bits)
+	axesToTranspose(c[:n], bits)
+	return transposeToIndex(c[:n], bits)
 }
 
-func hilbertCoords(index uint64, bits uint, n int) []uint32 {
+func hilbertCoords(index uint64, bits uint, n int) [3]uint32 {
+	var c [3]uint32
 	if bits == 0 {
-		return make([]uint32, n)
+		return c
 	}
-	x := indexToTranspose(index, bits, n)
-	transposeToAxes(x, bits)
-	return x
+	indexToTranspose(index, bits, c[:n])
+	transposeToAxes(c[:n], bits)
+	return c
 }

@@ -4,12 +4,6 @@ package sfc
 // x occupying the even bit positions.
 type Morton2D struct{}
 
-// Name implements Curve.
-func (Morton2D) Name() string { return "morton" }
-
-// Dims implements Curve.
-func (Morton2D) Dims() int { return 2 }
-
 // part1by1 spreads the low 32 bits of v so they occupy the even positions.
 func part1by1(v uint64) uint64 {
 	v &= 0xffffffff
@@ -33,26 +27,17 @@ func compact1by1(v uint64) uint64 {
 }
 
 // Index implements Curve.
-func (Morton2D) Index(coords []uint32, bits uint) uint64 {
-	return part1by1(uint64(coords[0])) | part1by1(uint64(coords[1]))<<1
+func (Morton2D) Index(c [3]uint32, bits uint) uint64 {
+	return part1by1(uint64(c[0])) | part1by1(uint64(c[1]))<<1
 }
 
 // Coords implements Curve.
-func (Morton2D) Coords(index uint64, bits uint) []uint32 {
-	return []uint32{
-		uint32(compact1by1(index)),
-		uint32(compact1by1(index >> 1)),
-	}
+func (Morton2D) Coords(index uint64, bits uint) [3]uint32 {
+	return [3]uint32{uint32(compact1by1(index)), uint32(compact1by1(index >> 1)), 0}
 }
 
 // Morton3D is the 3-D Z-order curve with x in bit positions ≡ 0 (mod 3).
 type Morton3D struct{}
-
-// Name implements Curve.
-func (Morton3D) Name() string { return "morton" }
-
-// Dims implements Curve.
-func (Morton3D) Dims() int { return 3 }
 
 // part1by2 spreads the low 21 bits of v two positions apart.
 func part1by2(v uint64) uint64 {
@@ -77,15 +62,13 @@ func compact1by2(v uint64) uint64 {
 }
 
 // Index implements Curve.
-func (Morton3D) Index(coords []uint32, bits uint) uint64 {
-	return part1by2(uint64(coords[0])) |
-		part1by2(uint64(coords[1]))<<1 |
-		part1by2(uint64(coords[2]))<<2
+func (Morton3D) Index(c [3]uint32, bits uint) uint64 {
+	return part1by2(uint64(c[0])) | part1by2(uint64(c[1]))<<1 | part1by2(uint64(c[2]))<<2
 }
 
 // Coords implements Curve.
-func (Morton3D) Coords(index uint64, bits uint) []uint32 {
-	return []uint32{
+func (Morton3D) Coords(index uint64, bits uint) [3]uint32 {
+	return [3]uint32{
 		uint32(compact1by2(index)),
 		uint32(compact1by2(index >> 1)),
 		uint32(compact1by2(index >> 2)),

@@ -10,15 +10,15 @@ import "fmt"
 // locality. Implementations are pure functions of the coordinates and the
 // per-dimension bit budget, so the ordering they induce is reproducible from
 // structure alone — the property zMesh's restore recipe relies on.
+//
+// Coordinates are passed by value as {x, y, z}; a 2-D curve ignores z on
+// the way in and returns z = 0 on the way out, so neither direction
+// allocates.
 type Curve interface {
-	// Name identifies the curve ("morton" or "hilbert").
-	Name() string
-	// Dims reports the dimensionality (2 or 3).
-	Dims() int
-	// Index maps coords (one per dimension, each < 2^bits) to a curve index.
-	Index(coords []uint32, bits uint) uint64
+	// Index maps c (each used coordinate < 2^bits) to a curve index.
+	Index(c [3]uint32, bits uint) uint64
 	// Coords inverts Index.
-	Coords(index uint64, bits uint) []uint32
+	Coords(index uint64, bits uint) [3]uint32
 }
 
 // New returns the named curve in the given dimensionality.
@@ -33,46 +33,27 @@ func New(name string, dims int) (Curve, error) {
 	case name == "hilbert" && dims == 3:
 		return Hilbert3D{}, nil
 	case name == "rowmajor" && (dims == 2 || dims == 3):
-		return RowMajor{NDims: dims}, nil
+		return RowMajor{}, nil
 	}
 	return nil, fmt.Errorf("sfc: unknown curve %q in %d dims", name, dims)
 }
 
-// MaxBits is the largest per-dimension bit budget supported. 2-D curves pack
-// two 31-bit coordinates; 3-D curves pack three 21-bit coordinates.
-func MaxBits(dims int) uint {
-	if dims == 3 {
-		return 21
-	}
-	return 31
-}
-
-// RowMajor is the degenerate "curve" that orders by y-major scan. It is the
-// no-locality baseline used in the sibling-order ablation.
-type RowMajor struct{ NDims int }
-
-// Name implements Curve.
-func (RowMajor) Name() string { return "rowmajor" }
-
-// Dims implements Curve.
-func (r RowMajor) Dims() int { return r.NDims }
+// RowMajor is the degenerate "curve" that orders by z-, then y-major scan.
+// It is the no-locality baseline used in the sibling-order ablation. With
+// z = 0 the 3-D formula is the 2-D one, so one type serves both.
+type RowMajor struct{}
 
 // Index implements Curve.
-func (r RowMajor) Index(coords []uint32, bits uint) uint64 {
-	var idx uint64
-	for d := r.NDims - 1; d >= 0; d-- {
-		idx = idx<<bits | uint64(coords[d])
-	}
-	return idx
+func (RowMajor) Index(c [3]uint32, bits uint) uint64 {
+	return (uint64(c[2])<<bits|uint64(c[1]))<<bits | uint64(c[0])
 }
 
 // Coords implements Curve.
-func (r RowMajor) Coords(index uint64, bits uint) []uint32 {
-	coords := make([]uint32, r.NDims)
+func (RowMajor) Coords(index uint64, bits uint) [3]uint32 {
 	mask := (uint64(1) << bits) - 1
-	for d := 0; d < r.NDims; d++ {
-		coords[d] = uint32(index & mask)
-		index >>= bits
+	return [3]uint32{
+		uint32(index & mask),
+		uint32((index >> bits) & mask),
+		uint32((index >> (2 * bits)) & mask),
 	}
-	return coords
 }

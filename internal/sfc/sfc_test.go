@@ -6,18 +6,30 @@ import (
 	"testing/quick"
 )
 
-func curves2D() []Curve { return []Curve{Morton2D{}, Hilbert2D{}, RowMajor{NDims: 2}} }
-func curves3D() []Curve { return []Curve{Morton3D{}, Hilbert3D{}, RowMajor{NDims: 3}} }
+// Per-dimension bit budgets at the top of each curve's range: 2-D curves pack
+// two 31-bit coordinates, 3-D curves three 21-bit coordinates.
+const (
+	maxBits2D = 31
+	maxBits3D = 21
+)
+
+func curves2D() []Curve { return []Curve{Morton2D{}, Hilbert2D{}, RowMajor{}} }
+func curves3D() []Curve { return []Curve{Morton3D{}, Hilbert3D{}, RowMajor{}} }
 
 func TestNew(t *testing.T) {
-	for _, name := range []string{"morton", "hilbert", "rowmajor"} {
-		for _, dims := range []int{2, 3} {
+	want := map[string][2]Curve{
+		"morton":   {Morton2D{}, Morton3D{}},
+		"hilbert":  {Hilbert2D{}, Hilbert3D{}},
+		"rowmajor": {RowMajor{}, RowMajor{}},
+	}
+	for name, byDims := range want {
+		for i, dims := range []int{2, 3} {
 			c, err := New(name, dims)
 			if err != nil {
 				t.Fatalf("New(%q, %d): %v", name, dims, err)
 			}
-			if c.Dims() != dims || c.Name() != name {
-				t.Fatalf("New(%q, %d) returned %q/%d", name, dims, c.Name(), c.Dims())
+			if c != byDims[i] {
+				t.Fatalf("New(%q, %d) returned %T, want %T", name, dims, c, byDims[i])
 			}
 		}
 	}
@@ -36,19 +48,18 @@ func TestBijection(t *testing.T) {
 		seen := make(map[uint64][2]uint32)
 		for y := uint32(0); y < 8; y++ {
 			for x := uint32(0); x < 8; x++ {
-				idx := c.Index([]uint32{x, y}, bits)
+				idx := c.Index([3]uint32{x, y, 0}, bits)
 				if prev, dup := seen[idx]; dup {
-					t.Fatalf("%s2d: index %d for both %v and (%d,%d)", c.Name(), idx, prev, x, y)
+					t.Fatalf("%T: index %d for both %v and (%d,%d)", c, idx, prev, x, y)
 				}
 				seen[idx] = [2]uint32{x, y}
-				back := c.Coords(idx, bits)
-				if back[0] != x || back[1] != y {
-					t.Fatalf("%s2d: Coords(Index(%d,%d)) = %v", c.Name(), x, y, back)
+				if back := c.Coords(idx, bits); back != [3]uint32{x, y, 0} {
+					t.Fatalf("%T: Coords(Index(%d,%d)) = %v", c, x, y, back)
 				}
 			}
 		}
 		if len(seen) != 64 {
-			t.Fatalf("%s2d covered %d of 64 indices", c.Name(), len(seen))
+			t.Fatalf("%T covered %d of 64 indices", c, len(seen))
 		}
 	}
 	for _, c := range curves3D() {
@@ -56,20 +67,19 @@ func TestBijection(t *testing.T) {
 		for z := uint32(0); z < 8; z++ {
 			for y := uint32(0); y < 8; y++ {
 				for x := uint32(0); x < 8; x++ {
-					idx := c.Index([]uint32{x, y, z}, bits)
+					idx := c.Index([3]uint32{x, y, z}, bits)
 					if seen[idx] {
-						t.Fatalf("%s3d: duplicate index %d", c.Name(), idx)
+						t.Fatalf("%T: duplicate index %d", c, idx)
 					}
 					seen[idx] = true
-					back := c.Coords(idx, bits)
-					if back[0] != x || back[1] != y || back[2] != z {
-						t.Fatalf("%s3d: round trip (%d,%d,%d) -> %v", c.Name(), x, y, z, back)
+					if back := c.Coords(idx, bits); back != [3]uint32{x, y, z} {
+						t.Fatalf("%T: round trip (%d,%d,%d) -> %v", c, x, y, z, back)
 					}
 				}
 			}
 		}
 		if len(seen) != 512 {
-			t.Fatalf("%s3d covered %d of 512 indices", c.Name(), len(seen))
+			t.Fatalf("%T covered %d of 512 indices", c, len(seen))
 		}
 	}
 }
@@ -81,13 +91,55 @@ func TestIndexRange(t *testing.T) {
 		var max uint64
 		for y := uint32(0); y < 16; y++ {
 			for x := uint32(0); x < 16; x++ {
-				if idx := c.Index([]uint32{x, y}, bits); idx > max {
+				if idx := c.Index([3]uint32{x, y, 0}, bits); idx > max {
 					max = idx
 				}
 			}
 		}
 		if max != 255 {
-			t.Fatalf("%s2d max index = %d, want 255", c.Name(), max)
+			t.Fatalf("%T max index = %d, want 255", c, max)
+		}
+	}
+}
+
+// A 2-D curve has no third axis: Coords must report z = 0 for every index of
+// the lattice, at small and full bit budgets.
+func TestCoords2DZeroZ(t *testing.T) {
+	for _, c := range curves2D() {
+		const bits = 4
+		for idx := uint64(0); idx < 1<<(2*bits); idx++ {
+			if got := c.Coords(idx, bits); got[2] != 0 {
+				t.Fatalf("%T: Coords(%d, %d) = %v, want z = 0", c, idx, bits, got)
+			}
+		}
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 1000; i++ {
+			idx := rng.Uint64() >> (64 - 2*maxBits2D)
+			if got := c.Coords(idx, maxBits2D); got[2] != 0 {
+				t.Fatalf("%T: Coords(%d, %d) = %v, want z = 0", c, idx, maxBits2D, got)
+			}
+		}
+	}
+}
+
+// Coordinates travel by value: neither direction of any curve may allocate.
+func TestCurveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact in a race build")
+	}
+	for _, tc := range []struct {
+		curves []Curve
+		bits   uint
+	}{{curves2D(), maxBits2D}, {curves3D(), maxBits3D}} {
+		for _, c := range tc.curves {
+			p := [3]uint32{12345, 54321, 999}
+			var idx uint64
+			if a := testing.AllocsPerRun(100, func() { idx = c.Index(p, tc.bits) }); a != 0 {
+				t.Errorf("%T.Index allocates %v per call, want 0", c, a)
+			}
+			if a := testing.AllocsPerRun(100, func() { p = c.Coords(idx, tc.bits) }); a != 0 {
+				t.Errorf("%T.Coords allocates %v per call, want 0", c, a)
+			}
 		}
 	}
 }
@@ -121,7 +173,7 @@ func TestHilbertContinuity3D(t *testing.T) {
 	}
 }
 
-func manhattan(a, b []uint32) int {
+func manhattan(a, b [3]uint32) int {
 	d := 0
 	for i := range a {
 		if a[i] > b[i] {
@@ -145,7 +197,7 @@ func TestMorton2DKnown(t *testing.T) {
 	}
 	c := Morton2D{}
 	for _, tc := range cases {
-		if got := c.Index([]uint32{tc.x, tc.y}, 3); got != tc.idx {
+		if got := c.Index([3]uint32{tc.x, tc.y, 0}, 3); got != tc.idx {
 			t.Fatalf("Morton2D(%d,%d) = %d, want %d", tc.x, tc.y, got, tc.idx)
 		}
 	}
@@ -162,7 +214,7 @@ func TestMorton3DKnown(t *testing.T) {
 	}
 	c := Morton3D{}
 	for _, tc := range cases {
-		if got := c.Index([]uint32{tc.x, tc.y, tc.z}, 2); got != tc.idx {
+		if got := c.Index([3]uint32{tc.x, tc.y, tc.z}, 2); got != tc.idx {
 			t.Fatalf("Morton3D(%d,%d,%d) = %d, want %d", tc.x, tc.y, tc.z, got, tc.idx)
 		}
 	}
@@ -171,10 +223,9 @@ func TestMorton3DKnown(t *testing.T) {
 // Hilbert 2D first-order curve: the 2x2 case visits (0,0),(0,1),(1,1),(1,0).
 func TestHilbert2DFirstOrder(t *testing.T) {
 	c := Hilbert2D{}
-	want := [][2]uint32{{0, 0}, {0, 1}, {1, 1}, {1, 0}}
+	want := [][3]uint32{{0, 0, 0}, {0, 1, 0}, {1, 1, 0}, {1, 0, 0}}
 	for i, w := range want {
-		got := c.Coords(uint64(i), 1)
-		if got[0] != w[0] || got[1] != w[1] {
+		if got := c.Coords(uint64(i), 1); got != w {
 			t.Fatalf("hilbert2d order-1 step %d = %v, want %v", i, got, w)
 		}
 	}
@@ -183,27 +234,22 @@ func TestHilbert2DFirstOrder(t *testing.T) {
 // property: random high-coordinate round trips at large bit budgets.
 func TestRoundTripQuick(t *testing.T) {
 	f2 := func(x, y uint32) bool {
-		bits := MaxBits(2)
+		const bits = maxBits2D
 		mask := uint32(1)<<bits - 1
-		x &= mask
-		y &= mask
+		p := [3]uint32{x & mask, y & mask, 0}
 		for _, c := range curves2D() {
-			back := c.Coords(c.Index([]uint32{x, y}, bits), bits)
-			if back[0] != x || back[1] != y {
+			if c.Coords(c.Index(p, bits), bits) != p {
 				return false
 			}
 		}
 		return true
 	}
 	f3 := func(x, y, z uint32) bool {
-		bits := MaxBits(3)
+		const bits = maxBits3D
 		mask := uint32(1)<<bits - 1
-		x &= mask
-		y &= mask
-		z &= mask
+		p := [3]uint32{x & mask, y & mask, z & mask}
 		for _, c := range curves3D() {
-			back := c.Coords(c.Index([]uint32{x, y, z}, bits), bits)
-			if back[0] != x || back[1] != y || back[2] != z {
+			if c.Coords(c.Index(p, bits), bits) != p {
 				return false
 			}
 		}
@@ -244,7 +290,7 @@ func TestLocalityOrdering(t *testing.T) {
 
 func BenchmarkMorton2DIndex(b *testing.B) {
 	c := Morton2D{}
-	coords := []uint32{12345, 54321}
+	coords := [3]uint32{12345, 54321, 0}
 	for i := 0; i < b.N; i++ {
 		_ = c.Index(coords, 31)
 	}
@@ -252,7 +298,7 @@ func BenchmarkMorton2DIndex(b *testing.B) {
 
 func BenchmarkHilbert2DIndex(b *testing.B) {
 	c := Hilbert2D{}
-	coords := []uint32{12345, 54321}
+	coords := [3]uint32{12345, 54321, 0}
 	for i := 0; i < b.N; i++ {
 		_ = c.Index(coords, 31)
 	}
@@ -261,7 +307,7 @@ func BenchmarkHilbert2DIndex(b *testing.B) {
 func BenchmarkHilbert3DIndex(b *testing.B) {
 	c := Hilbert3D{}
 	rng := rand.New(rand.NewSource(1))
-	coords := []uint32{uint32(rng.Intn(1 << 21)), uint32(rng.Intn(1 << 21)), uint32(rng.Intn(1 << 21))}
+	coords := [3]uint32{uint32(rng.Intn(1 << 21)), uint32(rng.Intn(1 << 21)), uint32(rng.Intn(1 << 21))}
 	for i := 0; i < b.N; i++ {
 		_ = c.Coords(c.Index(coords, 21), 21)
 	}

@@ -107,7 +107,7 @@ func (te *TemporalEncoder) CompressSnapshot(f *Field, bound Bound) (tc *Temporal
 	keyframe := te.prevStructure == nil || !bytes.Equal(structure, te.prevStructure)
 	enc, dec := te.enc, te.dec
 	if keyframe {
-		recipe, err := core.BuildRecipeObserved(m, te.opt.Layout, te.opt.Curve, 0, te.reg)
+		recipe, err := core.BuildRecipeObserved(m, te.opt.Layout, te.opt.Curve, te.reg)
 		if err != nil {
 			return nil, err
 		}

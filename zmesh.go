@@ -235,7 +235,7 @@ func NewEncoderObserved(m *Mesh, opt Options, r *Registry) (*Encoder, error) {
 		opt.Layout = ResolveAuto(m.Dims(), opt.Codec)
 	}
 	e := &Encoder{opt: opt, mesh: m, codec: codec}
-	if e.recipe, err = core.BuildRecipeObserved(m, opt.Layout, opt.Curve, 0, r); err != nil {
+	if e.recipe, err = core.BuildRecipeObserved(m, opt.Layout, opt.Curve, r); err != nil {
 		return nil, err
 	}
 	if r != nil {
@@ -516,7 +516,7 @@ func (d *Decoder) recipeFor(layout Layout, curve string) (*core.Recipe, error) {
 	if recipe, ok = d.recipes[key]; ok {
 		return recipe, nil
 	}
-	recipe, err := core.BuildRecipeObserved(d.mesh, layout, curve, 0, d.reg)
+	recipe, err := core.BuildRecipeObserved(d.mesh, layout, curve, d.reg)
 	if err != nil {
 		return nil, err
 	}
