@@ -255,21 +255,28 @@ const (
 
 // "mgl" is no codec any more: an encoder for it and a decoder handed one of
 // its old artifacts both get the registry's unknown-codec error, the one the
-// server answers 400 for.
+// server answers 400 for. The artifact's envelope is version 2, which
+// Unwrap now refuses, so its payload is resealed in a current one.
 func TestRetiredCodecIsUnknown(t *testing.T) {
 	ck := checkpoint(t)
 	if _, err := NewEncoder(ck.Mesh, Options{Codec: "mgl"}); !errors.Is(err, compress.ErrUnknownCodec) {
 		t.Fatalf("NewEncoder(mgl): %v, want ErrUnknownCodec", err)
 	}
 	structure, _ := hex.DecodeString(retiredMGLStructure)
-	payload, _ := hex.DecodeString(retiredMGLPayload)
+	old, _ := hex.DecodeString(retiredMGLPayload)
+	// magic, version, name length, "mgl", value count, payload length (2 bytes), CRC
+	const envelopeHead = 4 + 1 + 1 + 3 + 1 + 2 + 4
+	payload, err := container.Wrap("mgl", 64, old[envelopeHead:])
+	if err != nil {
+		t.Fatal(err)
+	}
 	dec, err := NewDecoderFromStructure(structure)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := &Compressed{FieldName: "dens", Layout: LayoutZMesh, Curve: "hilbert", Codec: "mgl", NumValues: 64, Payload: payload}
-	if _, err := container.Unwrap(c.Payload); err != nil {
-		t.Fatalf("the artifact's envelope is intact: %v", err)
+	if env, err := container.Unwrap(c.Payload); err != nil || len(env.Payload) != 175 {
+		t.Fatalf("the resealed envelope: %v", err)
 	}
 	if _, err := dec.DecompressField(c); !errors.Is(err, compress.ErrUnknownCodec) {
 		t.Fatalf("DecompressField(mgl artifact): %v, want ErrUnknownCodec", err)

@@ -80,26 +80,38 @@ type Compressor interface {
 
 // Validate checks a (data, dims) pair for the Compress contract.
 func Validate(data []float64, dims []int) error {
-	if len(dims) < 1 || len(dims) > 3 {
-		return fmt.Errorf("compress: %d dims unsupported", len(dims))
-	}
-	n := 1
-	for _, d := range dims {
-		if d <= 0 {
-			return fmt.Errorf("compress: non-positive dim %d", d)
-		}
-		n *= d
-	}
-	if n != len(data) {
-		return fmt.Errorf("compress: dims %v imply %d values, data has %d", dims, n, len(data))
+	if err := ValidateDims(len(data), dims); err != nil {
+		return err
 	}
 	for i, v := range data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("compress: non-finite value at index %d", i)
+			return NonFinite(i)
 		}
 	}
 	return nil
 }
+
+// ValidateDims is Validate's shape half: dims must be 1..3 positive extents
+// whose product is n.
+func ValidateDims(n int, dims []int) error {
+	if len(dims) < 1 || len(dims) > 3 {
+		return fmt.Errorf("compress: %d dims unsupported", len(dims))
+	}
+	m := 1
+	for _, d := range dims {
+		if d <= 0 {
+			return fmt.Errorf("compress: non-positive dim %d", d)
+		}
+		m *= d
+	}
+	if m != n {
+		return fmt.Errorf("compress: dims %v imply %d values, data has %d", dims, m, n)
+	}
+	return nil
+}
+
+// NonFinite is Validate's error for a NaN or infinite value at index i.
+func NonFinite(i int) error { return fmt.Errorf("compress: non-finite value at index %d", i) }
 
 // Ratio reports the compression ratio achieved for a payload.
 func Ratio(numValues int, compressed []byte) float64 {

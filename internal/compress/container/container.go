@@ -37,7 +37,7 @@ import (
 )
 
 // Version is the current envelope format version.
-const Version = 2
+const Version = 3
 
 // MaxCodecName bounds the codec name length accepted in an envelope.
 const MaxCodecName = 32

@@ -33,9 +33,10 @@ import (
 // the codec's to fill; nothing in a Buf may outlive Put.
 type Buf struct {
 	Codes  []int     // one quantization code per value; 0 escapes to Unpred
-	Work   []float64 // per-value scratch (reconstruction, coefficients)
 	Unpred []float64 // escaped values in stream order
 
+	floats       []float64
+	ints         []int64
 	coded, body  []byte
 	packed, fast bytes.Buffer
 	fw           [2]*flate.Writer // by pass: BestSpeed, DefaultCompression
@@ -62,14 +63,25 @@ func worthThorough(body, fast, escaped int) bool {
 
 var pool = sync.Pool{New: func() any { return new(Buf) }}
 
-// Get returns a Buf with Codes and Work sized to n values (contents
-// unspecified) and Unpred empty.
+// Get returns a Buf with Codes sized to n values (contents unspecified) and
+// Unpred empty.
 func Get(n int) *Buf {
 	b := pool.Get().(*Buf)
 	b.Codes = slices.Grow(b.Codes[:0], n)[:n]
-	b.Work = slices.Grow(b.Work[:0], n)[:n]
 	b.Unpred = b.Unpred[:0]
 	return b
+}
+
+// Floats returns pooled float scratch of n values, contents unspecified.
+func (b *Buf) Floats(n int) []float64 {
+	b.floats = slices.Grow(b.floats[:0], n)[:n]
+	return b.floats
+}
+
+// Ints returns pooled integer scratch of n values, contents unspecified.
+func (b *Buf) Ints(n int) []int64 {
+	b.ints = slices.Grow(b.ints[:0], n)[:n]
+	return b.ints
 }
 
 // Put returns b to the pool.

@@ -132,7 +132,7 @@ func (c *Compressor) CompressProgressive(data []float64, dims []int, mode compre
 
 	buf := entropy.Get(len(data))
 	defer buf.Put()
-	coeffs, codes := buf.Work, buf.Codes
+	coeffs, codes := buf.Floats(len(data)), buf.Codes
 	copy(coeffs, data)
 	decompose(coeffs)
 	amp := amplification(len(data))

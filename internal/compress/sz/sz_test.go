@@ -2,6 +2,8 @@ package sz
 
 import (
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -297,9 +299,10 @@ func TestRawFormDecodes(t *testing.T) {
 	}
 }
 
-// The entropy stage changed between stream versions 1 and 2 and no version 1
-// decoder is kept: a version 1 header must be refused by name, not decoded
-// with the wrong coder.
+// No decoder is kept for an older stream version: version 1 had another
+// entropy stage, version 2 predicted from reconstructed floats instead of
+// pre-quantized integers. Either header must be refused by name, not decoded
+// with the wrong coder or predictor.
 func TestVersion1Rejected(t *testing.T) {
 	buf, err := New().Compress(smoothSignal(100), []int{100}, compress.AbsBound(1e-3))
 	if err != nil {
@@ -310,36 +313,42 @@ func TestVersion1Rejected(t *testing.T) {
 	if buf[versionAt] != version {
 		t.Fatalf("byte %d is %d, expected the version", versionAt, buf[versionAt])
 	}
-	buf[versionAt] = 1
-	if _, err := New().Decompress(buf); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("version 1 payload: %v, want unsupported version", err)
+	for _, old := range []byte{1, 2} {
+		buf[versionAt] = old
+		want := fmt.Sprintf("unsupported version %d", old)
+		if _, err := New().Decompress(buf); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d payload: %v, want %q", old, err, want)
+		}
 	}
 }
 
 // regressionStream is a 4×6 ramp compressed at abs 1e-3 by the last commit
 // whose encoder wrote prediction scheme 1 (per-block regression, retired at
-// PR 26): raw form, one block, regression selected, 13 selection bytes.
+// PR 26): raw form, version 2, one block, regression selected, 13 selection
+// bytes.
 const regressionStream = "00b18ee99a05020204060101808004fcd3c697ddc998a83f00130d" +
 	"0100a0800000007f0000007e000000010006000c001800100010030000002001"
 
-// No scheme 1 decoder is kept: a stream that declares it, or a scheme 0
-// stream that still carries a selection section, is refused by name rather
-// than decoded with the wrong predictor.
+// Only version 2 streams ever declared scheme 1, and no version 2 decoder
+// is kept: the stream is refused by its version before anything else. In
+// version 3 the scheme and selection-length slots are reserved zeros, and a
+// stream with anything else there is corrupt.
 func TestRegressionStreamRejected(t *testing.T) {
 	buf, err := hex.DecodeString(regressionStream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const schemeAt = 1 + 5 + 1 + 3 + 1 // marker, magic, version, ndims + 2 extents, predictor order
-	if buf[schemeAt] != 1 {
-		t.Fatalf("byte %d is %d, expected scheme 1", schemeAt, buf[schemeAt])
+	if _, err := New().Decompress(buf); err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("scheme 1 stream: %v, want an error naming version 2", err)
 	}
-	if _, err := New().Decompress(buf); err == nil || !strings.Contains(err.Error(), "prediction scheme 1") {
-		t.Fatalf("scheme 1 stream: %v, want an error naming the scheme", err)
+	const versionAt, schemeAt = 1 + 5, 1 + 5 + 1 + 3 + 1 // marker, magic, version, ndims + 2 extents, predictor order
+	buf[versionAt] = version
+	if _, err := New().Decompress(buf); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version 3 stream with a non-zero reserved field: %v, want ErrCorrupt", err)
 	}
-	buf[schemeAt] = schemeLorenzo
-	if _, err := New().Decompress(buf); err == nil || !strings.Contains(err.Error(), "selection section") {
-		t.Fatalf("scheme 0 stream with selection bytes: %v, want an error naming the section", err)
+	buf[schemeAt] = 0
+	if _, err := New().Decompress(buf); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version 3 stream with a non-zero reserved selection length: %v, want ErrCorrupt", err)
 	}
 }
 

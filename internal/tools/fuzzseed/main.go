@@ -256,8 +256,8 @@ func forgedTableSeeds() error {
 	seeds := []struct {
 		dir     string
 		payload []byte
-	}{ // magic, version, [tier,] ndims, extent, [predictor, scheme,] intervals, bound, escapes, coded length[, selection length]
-		{"internal/compress/sz/testdata/fuzz/FuzzDecompress", body(0x535a4731, 2, 1, values, 1, 0, intervals, bound, 0, coded, 0)},
+	}{ // magic, version, [tier,] ndims, extent, [predictor, reserved,] intervals, bound, escapes, coded length[, reserved]
+		{"internal/compress/sz/testdata/fuzz/FuzzDecompress", body(0x535a4731, 3, 1, values, 1, 0, intervals, bound, 0, coded, 0)},
 		{"internal/compress/multilevel/testdata/fuzz/FuzzDecompressProgressive", body(0x4d474c54, 2, 0, 1, values, intervals, bound, 0, coded)},
 	}
 	for _, s := range seeds {

@@ -201,13 +201,18 @@ func appendUvarintFor(b []byte, v uint64) []byte {
 	return append(b, byte(v))
 }
 
-// A zTAC artifact (one 4×4 box, envelope included) written by the last
-// commit whose sz encoder used prediction scheme 1: the box decoder's
-// refusal must surface through the frame, naming the box and the scheme.
+// A zTAC frame (one 4×4 box) written by the last commit whose sz encoder
+// used prediction scheme 1, sealed in a current envelope: the box decoder's
+// refusal of that stream version must surface through the frame, naming the
+// box and the version.
 func TestRegressionStreamRejected(t *testing.T) {
-	payload, err := hex.DecodeString("7a4d63310202737a10432a9fb0157a5441430110013b" +
+	frame, err := hex.DecodeString("7a5441430110013b" +
 		"00b18ee99a05020204040101808004fcd3c697ddc998a83f00130d" +
 		"0100807f0000007d0000007e000000010006000c001800100010020000002000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := container.Wrap("sz", 16, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +222,8 @@ func TestRegressionStreamRejected(t *testing.T) {
 	}
 	c := &Compressed{FieldName: "dens", Layout: LayoutTAC, Curve: "hilbert", Codec: "sz", NumValues: 16, Payload: payload}
 	_, err = NewDecoder(m).DecompressField(c)
-	if err == nil || !strings.Contains(err.Error(), "tac box 0") || !strings.Contains(err.Error(), "prediction scheme 1") {
-		t.Fatalf("scheme 1 tac artifact: %v, want an error naming the box and the scheme", err)
+	if err == nil || !strings.Contains(err.Error(), "tac box 0") || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("scheme 1 tac artifact: %v, want an error naming the box and the version", err)
 	}
 }
 
