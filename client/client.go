@@ -365,12 +365,15 @@ func (c *Client) Decompress(ctx context.Context, meshID string, comp *zmesh.Comp
 	return values, nil
 }
 
+// withDefaults fills an empty curve or codec from zmesh.DefaultOptions, the
+// pipeline the server assumes for an absent query parameter.
 func withDefaults(opt zmesh.Options) zmesh.Options {
+	def := zmesh.DefaultOptions()
 	if opt.Curve == "" {
-		opt.Curve = "hilbert"
+		opt.Curve = def.Curve
 	}
 	if opt.Codec == "" {
-		opt.Codec = "sz"
+		opt.Codec = def.Codec
 	}
 	return opt
 }

@@ -37,7 +37,7 @@
 //
 // Usage:
 //
-//	zmeshd [-addr :8080] [-max-inflight N] [-max-meshes N] [-max-encoders N]
+//	zmeshd [-addr :8080] [-max-inflight N] [-max-meshes N]
 //	       [-retry-after 1s] [-max-body 1073741824] [-drain-timeout 30s]
 //	       [-store DIR] [-session-ttl 15m] [-max-sessions 256]
 //	       [-cluster-nodes url1,url2,... -cluster-self urlN]
@@ -66,7 +66,6 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address (use 127.0.0.1:0 for an ephemeral port)")
 		maxInflight  = flag.Int("max-inflight", 0, "admission budget: concurrent heavy requests (0 = 2×GOMAXPROCS)")
 		maxMeshes    = flag.Int("max-meshes", 0, "registered-mesh LRU capacity (0 = default 64)")
-		maxEncoders  = flag.Int("max-encoders", 0, "encoder LRU capacity (0 = default 256)")
 		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint on shed (429) responses")
 		maxBody      = flag.Int64("max-body", 1<<30, "request body cap in bytes")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "maximum time to wait for in-flight requests on shutdown")
@@ -82,7 +81,6 @@ func main() {
 	flag.Parse()
 	cfg := server.Config{
 		MaxMeshes:    *maxMeshes,
-		MaxEncoders:  *maxEncoders,
 		MaxInflight:  *maxInflight,
 		RetryAfter:   *retryAfter,
 		MaxBodyBytes: *maxBody,

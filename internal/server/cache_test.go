@@ -56,13 +56,6 @@ func TestLRUBasics(t *testing.T) {
 	if _, ok := c.get(1); !ok {
 		t.Fatal("key 1 evicted despite recency refresh")
 	}
-	c.remove(3)
-	if c.len() != 1 {
-		t.Fatalf("len = %d after remove, want 1", c.len())
-	}
-	if len(evicted) != 1 {
-		t.Fatalf("remove invoked the eviction callback: %v", evicted)
-	}
 }
 
 // TestMeshLRUEviction: registering past MaxMeshes drops the least recently
@@ -124,48 +117,42 @@ func TestAutoSharesResolvedEncoder(t *testing.T) {
 	}
 }
 
-// TestEncoderLRUEviction: with a single encoder slot, alternating pipelines
-// keep evicting each other, so every request is a miss and a fresh recipe
-// build; with enough slots the same sequence is all hits after warmup.
-func TestEncoderLRUEviction(t *testing.T) {
+// TestOnePipelineOneRecipe: the mesh's Decoder is its one recipe cache, so
+// compressing with two codecs on one (layout, curve), re-requesting both,
+// and decompressing both artifacts builds the recipe once. The encoders are
+// still per codec: two misses, then hits.
+func TestOnePipelineOneRecipe(t *testing.T) {
 	m, f := testMesh(t)
+	s, cl := newTestServer(t, Config{})
 	ctx := context.Background()
-
-	runSequence := func(cfg Config, reqs int) (builds, misses, evictions int64) {
-		s, cl := newTestServer(t, cfg)
-		id, err := cl.Register(ctx, m)
+	id, err := cl.Register(ctx, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := s.Registry()
+	builds := reg.Counter("recipe.builds")
+	misses := reg.Counter("server.cache.misses")
+	hits := reg.Counter("server.cache.hits")
+	b0, m0, h0 := builds.Load(), misses.Load(), hits.Load()
+	var cs []*zmesh.Compressed
+	for _, codec := range []string{"sz", "zfp", "sz", "zfp"} {
+		opt := zmesh.Options{Layout: zmesh.LayoutZMesh, Curve: "hilbert", Codec: codec}
+		c, err := cl.CompressField(ctx, id, f, opt, testBound())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < reqs; i++ {
-			opt := zmesh.Options{Layout: zmesh.LayoutZMesh, Curve: "hilbert", Codec: "sz"}
-			if i%2 == 1 {
-				opt.Codec = "zfp"
-			}
-			if _, err := cl.CompressField(ctx, id, f, opt, testBound()); err != nil {
-				t.Fatal(err)
-			}
+		cs = append(cs, c)
+	}
+	for _, c := range cs[:2] {
+		if _, err := cl.Decompress(ctx, id, c); err != nil {
+			t.Fatal(err)
 		}
-		reg := s.Registry()
-		return reg.Counter("recipe.builds").Load(),
-			reg.Counter("server.cache.misses").Load(),
-			reg.Counter("server.cache.evictions").Load()
 	}
-
-	builds, misses, evictions := runSequence(Config{MaxEncoders: 1}, 4)
-	if misses != 4 || evictions != 3 {
-		t.Fatalf("capacity-1 alternation: misses=%d evictions=%d, want 4 and 3", misses, evictions)
+	if got := builds.Load() - b0; got != 1 {
+		t.Fatalf("sz + zfp + both decompresses built %d recipes, want 1", got)
 	}
-	if builds != 4 {
-		t.Fatalf("capacity-1 alternation rebuilt %d recipes, want 4", builds)
-	}
-
-	builds, misses, evictions = runSequence(Config{MaxEncoders: 8}, 4)
-	if misses != 2 || evictions != 0 {
-		t.Fatalf("roomy cache: misses=%d evictions=%d, want 2 and 0", misses, evictions)
-	}
-	if builds != 2 {
-		t.Fatalf("roomy cache built %d recipes, want 2 (one per codec)", builds)
+	if dm, dh := misses.Load()-m0, hits.Load()-h0; dm != 2 || dh != 2 {
+		t.Fatalf("encoder cache: %d misses, %d hits, want 2 and 2 (one encoder per codec)", dm, dh)
 	}
 }
 
@@ -173,7 +160,7 @@ func TestEncoderLRUEviction(t *testing.T) {
 // goroutines each register a distinct mesh and immediately stream fields
 // through it while the mesh LRU is tight enough to evict concurrently.
 func TestConcurrentRegisterAndCompress(t *testing.T) {
-	_, cl := newTestServer(t, Config{MaxMeshes: 4, MaxEncoders: 8})
+	_, cl := newTestServer(t, Config{MaxMeshes: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
@@ -218,23 +205,5 @@ func TestConcurrentRegisterAndCompress(t *testing.T) {
 		if err != nil {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
-	}
-}
-
-// TestStoreSizes sanity-checks the occupancy gauge.
-func TestStoreSizes(t *testing.T) {
-	s, cl := newTestServer(t, Config{})
-	ctx := context.Background()
-	m, f := testMesh(t)
-	id, err := cl.Register(ctx, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.CompressField(ctx, id, f, zmesh.DefaultOptions(), testBound()); err != nil {
-		t.Fatal(err)
-	}
-	meshes, encoders := s.store.sizes()
-	if meshes != 1 || encoders != 1 {
-		t.Fatalf("sizes = (%d meshes, %d encoders), want (1, 1)", meshes, encoders)
 	}
 }

@@ -9,14 +9,12 @@ type lruEntry[K comparable, V any] struct {
 }
 
 // lru is a fixed-capacity least-recently-used map. It is not safe for
-// concurrent use — callers guard it with their own lock (the caches in this
-// package serialize map operations and do the expensive work, recipe
-// construction, outside the lock via futures).
+// concurrent use — the mesh store guards it with its own lock.
 type lru[K comparable, V any] struct {
 	cap     int
 	ll      *list.List // front = most recent; elements hold *lruEntry[K,V]
 	items   map[K]*list.Element
-	onEvict func(K, V) // called for capacity evictions, not explicit removes
+	onEvict func(K, V) // called for capacity evictions
 }
 
 // newLRU creates an LRU holding at most capacity entries (capacity must be
@@ -59,14 +57,3 @@ func (c *lru[K, V]) add(key K, val V) {
 		}
 	}
 }
-
-// remove deletes key without invoking the eviction callback.
-func (c *lru[K, V]) remove(key K) {
-	if el, ok := c.items[key]; ok {
-		c.ll.Remove(el)
-		delete(c.items, key)
-	}
-}
-
-// len reports the current entry count.
-func (c *lru[K, V]) len() int { return c.ll.Len() }

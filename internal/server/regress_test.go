@@ -195,39 +195,6 @@ func TestServeShutdownConcurrent(t *testing.T) {
 	}
 }
 
-// TestEvictedMeshStatus is the error-mapping regression: compressing
-// against a mesh entry that the LRU evicted mid-request must surface as
-// 404 — the same contract as a never-registered mesh, telling the client
-// to re-register — not as a retryable 500.
-func TestEvictedMeshStatus(t *testing.T) {
-	s := New(Config{MaxMeshes: 1})
-	mA, _ := testMesh(t)
-	entryA, _, err := s.store.register(mA.Structure())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Registering a second mesh evicts A (capacity 1).
-	mB, err := zmesh.NewMesh(2, 8, [3]int{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.store.register(mB.Structure()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.store.lookup(entryA.id); ok {
-		t.Fatal("mesh A still admitted; eviction did not happen")
-	}
-	// A request that resolved entryA before the eviction now asks for its
-	// encoder — the race the status mapping is about.
-	_, err = s.store.encoder(entryA, zmesh.Options{Layout: zmesh.LayoutZMesh, Curve: "hilbert", Codec: "sz"})
-	if err == nil {
-		t.Fatal("encoder resolved for an evicted mesh")
-	}
-	if got := statusFor(err); got != http.StatusNotFound {
-		t.Fatalf("evicted mesh maps to %d (%v), want 404", got, err)
-	}
-}
-
 // TestEvictedMeshEndToEnd: the eviction 404 over the wire, through the
 // client (which must not burn retries on it).
 func TestEvictedMeshEndToEnd(t *testing.T) {

@@ -44,12 +44,10 @@ func VarsKey(listenAddr string) string { return ExpvarName + "." + listenAddr }
 // Config sizes the server. The zero value is usable: every field has a
 // production-sane default applied by New.
 type Config struct {
-	// MaxMeshes bounds the registered-mesh LRU (default 64). Evicted meshes
-	// return 404 until re-registered.
+	// MaxMeshes bounds the registered-mesh LRU (default 64). Each mesh
+	// caches at most one restore recipe per (layout, curve) and one encoder
+	// per codec on them. Evicted meshes return 404 until re-registered.
 	MaxMeshes int
-	// MaxEncoders bounds the (mesh, layout, curve, codec) encoder LRU
-	// (default 256).
-	MaxEncoders int
 	// MaxInflight is the admission budget: at most this many register,
 	// compress or decompress requests run concurrently; the rest are shed
 	// with 429 (default 2 × GOMAXPROCS).
@@ -96,9 +94,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.MaxMeshes <= 0 {
 		c.MaxMeshes = 64
-	}
-	if c.MaxEncoders <= 0 {
-		c.MaxEncoders = 256
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 2 * runtime.GOMAXPROCS(0)
@@ -199,7 +194,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:               cfg,
 		reg:               cfg.Registry,
-		store:             newStore(cfg.MaxMeshes, cfg.MaxEncoders, cfg.Registry),
+		store:             newStore(cfg.MaxMeshes, cfg.Registry),
 		sem:               make(chan struct{}, cfg.MaxInflight),
 		mRegister:         newEndpointMetrics(cfg.Registry, "register"),
 		mCompress:         newEndpointMetrics(cfg.Registry, "compress"),
@@ -510,7 +505,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) error {
 
 // pipelineParams parses the shared layout/curve query parameters.
 func pipelineParams(r *http.Request) (zmesh.Options, error) {
-	opt := zmesh.Options{Layout: zmesh.LayoutZMesh, Curve: "hilbert", Codec: "sz"}
+	opt := zmesh.DefaultOptions()
 	q := r.URL.Query()
 	if v := q.Get(wire.ParamLayout); v != "" {
 		layout, err := core.ParseLayout(v)

@@ -71,8 +71,9 @@ func putRing(r *chunkRing) {
 }
 
 // streamParams resolves the shared front half of the compress-side
-// handlers: mesh lookup, pipeline options, codec validation, and the
-// cached encoder (one recipe build per (mesh, layout, curve, codec), ever).
+// handlers: mesh lookup, pipeline options, codec validation, and the mesh
+// Decoder's shared encoder (one recipe build per (mesh, layout, curve) while
+// the mesh stays registered).
 func (s *Server) streamParams(r *http.Request) (*meshEntry, *zmesh.Encoder, error) {
 	entry, err := s.resolveMesh(r.Context(), r.PathValue("id"))
 	if err != nil {
@@ -85,9 +86,14 @@ func (s *Server) streamParams(r *http.Request) (*meshEntry, *zmesh.Encoder, erro
 	if _, err := compress.Get(opt.Codec); err != nil {
 		return nil, nil, badRequest(err)
 	}
-	enc, err := s.store.encoder(entry, opt)
+	enc, cached, err := entry.dec.Encoder(opt)
 	if err != nil {
 		return nil, nil, err
+	}
+	if cached {
+		s.store.hits.Inc()
+	} else {
+		s.store.misses.Inc()
 	}
 	return entry, enc, nil
 }

@@ -105,70 +105,68 @@ func (s *Store) writeAtomic(path string, b []byte) error {
 }
 
 // PutObject persists b as a frame object and returns its content address.
-// created is false when an object with the same content already existed
-// (the write is skipped — content addressing makes it byte-identical).
+// created is false when the object was already stored intact (the write is
+// skipped — content addressing makes it byte-identical); an existing file
+// that no longer hashes to its id is rewritten and counts as created.
 func (s *Store) PutObject(b []byte) (id string, created bool, err error) {
-	sum := sha256.Sum256(b)
-	id = hex.EncodeToString(sum[:])
-	path := s.objectPath(id)
-	if _, err := os.Stat(path); err == nil {
-		return id, false, nil
-	}
-	if err := s.writeAtomic(path, b); err != nil {
-		return "", false, fmt.Errorf("store: put object: %w", err)
-	}
-	return id, true, nil
+	return s.put(b, s.objectPath, "object")
 }
 
 // GetObject returns the bytes of the frame object at id, re-hashing them to
 // catch on-disk corruption.
 func (s *Store) GetObject(id string) ([]byte, error) {
-	if !validID(id) {
-		return nil, fmt.Errorf("store: object id %q: %w", id, ErrNotFound)
-	}
-	b, err := os.ReadFile(s.objectPath(id))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("store: object %s: %w", id, ErrNotFound)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: get object: %w", err)
-	}
-	if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != id {
-		return nil, fmt.Errorf("store: object %s: %w", id, ErrCorrupt)
-	}
-	return b, nil
+	return s.get(id, s.objectPath, "object")
 }
 
 // PutManifest persists manifest bytes as a sealed checkpoint and returns the
-// checkpoint id (the manifest's content address).
+// checkpoint id (the manifest's content address). A corrupt existing copy is
+// rewritten, as in PutObject.
 func (s *Store) PutManifest(b []byte) (id string, err error) {
-	sum := sha256.Sum256(b)
-	id = hex.EncodeToString(sum[:])
-	path := s.checkpointPath(id)
-	if _, err := os.Stat(path); err == nil {
-		return id, nil
-	}
-	if err := s.writeAtomic(path, b); err != nil {
-		return "", fmt.Errorf("store: put manifest: %w", err)
-	}
-	return id, nil
+	id, _, err = s.put(b, s.checkpointPath, "checkpoint")
+	return id, err
 }
 
 // GetManifest returns the manifest bytes of checkpoint id, re-hashing them
 // to catch on-disk corruption.
 func (s *Store) GetManifest(id string) ([]byte, error) {
-	if !validID(id) {
-		return nil, fmt.Errorf("store: checkpoint id %q: %w", id, ErrNotFound)
+	return s.get(id, s.checkpointPath, "checkpoint")
+}
+
+// contentID is the content address of b: hex SHA-256.
+func contentID(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// put stores b under its content address at pathOf(id), skipping the write
+// only when the file already there hashes to that id. kind names the
+// artifact in errors.
+func (s *Store) put(b []byte, pathOf func(string) string, kind string) (id string, created bool, err error) {
+	id = contentID(b)
+	path := pathOf(id)
+	if old, err := os.ReadFile(path); err == nil && contentID(old) == id {
+		return id, false, nil
 	}
-	b, err := os.ReadFile(s.checkpointPath(id))
+	if err := s.writeAtomic(path, b); err != nil {
+		return "", false, fmt.Errorf("store: put %s: %w", kind, err)
+	}
+	return id, true, nil
+}
+
+// get reads the artifact at pathOf(id) and verifies it still hashes to id.
+func (s *Store) get(id string, pathOf func(string) string, kind string) ([]byte, error) {
+	if !validID(id) {
+		return nil, fmt.Errorf("store: %s id %q: %w", kind, id, ErrNotFound)
+	}
+	b, err := os.ReadFile(pathOf(id))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("store: checkpoint %s: %w", id, ErrNotFound)
+		return nil, fmt.Errorf("store: %s %s: %w", kind, id, ErrNotFound)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("store: get manifest: %w", err)
+		return nil, fmt.Errorf("store: get %s: %w", kind, err)
 	}
-	if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != id {
-		return nil, fmt.Errorf("store: checkpoint %s: %w", id, ErrCorrupt)
+	if contentID(b) != id {
+		return nil, fmt.Errorf("store: %s %s: %w", kind, id, ErrCorrupt)
 	}
 	return b, nil
 }

@@ -165,6 +165,13 @@ func TestCorruptionDetected(t *testing.T) {
 	if _, err := s.GetObject(id); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("GetObject on tampered bytes = %v, want ErrCorrupt", err)
 	}
+	// Putting the original bytes again repairs the object.
+	if _, created, err := s.PutObject([]byte("pristine")); err != nil || !created {
+		t.Fatalf("PutObject over a corrupt object: created=%v err=%v, want a rewrite", created, err)
+	}
+	if b, err := s.GetObject(id); err != nil || string(b) != "pristine" {
+		t.Fatalf("GetObject after repair = %q, %v", b, err)
+	}
 
 	mid, err := s.PutManifest([]byte("sealed"))
 	if err != nil {
@@ -175,6 +182,12 @@ func TestCorruptionDetected(t *testing.T) {
 	}
 	if _, err := s.GetManifest(mid); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("GetManifest on tampered bytes = %v, want ErrCorrupt", err)
+	}
+	if _, err := s.PutManifest([]byte("sealed")); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := s.GetManifest(mid); err != nil || string(b) != "sealed" {
+		t.Fatalf("GetManifest after repair = %q, %v", b, err)
 	}
 }
 

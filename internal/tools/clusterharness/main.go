@@ -484,14 +484,14 @@ func run(ctx context.Context, bin string, nReplicas, nWriters, nMeshes, replicat
 	// (zmesh and TAC), so the replicas that never lost their caches build at
 	// most pipelines × R × meshes encoders between them (server.cache.misses
 	// counts exactly one per encoder build), no matter how many writers
-	// hammered. recipe.builds additionally counts the decompress side's
-	// restore recipes — at most one more per pipeline per owned mesh — so
-	// its bound is 2 × pipelines × R × meshes.
+	// hammered. A mesh's Decoder builds each pipeline's recipe once for the
+	// encoder and the decompress side alike, so recipe.builds has the same
+	// bound.
 	if maxEnc := int64(workPipelines * replication * len(work)); survivorEncBuilds > maxEnc {
 		return fmt.Errorf("surviving replicas built %d encoders for %d meshes × R=%d × %d pipelines (max %d) — encoder cache not bounding work",
 			survivorEncBuilds, len(work), replication, workPipelines, maxEnc)
 	}
-	if maxBuilds := int64(2 * workPipelines * replication * len(work)); survivorBuilds > maxBuilds {
+	if maxBuilds := int64(workPipelines * replication * len(work)); survivorBuilds > maxBuilds {
 		return fmt.Errorf("surviving replicas built %d recipes for %d meshes × R=%d × %d pipelines (max %d) — recipe cache not bounding work",
 			survivorBuilds, len(work), replication, workPipelines, maxBuilds)
 	}

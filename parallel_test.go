@@ -1,6 +1,8 @@
 package zmesh
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -115,6 +117,83 @@ func TestEncoderConcurrentUse(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestDecoderEncodersShareRecipes: 16 goroutines first-use 4 pipelines on
+// one Decoder, compressing and decompressing at once. Each (layout, curve)
+// recipe builds exactly once, one caller per pipeline builds its encoder,
+// and every artifact is byte-identical to a standalone NewEncoder's.
+func TestDecoderEncodersShareRecipes(t *testing.T) {
+	ck := checkpoint(t)
+	f := ck.Fields[0]
+	bound := RelBound(1e-4)
+	pipelines := []Options{
+		{Layout: LayoutZMesh, Curve: "hilbert", Codec: "sz"},
+		{Layout: LayoutSFC, Curve: "morton", Codec: "zfp"},
+		{Layout: LayoutTAC, Curve: "hilbert", Codec: "zfp"},
+		{Layout: LayoutLevel, Curve: "rowmajor", Codec: "gzip"},
+	}
+	want := make([][]byte, len(pipelines))
+	for i, opt := range pipelines {
+		enc, err := NewEncoder(ck.Mesh, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := enc.CompressField(f, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = c.Payload
+	}
+
+	reg := NewRegistry()
+	dec := NewDecoder(ck.Mesh).Instrument(reg)
+	const goroutines = 16
+	built := make([]bool, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			p := g % len(pipelines)
+			enc, cached, err := dec.Encoder(pipelines[p])
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			built[g] = !cached
+			c, err := enc.CompressField(f, bound)
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			if !bytes.Equal(c.Payload, want[p]) {
+				errs[g] = fmt.Errorf("pipeline %d: shared encoder's artifact differs from NewEncoder's", p)
+				return
+			}
+			_, errs[g] = dec.DecompressField(c)
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	nBuilt := 0
+	for _, b := range built {
+		if b {
+			nBuilt++
+		}
+	}
+	if nBuilt != len(pipelines) {
+		t.Fatalf("%d callers built an encoder, want %d (one per pipeline)", nBuilt, len(pipelines))
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["recipe.builds"]; got != int64(len(pipelines)) {
+		t.Fatalf("recipe.builds = %d, want %d (one per layout/curve)", got, len(pipelines))
 	}
 }
 

@@ -177,8 +177,9 @@ func (s *decoderStats) fail() {
 
 // Instrument attaches a telemetry registry to the decoder and returns the
 // decoder. Recipe builds triggered by cache misses record the recipe.*
-// stage timers into the same registry. Passing nil detaches. Not safe to
-// call concurrently with decompression.
+// stage timers into the same registry, and encoders the decoder builds
+// afterwards (Decoder.Encoder) record into it too. Passing nil detaches. Not
+// safe to call concurrently with decompression.
 func (d *Decoder) Instrument(r *Registry) *Decoder {
 	d.stats = newDecoderStats(r)
 	d.reg = r

@@ -51,10 +51,9 @@ type TemporalCompressed struct {
 // one logical quantity stream (e.g. "dens" over time).
 type TemporalEncoder struct {
 	opt           Options
-	codec         compress.Compressor
 	prevStructure []byte
 	enc           *Encoder  // makes each frame of the current topology
-	dec           *Decoder  // what the receiver will run; shares enc's recipe
+	dec           *Decoder  // what the receiver will run; enc's recipe cache
 	prevRecon     []float64 // previous reconstruction, layout order
 	// Scratch buffers reused across snapshots so steady-state delta
 	// encoding allocates no full-stream slices.
@@ -74,11 +73,10 @@ func NewTemporalEncoder(opt Options) (*TemporalEncoder, error) {
 	if opt.Layout == core.AutoLayout {
 		return nil, fmt.Errorf("zmesh: temporal streams need a concrete layout: %w", core.ErrAutoLayout)
 	}
-	codec, err := compress.Get(opt.Codec)
-	if err != nil {
+	if _, err := compress.Get(opt.Codec); err != nil {
 		return nil, err
 	}
-	return &TemporalEncoder{opt: opt, codec: codec}, nil
+	return &TemporalEncoder{opt: opt}, nil
 }
 
 // ForceKeyframe makes the next CompressSnapshot emit a keyframe even if the
@@ -107,13 +105,11 @@ func (te *TemporalEncoder) CompressSnapshot(f *Field, bound Bound) (tc *Temporal
 	keyframe := te.prevStructure == nil || !bytes.Equal(structure, te.prevStructure)
 	enc, dec := te.enc, te.dec
 	if keyframe {
-		recipe, err := core.BuildRecipeObserved(m, te.opt.Layout, te.opt.Curve, te.reg)
-		if err != nil {
+		dec = NewDecoder(m)
+		dec.reg = te.reg
+		if enc, _, err = dec.Encoder(te.opt); err != nil {
 			return nil, err
 		}
-		enc = &Encoder{opt: te.opt, mesh: m, recipe: recipe, codec: te.codec}
-		dec = NewDecoder(m)
-		dec.recipes[recipeKey{te.opt.Layout, te.opt.Curve}] = recipe
 	}
 	sc := &te.scratch
 	sc.flat = amr.AppendLevelOrder(sc.flat, f)
@@ -142,7 +138,7 @@ func (te *TemporalEncoder) CompressSnapshot(f *Field, bound Bound) (tc *Temporal
 	}
 	// The frame, and what its receiver will reconstruct from it.
 	t0 := stageStart(te.stats != nil)
-	c, err := enc.encodeOrdered(te.codec, f.Name, coded, abs, &sc.tac, time.Time{})
+	c, err := enc.encodeOrdered(enc.codec, f.Name, coded, abs, &sc.tac, time.Time{})
 	if err != nil {
 		return nil, err
 	}

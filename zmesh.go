@@ -173,11 +173,12 @@ func DefaultOptions() Options {
 }
 
 func (o *Options) fillDefaults() {
+	def := DefaultOptions()
 	if o.Curve == "" {
-		o.Curve = "hilbert"
+		o.Curve = def.Curve
 	}
 	if o.Codec == "" {
-		o.Codec = "sz"
+		o.Codec = def.Codec
 	}
 }
 
@@ -214,34 +215,12 @@ type Encoder struct {
 	stats  *encoderStats // nil unless Instrument attached a registry
 }
 
-// NewEncoder derives the recipe for the mesh and layout.
+// NewEncoder derives the recipe for the mesh and layout. It is a fresh
+// Decoder's Encoder: long-lived callers that want several codecs or a
+// decompress side to share one recipe build keep the Decoder instead.
 func NewEncoder(m *Mesh, opt Options) (*Encoder, error) {
-	return NewEncoderObserved(m, opt, nil)
-}
-
-// NewEncoderObserved is NewEncoder with telemetry: the recipe construction
-// records the recipe.* stage timers and counters into r, and the returned
-// encoder comes back already instrumented (as if Instrument(r) had been
-// called). A nil registry makes it identical to NewEncoder. Long-lived
-// services that cache encoders use this so cache misses are visible as
-// recipe.builds increments while cache hits leave the counter flat.
-func NewEncoderObserved(m *Mesh, opt Options, r *Registry) (*Encoder, error) {
-	opt.fillDefaults()
-	codec, err := compress.Get(opt.Codec)
-	if err != nil {
-		return nil, err
-	}
-	if opt.Layout == LayoutAuto {
-		opt.Layout = ResolveAuto(m.Dims(), opt.Codec)
-	}
-	e := &Encoder{opt: opt, mesh: m, codec: codec}
-	if e.recipe, err = core.BuildRecipeObserved(m, opt.Layout, opt.Curve, r); err != nil {
-		return nil, err
-	}
-	if r != nil {
-		e.Instrument(r)
-	}
-	return e, nil
+	enc, _, err := NewDecoder(m).Encoder(opt)
+	return enc, err
 }
 
 // CompressField serializes the field in the encoder's layout and compresses
@@ -465,16 +444,19 @@ func (e *Encoder) CompressValuesScratch(name string, values []float64, bound Bou
 // Decoder decompresses fields back onto a mesh topology. It can be built
 // either from a live mesh or from serialized tree metadata (Structure).
 //
-// A Decoder is safe for concurrent use: the recipe cache is guarded by a
-// read-write mutex, so many goroutines may call DecompressField (across the
-// same or distinct layout/curve keys) on one Decoder.
+// A Decoder is its mesh's one recipe cache: it builds each (layout, curve)
+// restore recipe once, and the Encoders it hands out share those recipes, so
+// any number of codecs and decompressions over one pipeline cost one build.
+// It is safe for concurrent use: the cache lock only publishes a build-once
+// slot and is never held while a recipe builds.
 type Decoder struct {
 	mesh  *Mesh
 	stats *decoderStats // nil unless Instrument attached a registry
 	reg   *Registry     // registry for observed recipe builds (may be nil)
 
-	mu      sync.RWMutex
-	recipes map[recipeKey]*core.Recipe
+	mu       sync.RWMutex
+	recipes  map[recipeKey]*recipeFuture
+	encoders map[Options]*Encoder // keyed by the resolved pipeline
 }
 
 type recipeKey struct {
@@ -482,9 +464,20 @@ type recipeKey struct {
 	curve  string
 }
 
+// recipeFuture is one build-once recipe slot.
+type recipeFuture struct {
+	once   sync.Once
+	recipe *core.Recipe
+	err    error
+}
+
 // NewDecoder wraps an existing mesh.
 func NewDecoder(m *Mesh) *Decoder {
-	return &Decoder{mesh: m, recipes: make(map[recipeKey]*core.Recipe)}
+	return &Decoder{
+		mesh:     m,
+		recipes:  make(map[recipeKey]*recipeFuture),
+		encoders: make(map[Options]*Encoder),
+	}
 }
 
 // NewDecoderFromStructure rebuilds the mesh topology from metadata produced
@@ -501,30 +494,76 @@ func NewDecoderFromStructure(structure []byte) (*Decoder, error) {
 // Mesh exposes the decoder's mesh (for reading decompressed fields).
 func (d *Decoder) Mesh() *Mesh { return d.mesh }
 
-// recipeFor returns the cached restore recipe for a layout/curve pair,
-// building and caching it on first use. Safe for concurrent callers.
+// recipeFor returns the restore recipe for a layout/curve pair, building it
+// on first use. Concurrent first callers share one build, which runs outside
+// the lock; a failed build is dropped so the next call retries.
 func (d *Decoder) recipeFor(layout Layout, curve string) (*core.Recipe, error) {
 	key := recipeKey{layout, curve}
 	d.mu.RLock()
-	recipe, ok := d.recipes[key]
+	fut, ok := d.recipes[key]
+	d.mu.RUnlock()
+	if !ok {
+		d.mu.Lock()
+		if fut, ok = d.recipes[key]; !ok {
+			fut = &recipeFuture{}
+			d.recipes[key] = fut
+		}
+		d.mu.Unlock()
+	}
+	fut.once.Do(func() {
+		fut.recipe, fut.err = core.BuildRecipeObserved(d.mesh, layout, curve, d.reg)
+		if s := d.stats; s != nil && fut.err == nil {
+			s.recipeBuilds.Inc()
+		}
+	})
+	if fut.err != nil {
+		d.mu.Lock()
+		if d.recipes[key] == fut {
+			delete(d.recipes, key)
+		}
+		d.mu.Unlock()
+		return nil, fut.err
+	}
+	return fut.recipe, nil
+}
+
+// Encoder returns the decoder's Encoder for opt, building it on first use on
+// the decoder's own recipe for (layout, curve): encoders that differ only in
+// codec share one recipe build. LayoutAuto is resolved before the lookup, so
+// auto and the layout it resolves to are one entry. cached reports whether
+// the encoder was already there. The encoder is shared by every caller: an
+// instrumented Decoder hands out encoders instrumented with its registry,
+// and callers must not Instrument them again.
+func (d *Decoder) Encoder(opt Options) (enc *Encoder, cached bool, err error) {
+	opt.fillDefaults()
+	if opt.Layout == LayoutAuto {
+		opt.Layout = ResolveAuto(d.mesh.Dims(), opt.Codec)
+	}
+	d.mu.RLock()
+	enc, ok := d.encoders[opt]
 	d.mu.RUnlock()
 	if ok {
-		return recipe, nil
+		return enc, true, nil
+	}
+	codec, err := compress.Get(opt.Codec)
+	if err != nil {
+		return nil, false, err
+	}
+	recipe, err := d.recipeFor(opt.Layout, opt.Curve)
+	if err != nil {
+		return nil, false, err
+	}
+	enc = &Encoder{opt: opt, mesh: d.mesh, recipe: recipe, codec: codec}
+	if d.stats != nil {
+		enc.Instrument(d.reg)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if recipe, ok = d.recipes[key]; ok {
-		return recipe, nil
+	if prev, ok := d.encoders[opt]; ok {
+		return prev, true, nil
 	}
-	recipe, err := core.BuildRecipeObserved(d.mesh, layout, curve, d.reg)
-	if err != nil {
-		return nil, err
-	}
-	if s := d.stats; s != nil {
-		s.recipeBuilds.Inc()
-	}
-	d.recipes[key] = recipe
-	return recipe, nil
+	d.encoders[opt] = enc
+	return enc, false, nil
 }
 
 // DecompressField reverses CompressField, returning a field bound to the
