@@ -91,6 +91,17 @@ func (s *store) register(structure []byte) (*meshEntry, bool, error) {
 	return e, true, nil
 }
 
+// decoder is the keyframe source of every server-side TemporalDecoder: the
+// registered Decoder of a keyframe's structure, so sessions and checkpoint
+// reads on one topology share one recipe cache with the mesh endpoints.
+func (s *store) decoder(structure []byte) (*zmesh.Decoder, error) {
+	e, _, err := s.register(structure)
+	if err != nil {
+		return nil, err
+	}
+	return e.dec, nil
+}
+
 // lookup returns the registered mesh entry, refreshing its recency.
 func (s *store) lookup(id string) (*meshEntry, bool) {
 	s.mu.Lock()

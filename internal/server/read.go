@@ -18,10 +18,13 @@ import (
 // artifacts straight from the content-addressed store — no session state is
 // involved, so reads keep working across daemon restarts and concurrently
 // with live writers. A field read replays the persisted frame chain through
-// a fresh TemporalDecoder (the store is the source of truth; decoder state
-// is never cached across requests) and then serves the reconstruction in one
-// of three shapes: the full level-order stream, a coarse level-prefix
-// (?levels=K), or an error-bounded tier cascade (?tiers=K).
+// a fresh TemporalDecoder (the store is the source of truth; stream state is
+// never cached across requests) and then serves the reconstruction in one of
+// three shapes: the full level-order stream, a coarse level-prefix
+// (?levels=K), or an error-bounded tier cascade (?tiers=K). Only the restore
+// recipe outlives a request: the keyframe's Decoder comes from the mesh LRU,
+// a cache derived from the keyframe's structure bytes, so every read on one
+// topology shares one recipe build.
 
 // maxReadTiers caps ?tiers=K: each tier k is relative-bound 10^-k, and
 // beyond 8 the residuals are below double-precision noise for typical
@@ -144,13 +147,15 @@ func lastKeyframe(f *wire.ManifestField, snap int) (int, error) {
 
 // replayField replays one persisted stream through a fresh decoder, from the
 // last keyframe at or before snap (a keyframe resets all decoder state, so
-// nothing earlier can matter), and returns the snapshot's reconstruction.
+// nothing earlier can matter), and returns the snapshot's reconstruction. The
+// keyframe's structure is registered like a POST /v1/meshes body, so the
+// replay restores through the mesh's shared Decoder and its recipe.
 func (s *Server) replayField(f *wire.ManifestField, snap int) (*zmesh.Field, *zmesh.Mesh, error) {
 	key, err := lastKeyframe(f, snap)
 	if err != nil {
 		return nil, nil, err
 	}
-	dec := zmesh.NewTemporalDecoder()
+	dec := zmesh.NewTemporalDecoderFrom(s.store.decoder)
 	var field *zmesh.Field
 	for i := key; i <= snap; i++ {
 		tc, err := s.loadFrame(&f.Frames[i])

@@ -19,7 +19,8 @@ import (
 )
 
 // Temporal sessions: the server-side half of a simulation's temporal stream.
-// A session holds one TemporalDecoder per quantity; every posted frame is
+// A session holds one TemporalDecoder per quantity, whose keyframes restore
+// through the mesh LRU's Decoder for their structure; every posted frame is
 // fully decoded (the decoder's validate-first-commit-last contract) before
 // its raw bytes are persisted to the content-addressed artifact store, so a
 // sealed checkpoint only ever references frames the server proved it can
@@ -353,7 +354,7 @@ func (s *Server) handleSessionFrame(w http.ResponseWriter, r *http.Request) erro
 			s.mSession.danglingDeltas.Inc()
 			return danglingDelta(fieldName)
 		}
-		st = &tstream{dec: zmesh.NewTemporalDecoder(), layout: tc.Layout, curve: frame.Curve, codec: frame.Codec}
+		st = &tstream{dec: zmesh.NewTemporalDecoderFrom(s.store.decoder), layout: tc.Layout, curve: frame.Curve, codec: frame.Codec}
 	} else if tc.Layout != st.layout || frame.Curve != st.curve || frame.Codec != st.codec {
 		return badRequest(fmt.Errorf("frame identity %s/%s/%s does not match stream %s/%s/%s",
 			frame.Layout, frame.Curve, frame.Codec, st.layout, st.curve, st.codec))

@@ -10,8 +10,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -244,6 +247,11 @@ func temporalLifecycle(t *testing.T, m *zmesh.Mesh, opt zmesh.Options) {
 	}
 }
 
+// bitsEqual reports whether two streams are bit-identical.
+func bitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
 func assertBitExact(t testing.TB, what string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -339,6 +347,147 @@ func TestReadReplaysFromLastKeyframe(t *testing.T) {
 	}
 	if fetched := gets.Load() - before; fetched != 2*(snaps-regrid) {
 		t.Errorf("levels + tiers reads of the last snap fetched %d frame objects, want %d", fetched, 2*(snaps-regrid))
+	}
+}
+
+// TestCheckpointReadsShareRecipes: session keyframes and checkpoint reads
+// take their Decoder from the mesh LRU, so a structure's recipe is built once
+// — by the first keyframe on it — and every later append and every read on it,
+// whatever the checkpoint, field, snapshot or shape, reuses it. The parent of
+// this design gave each session stream and each read a fresh, uninstrumented
+// Decoder: it recorded 0 builds here while rebuilding a recipe per keyframe
+// and per read, which only a profile of the read path shows.
+func TestCheckpointReadsShareRecipes(t *testing.T) {
+	coarse, _ := testMesh(t)
+	fine, _ := testMesh(t)
+	if err := fine.Refine(fine.Roots()[1]); err != nil {
+		t.Fatal(err)
+	}
+	s, cl := newTestServer(t, temporalConfig(t))
+	ctx := context.Background()
+	const sessions, snaps, regrid, tiers = 2, 4, 2, 4
+	fields := []string{"dens", "pres"}
+	type stream struct {
+		ckpt, field string
+		want        [][]float64 // snapshot -> mirror reconstruction
+	}
+	var streams []stream
+	for si := 0; si < sessions; si++ {
+		sess, err := cl.NewTemporalSession(ctx, temporalOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mirror := mirrorDecoders{}
+		want := map[string][][]float64{}
+		for snap := 0; snap < snaps; snap++ {
+			m := coarse
+			if snap >= regrid {
+				m = fine
+			}
+			for _, name := range fields {
+				f := snapField(m, name, 0.2*float64(snap)+float64(si))
+				res, err := sess.Append(ctx, f, zmesh.AbsBound(1e-3))
+				if err != nil {
+					t.Fatalf("session %d: append %s snap %d: %v", si, name, snap, err)
+				}
+				if res.Keyframe != (snap == 0 || snap == regrid) {
+					t.Fatalf("session %d: append %s snap %d: keyframe=%v", si, name, snap, res.Keyframe)
+				}
+				want[name] = append(want[name], mirror.apply(t, name, res.Frame))
+			}
+		}
+		ckpt, err := sess.Seal(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range fields {
+			streams = append(streams, stream{ckpt, name, want[name]})
+		}
+	}
+	builds := s.Registry().Counter("recipe.builds")
+	if got := builds.Load(); got != 2 {
+		t.Fatalf("recipe.builds = %d after the appends, want 2 (one per structure)", got)
+	}
+	// Every frame a read replays decodes on its mesh's registered Decoder,
+	// whose stage timers count it.
+	decodes := func() int64 { return s.Registry().Snapshot().Timers["decode.stage.unwrap"].Count }
+	decodes0 := decodes()
+
+	levels, err := zmesh.LevelPrefixCells(coarse, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fineLevels, err := zmesh.LevelPrefixCells(fine, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tierBounds := make([]float64, tiers)
+	for i, b := 0, 0.1; i < tiers; i, b = i+1, b/10 {
+		tierBounds[i] = b
+	}
+	// read checks the three shapes of one snapshot against the mirror.
+	read := func(st stream, snap, prefix int) error {
+		want := st.want[snap]
+		what := fmt.Sprintf("%s/%s snap %d", st.ckpt[:8], st.field, snap)
+		got, err := cl.ReadField(ctx, st.ckpt, st.field, snap)
+		if err != nil {
+			return fmt.Errorf("%s full: %w", what, err)
+		}
+		if !bitsEqual(got, want) {
+			return fmt.Errorf("%s full read differs from the mirror", what)
+		}
+		ld, err := cl.ReadFieldLevels(ctx, st.ckpt, st.field, snap, 2)
+		if err != nil {
+			return fmt.Errorf("%s levels: %w", what, err)
+		}
+		if !bitsEqual(ld.Values, want[:prefix]) {
+			return fmt.Errorf("%s levels=2 read differs from the mirror's prefix", what)
+		}
+		td, err := cl.ReadFieldTiers(ctx, st.ckpt, st.field, snap, tiers)
+		if err != nil {
+			return fmt.Errorf("%s tiers: %w", what, err)
+		}
+		wantTiers, err := multilevel.New().CompressProgressive(want, []int{len(want)}, compress.Rel, tierBounds)
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(td.Tiers, wantTiers) {
+			return fmt.Errorf("%s tiers=%d read differs from the mirror's tiers", what, tiers)
+		}
+		return nil
+	}
+	const readers = 4
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, st := range streams {
+				// The last snapshot before the regrid and the last one:
+				// both structures, each from its own keyframe.
+				if err := read(st, regrid-1, levels); err != nil {
+					errs <- err
+					return
+				}
+				if err := read(st, snaps-1, fineLevels); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := builds.Load(); got != 2 {
+		t.Fatalf("recipe.builds = %d after the reads, want 2: a read rebuilt a recipe", got)
+	}
+	// Each read replays two frames (a keyframe and one delta) per shape.
+	if got, want := decodes()-decodes0, int64(readers*len(streams)*2*3*2); got != want {
+		t.Fatalf("reads decoded %d frames on registered Decoders, want %d", got, want)
 	}
 }
 

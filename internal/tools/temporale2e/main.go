@@ -13,6 +13,9 @@
 //     byte for byte),
 //   - tiered progressive reads whose guaranteed bounds strictly decrease and
 //     hold for every prefix,
+//   - one recipe build per (structure, layout, curve) the reads touch, not
+//     one per read: the post-restart reads take their Decoder from the
+//     daemon's mesh LRU, so recipe.builds rises at most by that count,
 //   - session recovery across the restart: a session left unsealed when the
 //     daemon dies must be transparently re-established by the client's next
 //     append (forced keyframe, new session id), never wedged or forked.
@@ -304,11 +307,28 @@ func run(ctx context.Context, bin string, res int) error {
 	defer d.Kill()
 
 	// Everything the sealed checkpoints persisted, on every read surface.
+	snap, err = harness.Vars(ctx, d.URL, server.ExpvarName)
+	if err != nil {
+		return err
+	}
+	buildsBefore := snap.Counters["recipe.builds"]
 	for i, layout := range layouts {
 		if err := checkReads(ctx, cl, ckpts[i], wants[i]); err != nil {
 			return fmt.Errorf("%v checkpoint: %w", layout, err)
 		}
 	}
+	// Every snapshot lies on the first snapshot's hierarchy and both sessions
+	// use one curve, so the reads touch one structure per layout: the reads
+	// may build that many recipes, however many reads there were.
+	snap, err = harness.Vars(ctx, d.URL, server.ExpvarName)
+	if err != nil {
+		return err
+	}
+	builds, pairs := snap.Counters["recipe.builds"]-buildsBefore, int64(len(layouts))
+	if builds > pairs {
+		return fmt.Errorf("post-restart reads cost %d recipe builds, want at most %d (one per structure, layout and curve read)", builds, pairs)
+	}
+	fmt.Printf("temporale2e: post-restart reads cost %d recipe builds (at most %d allowed)\n", builds, pairs)
 
 	// The orphaned session must recover: the restart dropped its server-side
 	// state, so its next append answers 404 and the client transparently

@@ -258,8 +258,10 @@ func (te *TemporalEncoder) Instrument(r *Registry) *TemporalEncoder {
 }
 
 // Instrument attaches a telemetry registry to the temporal decoder and
-// returns it. Passing nil detaches. Not safe to call concurrently with
-// decoding.
+// returns it. Keyframe recipe builds of the Decoders the stream builds itself
+// (NewTemporalDecoder) record the recipe.* stages into the same registry; a
+// source's shared Decoders keep their own. Passing nil detaches. Not safe to
+// call concurrently with decoding.
 func (td *TemporalDecoder) Instrument(r *Registry) *TemporalDecoder {
 	td.stats = newTemporalStats(r, "temporal.decode", "")
 	td.reg = r

@@ -52,6 +52,7 @@ type TemporalCompressed struct {
 type TemporalEncoder struct {
 	opt           Options
 	prevStructure []byte
+	forceKey      bool      // the next snapshot is a keyframe (ForceKeyframe)
 	enc           *Encoder  // makes each frame of the current topology
 	dec           *Decoder  // what the receiver will run; enc's recipe cache
 	prevRecon     []float64 // previous reconstruction, layout order
@@ -80,14 +81,15 @@ func NewTemporalEncoder(opt Options) (*TemporalEncoder, error) {
 }
 
 // ForceKeyframe makes the next CompressSnapshot emit a keyframe even if the
-// topology is unchanged, by discarding the encoder's notion of the previous
-// structure. This is the client-side recovery hook for remote streams: when
-// the receiving end loses its stream state (an evicted or restarted zmeshd
-// session), resending the current snapshot as a keyframe re-establishes
-// lockstep without replaying history. The previous reconstruction is left
-// in place and is simply replaced by the keyframe's own reconstruction on
-// the next successful encode.
-func (te *TemporalEncoder) ForceKeyframe() { te.prevStructure = nil }
+// topology is unchanged. This is the client-side recovery hook for remote
+// streams: when the receiving end loses its stream state (an evicted or
+// restarted zmeshd session), resending the current snapshot as a keyframe
+// re-establishes lockstep without replaying history. The previous
+// reconstruction is left in place and is simply replaced by the keyframe's
+// own reconstruction on the next successful encode; a keyframe on the
+// topology the encoder already holds reuses its recipe instead of
+// rebuilding it.
+func (te *TemporalEncoder) ForceKeyframe() { te.forceKey = true }
 
 // CompressSnapshot encodes the next snapshot of the stream. The field's
 // mesh may differ from the previous snapshot's (regridding); the encoder
@@ -102,9 +104,10 @@ func (te *TemporalEncoder) CompressSnapshot(f *Field, bound Bound) (tc *Temporal
 	defer te.stats.abortOn(&err)
 	m := f.Mesh()
 	structure := m.Structure()
-	keyframe := te.prevStructure == nil || !bytes.Equal(structure, te.prevStructure)
+	newTopology := te.prevStructure == nil || !bytes.Equal(structure, te.prevStructure)
+	keyframe := newTopology || te.forceKey
 	enc, dec := te.enc, te.dec
-	if keyframe {
+	if newTopology {
 		dec = NewDecoder(m)
 		dec.reg = te.reg
 		if enc, _, err = dec.Encoder(te.opt); err != nil {
@@ -154,6 +157,7 @@ func (te *TemporalEncoder) CompressSnapshot(f *Field, bound Bound) (tc *Temporal
 	if keyframe {
 		te.enc, te.dec = enc, dec
 		te.prevStructure = structure
+		te.forceKey = false
 		te.prevRecon = recon
 		tc.Structure = structure
 	} else {
@@ -167,6 +171,8 @@ func (te *TemporalEncoder) CompressSnapshot(f *Field, bound Bound) (tc *Temporal
 
 // TemporalDecoder reconstructs a quantity stream snapshot by snapshot.
 type TemporalDecoder struct {
+	// source hands out the Decoder for a keyframe's structure bytes.
+	source    func(structure []byte) (*Decoder, error)
 	dec       *Decoder // mesh and recipe of the last keyframe
 	prevRecon []float64
 	// Stream identity, pinned by the last keyframe. Delta frames must match
@@ -180,11 +186,39 @@ type TemporalDecoder struct {
 	nextRecon []float64
 
 	stats *temporalStats // nil unless Instrument attached a registry
-	reg   *Registry      // registry for observed keyframe recipe builds
+	reg   *Registry      // registry for the recipe builds of ownDecoder's Decoders
 }
 
-// NewTemporalDecoder creates a decoder for one quantity stream.
-func NewTemporalDecoder() *TemporalDecoder { return &TemporalDecoder{} }
+// NewTemporalDecoder creates a decoder for one quantity stream that builds
+// a fresh Decoder, and so a fresh recipe, for every keyframe.
+func NewTemporalDecoder() *TemporalDecoder { return NewTemporalDecoderFrom(nil) }
+
+// NewTemporalDecoderFrom creates a decoder for one quantity stream that takes
+// each keyframe's Decoder from source, keyed by the keyframe's structure
+// bytes, so streams on one topology can share one recipe cache (for example
+// a cache of Decoders by structure hash). The stream only reads a Decoder it
+// did not build: source's Decoders must be safe for concurrent use, which
+// every Decoder is, and a keyframe whose topology source rejects fails the
+// snapshot with source's error. A nil source is NewTemporalDecoder's: a fresh
+// Decoder per keyframe, recording its recipe builds into the registry given
+// to Instrument.
+func NewTemporalDecoderFrom(source func(structure []byte) (*Decoder, error)) *TemporalDecoder {
+	td := &TemporalDecoder{source: source}
+	if source == nil {
+		td.source = td.ownDecoder
+	}
+	return td
+}
+
+// ownDecoder is the default keyframe source: a Decoder owned by this stream.
+func (td *TemporalDecoder) ownDecoder(structure []byte) (*Decoder, error) {
+	dec, err := NewDecoderFromStructure(structure)
+	if err != nil {
+		return nil, err
+	}
+	dec.reg = td.reg
+	return dec, nil
+}
 
 // DecompressSnapshot decodes the next snapshot. Keyframes reset the stream
 // state (and carry the topology); delta frames require the preceding
@@ -203,10 +237,9 @@ func (td *TemporalDecoder) DecompressSnapshot(c *TemporalCompressed) (f *Field, 
 		if len(c.Structure) == 0 {
 			return nil, fmt.Errorf("zmesh: keyframe without topology")
 		}
-		if dec, err = NewDecoderFromStructure(c.Structure); err != nil {
+		if dec, err = td.source(c.Structure); err != nil {
 			return nil, err
 		}
-		dec.reg = td.reg
 	// Delta frame: validate against the stream identity first.
 	case dec == nil:
 		return nil, fmt.Errorf("zmesh: delta frame before any keyframe")
