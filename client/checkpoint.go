@@ -69,15 +69,11 @@ func (c *Client) ReadField(ctx context.Context, checkpointID, field string, snap
 	if err != nil {
 		return nil, err
 	}
-	return decodeChunkedFloats(body)
+	return decodeValues(body)
 }
 
-func decodeChunkedFloats(body []byte) ([]float64, error) {
-	raw, err := readChunkedAll(bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("client: reading chunked values: %w", err)
-	}
-	values, err := wire.DecodeFloats(raw)
+func decodeValues(body []byte) ([]float64, error) {
+	values, err := wire.DecodeFloats(body)
 	if err != nil {
 		return nil, fmt.Errorf("client: decoding values: %w", err)
 	}
@@ -113,7 +109,7 @@ func (c *Client) ReadFieldLevels(ctx context.Context, checkpointID, field string
 	if err != nil {
 		return nil, err
 	}
-	values, err := decodeChunkedFloats(body)
+	values, err := decodeValues(body)
 	if err != nil {
 		return nil, err
 	}

@@ -42,7 +42,6 @@ type Client struct {
 	maxRetries  int
 	baseBackoff time.Duration
 	maxBackoff  time.Duration
-	chunkBytes  int
 
 	// jitterState drives the backoff jitter: a splitmix64 sequence advanced
 	// with a single atomic add, so concurrent retry loops never contend on a
@@ -68,12 +67,6 @@ func WithBackoff(base, max time.Duration) Option {
 	return func(c *Client) { c.baseBackoff, c.maxBackoff = base, max }
 }
 
-// WithChunkBytes sets the frame size the streaming methods cut chunked
-// request bodies into (default wire.DefaultChunkBytes, capped at
-// wire.MaxChunkPayload). Smaller chunks lower peak memory on both ends at
-// the cost of per-frame overhead.
-func WithChunkBytes(n int) Option { return func(c *Client) { c.chunkBytes = n } }
-
 // New creates a client for a zmeshd base URL like "http://host:8080".
 func New(baseURL string, opts ...Option) *Client {
 	c := &Client{
@@ -82,7 +75,6 @@ func New(baseURL string, opts ...Option) *Client {
 		maxRetries:  6,
 		baseBackoff: 50 * time.Millisecond,
 		maxBackoff:  2 * time.Second,
-		chunkBytes:  wire.DefaultChunkBytes,
 	}
 	c.jitterState.Store(uint64(time.Now().UnixNano()))
 	for _, o := range opts {
@@ -355,9 +347,9 @@ func (c *Client) Decompress(ctx context.Context, meshID string, comp *zmesh.Comp
 	if err != nil {
 		return nil, err
 	}
-	values, err := wire.DecodeFloats(body)
+	values, err := decodeValues(body)
 	if err != nil {
-		return nil, fmt.Errorf("client: decoding values: %w", err)
+		return nil, err
 	}
 	if comp.NumValues != 0 && len(values) != comp.NumValues {
 		return nil, fmt.Errorf("client: server returned %d values, artifact claims %d", len(values), comp.NumValues)

@@ -1,15 +1,16 @@
-// Streaming and batch transport: the client side of zmeshd's chunked wire
-// mode (wire/chunk.go) and checkpoint endpoint (wire/batch.go).
+// Streaming and batch requests. CompressStream and DecompressStream move a
+// field between an io.Reader or io.Writer and the plain compress and
+// decompress endpoints; CompressBatch and CompressCheckpoint send a whole
+// checkpoint through the batch endpoint (wire/batch.go).
 //
-// CompressStream reads a field's float64-LE values from an io.Reader and
-// frames them over the wire without ever holding the whole stream, so a
-// multi-GB field flows through bounded client memory. Because the source
-// is a stream, a failed attempt can only be retried while nothing has been
-// consumed from it yet — once the first byte is committed to an attempt,
-// failures surface to the caller instead of silently re-reading a source
-// that cannot be rewound. DecompressStream and CompressCheckpoint send
-// from buffers, so they keep the full retry/backoff machinery until the
-// first response byte has been handed to the caller.
+// The server needs a field's whole value array in memory either way, so
+// CompressStream saves the caller a buffer, not the server one. Because the
+// source is a stream, a failed attempt can only be retried while nothing
+// has been consumed from it yet — once the first byte is committed to an
+// attempt, failures surface to the caller instead of silently re-reading a
+// source that cannot be rewound. DecompressStream and CompressCheckpoint
+// send from buffers, so they keep the full retry/backoff machinery until
+// the first response byte has been handed to the caller.
 package client
 
 import (
@@ -61,118 +62,65 @@ func compressQuery(fieldName string, opt zmesh.Options, bound zmesh.Bound) strin
 }
 
 // countingReader tracks how many bytes have been consumed from the
-// underlying stream — the retry-safety sentinel of CompressStream.
+// underlying stream — the retry-safety sentinel of CompressStream — and the
+// first error the stream itself returned.
 type countingReader struct {
-	r io.Reader
-	n int64
+	r   io.Reader
+	n   int64
+	err error
 }
 
 func (cr *countingReader) Read(p []byte) (int, error) {
 	n, err := cr.r.Read(p)
 	cr.n += int64(n)
+	if err != nil && err != io.EOF && cr.err == nil {
+		cr.err = err
+	}
 	return n, err
 }
 
 // CompressStream compresses one field whose float64-LE level-order values
-// are read from values — the streaming sibling of Compress for fields too
-// large to buffer. The request body is cut into chunked frames of the
-// client's configured chunk size (WithChunkBytes); the response payload is
-// reassembled from the server's chunked frames. Attempts are retried with
-// the usual backoff only while zero bytes have been consumed from values;
-// after that the stream cannot be replayed and the first failure is final.
+// are read from values, posted as the plain body of the compress endpoint
+// (chunked Transfer-Encoding, since the length is not known up front). The
+// server reads exactly the mesh's cell count × 8 bytes, so a source that is
+// short or long fails with a 400. Attempts are retried with the usual
+// backoff only while zero bytes have been consumed from values; after that
+// the stream cannot be replayed and the first failure is final.
 func (c *Client) CompressStream(ctx context.Context, meshID, fieldName string, values io.Reader, opt zmesh.Options, bound zmesh.Bound) (*zmesh.Compressed, error) {
 	opt = withDefaults(opt)
-	reqURL := c.base + wire.CompressStreamPath(meshID) + "?" + compressQuery(fieldName, opt, bound)
+	reqURL := c.base + wire.CompressPath(meshID) + "?" + compressQuery(fieldName, opt, bound)
 	src := &countingReader{r: values}
-	chunk := make([]byte, c.chunkSize())
 	var out *zmesh.Compressed
 	err := c.retry(ctx, func() (bool, string, error) {
-		resp, pumpErr, err := c.startChunkedRequest(ctx, reqURL, src, chunk)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, reqURL, src)
+		if err != nil {
+			return true, "", err
+		}
+		req.Header.Set("Content-Type", wire.ContentTypeBinary)
+		resp, err := c.hc.Do(req)
 		if err == nil && resp.StatusCode/100 == 2 {
-			payload, rerr := readChunkedAll(resp.Body)
-			hdr := resp.Header
+			payload, rerr := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if rerr != nil {
-				return true, "", fmt.Errorf("client: reading chunked response: %w", rerr)
+				return true, "", fmt.Errorf("client: reading compress response: %w", rerr)
 			}
-			out, err = artifactFromHeaders(hdr, payload)
+			out, err = artifactFromHeaders(resp.Header, payload)
 			return true, "", err
 		}
 		final, retryAfter, ferr := failed(ctx, resp, err)
-		if final {
+		switch {
+		case src.err != nil:
+			// The failure was caused by the source itself; the caller needs
+			// that, not the transport's or the server's account of it.
+			return true, "", fmt.Errorf("client: reading value stream: %w", src.err)
+		case final:
 			return true, "", ferr
-		}
-		if err != nil {
-			if perr := <-pumpErr; perr != nil && !errors.Is(perr, io.ErrClosedPipe) {
-				// The transport error was caused by the source itself; the
-				// caller needs that, not the wrapped pipe error.
-				return true, "", fmt.Errorf("client: reading value stream: %w", perr)
-			}
-		}
-		if src.n > 0 {
+		case src.n > 0:
 			return true, "", fmt.Errorf("client: stream failed after %d bytes were consumed (cannot replay an io.Reader): %w", src.n, ferr)
 		}
 		return false, retryAfter, ferr
 	})
 	return out, err
-}
-
-// startChunkedRequest issues one POST whose body is the chunked framing of
-// src, pumped through a pipe so the request streams instead of buffering.
-// The returned channel yields the pump goroutine's error once the request
-// has fully completed (the transport always closes the request body, which
-// unblocks the pump).
-func (c *Client) startChunkedRequest(ctx context.Context, reqURL string, src io.Reader, chunk []byte) (*http.Response, <-chan error, error) {
-	pr, pw := io.Pipe()
-	pumpErr := make(chan error, 1)
-	go func() {
-		cw := wire.NewChunkWriter(pw)
-		var perr error
-		for {
-			n, rerr := src.Read(chunk)
-			if n > 0 {
-				if werr := cw.WriteChunk(chunk[:n]); werr != nil {
-					perr = werr
-					break
-				}
-			}
-			if rerr == io.EOF {
-				perr = cw.Close()
-				break
-			}
-			if rerr != nil {
-				perr = rerr
-				break
-			}
-		}
-		pw.CloseWithError(perr) // nil closes cleanly (EOF to the transport)
-		pumpErr <- perr
-	}()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, reqURL, pr)
-	if err != nil {
-		pr.CloseWithError(err)
-		return nil, pumpErr, err
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeChunked)
-	resp, err := c.hc.Do(req)
-	return resp, pumpErr, err
-}
-
-// readChunkedAll reassembles a whole chunked stream into one buffer.
-func readChunkedAll(r io.Reader) ([]byte, error) {
-	cr := wire.NewChunkReader(r)
-	var out, buf []byte
-	for {
-		p, err := cr.Next(buf)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p...)
-		buf = p
-	}
 }
 
 // sleep waits out one retry delay (see retryDelay), bounded by ctx.
@@ -187,81 +135,52 @@ func (c *Client) sleep(ctx context.Context, attempt int, retryAfter string, last
 	}
 }
 
-func (c *Client) chunkSize() int {
-	n := c.chunkBytes
-	if n <= 0 {
-		n = wire.DefaultChunkBytes
-	}
-	if n > wire.MaxChunkPayload {
-		n = wire.MaxChunkPayload
-	}
-	return n
-}
-
-// DecompressStream decompresses an artifact server-side and streams the
+// DecompressStream decompresses an artifact server-side and copies the
 // reconstructed float64-LE values into w, returning the number of values
 // written. The request is replayed from the artifact buffer on 429/5xx
 // with the usual backoff; once the first response byte has been written to
-// w, a mid-stream failure is final (w cannot be rewound). A truncated
-// response (missing terminator frame) is detected by the chunk framing and
-// surfaces as an error rather than silently short data.
+// w, a failure is final (w cannot be rewound). A truncated response is an
+// error, never silently short data: the transport reports a body cut short
+// as io.ErrUnexpectedEOF, and the count is checked against the server's
+// X-Zmesh-Num-Values header and the artifact's NumValues.
 func (c *Client) DecompressStream(ctx context.Context, meshID string, comp *zmesh.Compressed, w io.Writer) (int, error) {
 	q := url.Values{
 		wire.ParamField:  {comp.FieldName},
 		wire.ParamLayout: {comp.Layout.String()},
 		wire.ParamCurve:  {comp.Curve},
 	}.Encode()
-	reqURL := c.base + wire.DecompressStreamPath(meshID) + "?" + q
-	framed := wire.AppendChunked(nil, comp.Payload, c.chunkSize())
+	reqURL := c.base + wire.DecompressPath(meshID) + "?" + q
 	n := 0
 	err := c.retry(ctx, func() (bool, string, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, reqURL, bytes.NewReader(framed))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, reqURL, bytes.NewReader(comp.Payload))
 		if err != nil {
 			return true, "", err
 		}
-		req.Header.Set("Content-Type", wire.ContentTypeChunked)
+		req.Header.Set("Content-Type", wire.ContentTypeBinary)
 		resp, err := c.hc.Do(req)
 		if err != nil || resp.StatusCode/100 != 2 {
 			return failed(ctx, resp, err)
 		}
 		// The first response byte may now reach w: whatever happens is final.
-		nb, err := c.copyChunked(w, resp.Body)
+		nb, err := io.Copy(w, resp.Body)
 		resp.Body.Close()
-		n = nb / 8
+		n = int(nb / 8)
+		declared, herr := strconv.Atoi(resp.Header.Get(wire.HeaderNumValues))
 		switch {
 		case err != nil:
-			err = fmt.Errorf("client: reading chunked values: %w", err)
+			err = fmt.Errorf("client: reading values: %w", err)
 		case nb%8 != 0:
-			err = fmt.Errorf("client: server streamed %d bytes, not a multiple of 8", nb)
+			err = fmt.Errorf("client: server sent %d bytes, not a multiple of 8", nb)
+		case herr != nil:
+			err = fmt.Errorf("client: bad %s header: %w", wire.HeaderNumValues, herr)
+		case n != declared:
+			err = fmt.Errorf("client: server sent %d values, declared %d", n, declared)
 		case comp.NumValues != 0 && n != comp.NumValues:
-			err = fmt.Errorf("client: server streamed %d values, artifact claims %d", n, comp.NumValues)
+			err = fmt.Errorf("client: server sent %d values, artifact claims %d", n, comp.NumValues)
 		}
 		return true, "", err
 	})
 	return n, err
-}
-
-// copyChunked unframes a chunked stream from r into w, returning the
-// payload bytes written.
-func (c *Client) copyChunked(w io.Writer, r io.Reader) (int, error) {
-	cr := wire.NewChunkReader(r)
-	buf := make([]byte, 0, c.chunkSize())
-	total := 0
-	for {
-		p, err := cr.Next(buf)
-		if err == io.EOF {
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
-		n, werr := w.Write(p)
-		total += n
-		if werr != nil {
-			return total, werr
-		}
-		buf = p
-	}
 }
 
 // CompressBatch compresses several fields of one registered mesh in a

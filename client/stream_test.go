@@ -11,15 +11,15 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	zmesh "repro"
 	"repro/internal/wire"
 )
 
-// fakeStreamServer mocks the compress-stream endpoint: it unframes the
-// chunked request, records the payload, and answers with a chunked
-// response plus the metadata headers.
+// fakeStreamServer mocks the compress endpoint: it reads the plain request
+// body and answers with the payload plus the metadata headers.
 func fakeStreamServer(t *testing.T, reply []byte, before func(n int, w http.ResponseWriter, r *http.Request) bool) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	var calls atomic.Int64
@@ -28,27 +28,23 @@ func fakeStreamServer(t *testing.T, reply []byte, before func(n int, w http.Resp
 		if before != nil && !before(n, w, r) {
 			return
 		}
-		cr := wire.NewChunkReader(r.Body)
-		var got []byte
-		for {
-			p, err := cr.Next(nil)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			got = append(got, p...)
+		if r.URL.Path != wire.CompressPath("m1") {
+			http.Error(w, `{"error":"wrong path"}`, http.StatusNotFound)
+			return
+		}
+		got, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		h := w.Header()
-		h.Set("Content-Type", wire.ContentTypeChunked)
+		h.Set("Content-Type", wire.ContentTypeBinary)
 		h.Set(wire.HeaderField, "dens")
 		h.Set(wire.HeaderLayout, zmesh.LayoutZMesh.String())
 		h.Set(wire.HeaderCurve, "hilbert")
 		h.Set(wire.HeaderCodec, "sz")
 		h.Set(wire.HeaderNumValues, strconv.Itoa(len(got)/8))
-		w.Write(wire.AppendChunked(nil, reply, 0))
+		w.Write(reply)
 	}))
 	t.Cleanup(srv.Close)
 	return srv, &calls
@@ -60,10 +56,18 @@ func TestCompressStreamFramesAndParses(t *testing.T) {
 		values[i] = float64(i) * 0.25
 	}
 	reply := []byte("the artifact payload")
-	srv, calls := fakeStreamServer(t, reply, nil)
-	c := New(srv.URL, WithChunkBytes(256)) // many frames
+	srv, calls := fakeStreamServer(t, reply, func(n int, w http.ResponseWriter, r *http.Request) bool {
+		// The source's length is unknown, so the body is chunked
+		// Transfer-Encoding, in the plain float64-LE encoding.
+		if r.ContentLength != -1 || r.Header.Get("Content-Type") != wire.ContentTypeBinary {
+			http.Error(w, `{"error":"not a reader-fed plain body"}`, http.StatusBadRequest)
+			return false
+		}
+		return true
+	})
+	c := New(srv.URL)
 	comp, err := c.CompressStream(context.Background(), "m1", "dens",
-		bytes.NewReader(wire.AppendFloats(nil, values)), zmesh.DefaultOptions(), zmesh.AbsBound(1e-3))
+		iotest.HalfReader(bytes.NewReader(wire.AppendFloats(nil, values))), zmesh.DefaultOptions(), zmesh.AbsBound(1e-3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,38 +178,29 @@ type failingReader struct{ err error }
 func (f *failingReader) Read([]byte) (int, error) { return 0, f.err }
 
 // TestDecompressStreamRetriesAndValidates: transient failures replay from
-// the artifact buffer; the streamed values land in the writer; count and
-// alignment are validated.
+// the artifact buffer; the values land in the writer; the count is checked
+// against the server's X-Zmesh-Num-Values header and the artifact.
 func TestDecompressStreamRetriesAndValidates(t *testing.T) {
 	values := []float64{1, 2, 3, 4.5}
 	valueBytes := wire.AppendFloats(nil, values)
 	var calls atomic.Int64
+	declared := atomic.Int64{}
+	declared.Store(int64(len(values)))
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) <= 2 {
 			w.Header().Set("Retry-After", "0")
 			http.Error(w, `{"error":"shed"}`, http.StatusTooManyRequests)
 			return
 		}
-		// The request body must be the chunked framing of the payload.
-		cr := wire.NewChunkReader(r.Body)
-		var got []byte
-		for {
-			p, err := cr.Next(nil)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			got = append(got, p...)
-		}
-		if string(got) != "artifact" {
-			http.Error(w, `{"error":"wrong payload"}`, http.StatusBadRequest)
+		// The request body must be the artifact payload, plain.
+		got, err := io.ReadAll(r.Body)
+		if err != nil || r.URL.Path != wire.DecompressPath("m1") || string(got) != "artifact" {
+			http.Error(w, `{"error":"wrong request"}`, http.StatusBadRequest)
 			return
 		}
-		w.Header().Set("Content-Type", wire.ContentTypeChunked)
-		w.Write(wire.AppendChunked(nil, valueBytes, 8)) // one float per chunk
+		w.Header().Set("Content-Type", wire.ContentTypeBinary)
+		w.Header().Set(wire.HeaderNumValues, strconv.FormatInt(declared.Load(), 10))
+		w.Write(valueBytes)
 	}))
 	t.Cleanup(srv.Close)
 
@@ -220,7 +215,7 @@ func TestDecompressStreamRetriesAndValidates(t *testing.T) {
 		t.Fatalf("returned %d values, want %d", n, len(values))
 	}
 	if !bytes.Equal(out.Bytes(), valueBytes) {
-		t.Fatal("streamed value bytes differ from the server's")
+		t.Fatal("value bytes differ from the server's")
 	}
 	if calls.Load() != 3 {
 		t.Fatalf("%d requests, want 3", calls.Load())
@@ -229,17 +224,25 @@ func TestDecompressStreamRetriesAndValidates(t *testing.T) {
 	// A count mismatch against the artifact must be flagged.
 	comp.NumValues = len(values) + 1
 	if _, err := c.DecompressStream(context.Background(), "m1", comp, io.Discard); err == nil {
-		t.Fatal("value-count mismatch not detected")
+		t.Fatal("value-count mismatch against the artifact not detected")
+	}
+	// So must a complete body shorter than the server itself declared.
+	comp.NumValues = 0
+	declared.Store(int64(len(values)) + 1)
+	if _, err := c.DecompressStream(context.Background(), "m1", comp, io.Discard); err == nil || !strings.Contains(err.Error(), "declared") {
+		t.Fatalf("got %v, want a value-count mismatch against the header", err)
 	}
 }
 
-// TestDecompressStreamTruncatedResponse: a response missing its terminator
-// frame (server aborted mid-stream) is an error, never silent short data.
+// TestDecompressStreamTruncatedResponse: a response cut short (the server
+// aborted mid-body) is an error, never silent short data.
 func TestDecompressStreamTruncatedResponse(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
-		full := wire.AppendChunked(nil, wire.AppendFloats(nil, []float64{1, 2, 3}), 8)
-		w.Write(full[:len(full)-8]) // drop the terminator
+		full := wire.AppendFloats(nil, []float64{1, 2, 3})
+		w.Header().Set(wire.HeaderNumValues, "3")
+		w.Header().Set("Content-Length", strconv.Itoa(len(full)))
+		w.Write(full[:len(full)-8]) // the connection closes one value early
 	}))
 	t.Cleanup(srv.Close)
 	c := New(srv.URL, WithMaxRetries(0))

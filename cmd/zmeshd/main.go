@@ -1,10 +1,10 @@
 // Command zmeshd is the zMesh compression daemon: a long-lived HTTP service
 // that lets many clients share one hot recipe cache. Clients register a
-// mesh structure once (POST /v1/meshes) and then stream fields through
-// /v1/meshes/{id}/compress and /decompress (buffered float64-LE bodies),
-// /compress-stream and /decompress-stream (chunked framing through bounded
-// buffers, for fields too large to buffer), or /checkpoint (batch framing:
-// every field of a snapshot in one request against one cached encoder).
+// mesh structure once (POST /v1/meshes) and then send fields through
+// /v1/meshes/{id}/compress and /decompress (plain float64-LE bodies; a
+// compress body is exactly the mesh's cells × 8 bytes, with or without a
+// Content-Length) or /checkpoint (batch framing: every field of a snapshot
+// in one request against one cached encoder).
 // The daemon caches encoders and decoders by (structure-hash, layout,
 // curve, codec), sheds load past its in-flight budget with 429 +
 // Retry-After, and drains in-flight requests on SIGTERM/SIGINT before

@@ -2,10 +2,15 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
+	"sort"
 	"testing"
 
 	zmesh "repro"
@@ -157,6 +162,65 @@ func checkExchangeAllocs(t *testing.T, codec string, layout zmesh.Layout, pinned
 	t.Logf("%s/%s compress + decompress exchange: %v allocs/op", codec, resolved, allocs)
 	if allocs > budget {
 		t.Fatalf("%s/%s compress + decompress exchange allocates %v per op, budget %v", codec, resolved, allocs, budget)
+	}
+}
+
+// TestServerReaderFedAllocs pins the heap bytes of one warm reader-fed
+// CompressStream of an 8 MiB field (2-D, 1 Mi cells, sz/zmesh/hilbert),
+// client and server together in one process. The body has no known
+// length, so it arrives under chunked Transfer-Encoding, and the server
+// reads it straight into the pooled request buffer it sized once to the
+// mesh's 8 × cells bytes. Measured 5.4 MiB per warm request, of which the
+// server's handler is 2.1 MiB (DESIGN.md "Compress transport"). The test
+// runs on one P: a sync.Pool Put lands in the running P's private slot,
+// which a Get on another P cannot take, so with two Ps a request that
+// happens to run on the other one rebuilds its scratch. A GC can still empty
+// the pools between requests, so the pin takes the median of seven warm
+// requests.
+func TestServerReaderFedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m, err := zmesh.NewMesh(2, 16, [3]int{32, 32, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, root := range m.Roots()[:768] {
+		if err := m.Refine(root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := zmesh.SampleField(m, "dens", func(x, y, z float64) float64 { return math.Sin(9*x)*math.Cos(7*y) + 0.1*x*y })
+	raw := wire.AppendFloats(nil, zmesh.FieldValues(f))
+	if len(raw) != 8<<20 {
+		t.Fatalf("field is %d bytes, want 8 MiB", len(raw))
+	}
+	_, cl := newTestServer(t, Config{})
+	ctx := context.Background()
+	id, err := cl.Register(ctx, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := zmesh.Options{Layout: zmesh.LayoutZMesh, Curve: "hilbert", Codec: "sz"}
+	var warm []float64
+	for i := 0; i < 9; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := cl.CompressStream(ctx, id, "dens", io.MultiReader(bytes.NewReader(raw)), opt, zmesh.RelBound(1e-4)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i >= 2 {
+			warm = append(warm, float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
+		}
+	}
+	sort.Float64s(warm)
+	const pinnedMiB = 5.4
+	budget := pinnedMiB*1.25 + 1
+	t.Logf("warm reader-fed 8 MiB compress: %.1f MiB per request (median of %v)", warm[len(warm)/2], warm)
+	if got := warm[len(warm)/2]; got > budget {
+		t.Fatalf("warm reader-fed 8 MiB compress allocates %.1f MiB per request, budget %.1f", got, budget)
 	}
 }
 

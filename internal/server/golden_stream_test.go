@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -16,35 +15,18 @@ import (
 	"repro/internal/wire"
 )
 
-// Golden fixtures for the streaming transport: one committed exchange per
-// codec across compress-stream, decompress-stream, and checkpoint. They
-// pin the chunk framing, the batch framing, and the endpoints' byte-exact
-// behavior the same way TestGoldenWire pins the buffered protocol.
+// Golden fixtures for the batch checkpoint endpoint: one committed exchange
+// per codec. They pin the batch framing and the endpoint's byte-exact
+// behavior the same way TestGoldenWire pins the single-field protocol.
 // Regenerate after an intentional format change with:
 //
 //	go test ./internal/server -run TestGoldenStream -update
-
-// streamFixtureChunk is the request-side chunk granularity: small enough
-// that every fixture body spans multiple frames, so the framing itself
-// (not just the single-chunk degenerate case) is pinned.
-const streamFixtureChunk = 1 << 10
 
 type streamFixture struct {
 	ContainerVersion int `json:"container_version"`
 
 	Structure []byte `json:"structure"`
 	MeshID    string `json:"mesh_id"`
-
-	// compress-stream: chunked request body → chunked response + headers.
-	CompressQuery    string            `json:"compress_query"`
-	CompressBody     []byte            `json:"compress_body"`
-	CompressRespBody []byte            `json:"compress_resp_body"`
-	CompressHeaders  map[string]string `json:"compress_headers"`
-
-	// decompress-stream: the artifact re-framed as chunks → chunked values.
-	DecompressQuery    string `json:"decompress_query"`
-	DecompressBody     []byte `json:"decompress_body"`
-	DecompressRespBody []byte `json:"decompress_resp_body"`
 
 	// checkpoint: batch request (two fields, per-section bounds) → batch
 	// response + headers.
@@ -54,67 +36,26 @@ type streamFixture struct {
 	CheckpointHeaders  map[string]string `json:"checkpoint_headers"`
 }
 
-func streamFixtureQueries(codec string) (compressQ, decompressQ, checkpointQ string) {
-	compressQ = url.Values{
-		wire.ParamField:  {"dens"},
-		wire.ParamLayout: {zmesh.LayoutZMesh.String()},
-		wire.ParamCurve:  {"hilbert"},
-		wire.ParamCodec:  {codec},
-		wire.ParamBound:  {wire.FormatBound(testBound())},
-	}.Encode()
-	decompressQ = url.Values{
-		wire.ParamField:  {"dens"},
-		wire.ParamLayout: {zmesh.LayoutZMesh.String()},
-		wire.ParamCurve:  {"hilbert"},
-	}.Encode()
-	checkpointQ = url.Values{
-		wire.ParamLayout: {zmesh.LayoutZMesh.String()},
-		wire.ParamCurve:  {"hilbert"},
-		wire.ParamCodec:  {codec},
-	}.Encode()
-	return
-}
-
-// recordStreamExchange runs the canonical streamed exchange for one codec
+// recordStreamExchange runs the canonical checkpoint exchange for one codec
 // against a fresh server and captures every byte.
 func recordStreamExchange(t *testing.T, codec string) *streamFixture {
 	t.Helper()
 	s := New(Config{})
 	m, f := testMesh(t)
-	values := zmesh.FieldValues(f)
-	compressQ, decompressQ, checkpointQ := streamFixtureQueries(codec)
 	fx := &streamFixture{
 		ContainerVersion: container.Version,
 		Structure:        m.Structure(),
-		CompressQuery:    compressQ,
-		CompressBody:     wire.AppendChunked(nil, wire.AppendFloats(nil, values), streamFixtureChunk),
-		DecompressQuery:  decompressQ,
-		CheckpointQuery:  checkpointQ,
+		CheckpointQuery: url.Values{
+			wire.ParamLayout: {zmesh.LayoutZMesh.String()},
+			wire.ParamCurve:  {"hilbert"},
+			wire.ParamCodec:  {codec},
+		}.Encode(),
 	}
 	post(t, s.Handler(), wire.PathMeshes, fx.Structure, http.StatusCreated)
 	fx.MeshID = MeshID(fx.Structure)
 
-	rec := postRaw(t, s.Handler(), wire.CompressStreamPath(fx.MeshID)+"?"+fx.CompressQuery, wire.ContentTypeChunked, fx.CompressBody)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("compress-stream: status %d (body %q)", rec.Code, rec.Body.String())
-	}
-	fx.CompressRespBody = rec.Body.Bytes()
-	fx.CompressHeaders = map[string]string{}
-	for _, h := range wireMetaHeaders {
-		fx.CompressHeaders[h] = rec.Header().Get(h)
-	}
-
-	// Unframe the payload and re-frame it as the decompress request.
-	payload := unchunk(t, fx.CompressRespBody)
-	fx.DecompressBody = wire.AppendChunked(nil, payload, streamFixtureChunk)
-	rec = postRaw(t, s.Handler(), wire.DecompressStreamPath(fx.MeshID)+"?"+fx.DecompressQuery, wire.ContentTypeChunked, fx.DecompressBody)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("decompress-stream: status %d (body %q)", rec.Code, rec.Body.String())
-	}
-	fx.DecompressRespBody = rec.Body.Bytes()
-
 	fx.CheckpointBody = goldenCheckpointBody(t, f)
-	rec = postRaw(t, s.Handler(), wire.CheckpointPath(fx.MeshID)+"?"+fx.CheckpointQuery, wire.ContentTypeBatch, fx.CheckpointBody)
+	rec := postRaw(t, s.Handler(), wire.CheckpointPath(fx.MeshID)+"?"+fx.CheckpointQuery, wire.ContentTypeBatch, fx.CheckpointBody)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("checkpoint: status %d (body %q)", rec.Code, rec.Body.String())
 	}
@@ -145,24 +86,7 @@ func goldenCheckpointBody(t *testing.T, f *zmesh.Field) []byte {
 	return b.Bytes()
 }
 
-// unchunk reassembles a chunked body's payload.
-func unchunk(t *testing.T, body []byte) []byte {
-	t.Helper()
-	cr := wire.NewChunkReader(bytes.NewReader(body))
-	var out []byte
-	for {
-		p, err := cr.Next(nil)
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatalf("unchunking fixture body: %v", err)
-		}
-		out = append(out, p...)
-	}
-}
-
-// TestGoldenStream replays each codec's committed streamed exchange and
+// TestGoldenStream replays each codec's committed checkpoint exchange and
 // requires byte-identical responses.
 func TestGoldenStream(t *testing.T) {
 	for _, codec := range zmesh.Codecs() {
@@ -204,31 +128,7 @@ func TestGoldenStream(t *testing.T) {
 			s := New(Config{})
 			post(t, s.Handler(), wire.PathMeshes, fx.Structure, http.StatusCreated)
 
-			rec := postRaw(t, s.Handler(), wire.CompressStreamPath(fx.MeshID)+"?"+fx.CompressQuery, wire.ContentTypeChunked, fx.CompressBody)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("compress-stream: status %d (body %q)", rec.Code, rec.Body.String())
-			}
-			for h, want := range fx.CompressHeaders {
-				if got := rec.Header().Get(h); got != want {
-					t.Errorf("compress-stream header %s = %q, fixture pins %q", h, got, want)
-				}
-			}
-			if !bytes.Equal(rec.Body.Bytes(), fx.CompressRespBody) {
-				t.Fatalf("compress-stream response drifted (%d bytes, fixture %d).\n"+
-					"The chunk framing or artifact format changed. If intentional, regenerate\n"+
-					"with `go test ./internal/server -run TestGoldenStream -update`.",
-					rec.Body.Len(), len(fx.CompressRespBody))
-			}
-
-			rec = postRaw(t, s.Handler(), wire.DecompressStreamPath(fx.MeshID)+"?"+fx.DecompressQuery, wire.ContentTypeChunked, fx.DecompressBody)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("decompress-stream: status %d (body %q)", rec.Code, rec.Body.String())
-			}
-			if !bytes.Equal(rec.Body.Bytes(), fx.DecompressRespBody) {
-				t.Fatalf("decompress-stream response drifted (%d bytes, fixture %d)", rec.Body.Len(), len(fx.DecompressRespBody))
-			}
-
-			rec = postRaw(t, s.Handler(), wire.CheckpointPath(fx.MeshID)+"?"+fx.CheckpointQuery, wire.ContentTypeBatch, fx.CheckpointBody)
+			rec := postRaw(t, s.Handler(), wire.CheckpointPath(fx.MeshID)+"?"+fx.CheckpointQuery, wire.ContentTypeBatch, fx.CheckpointBody)
 			if rec.Code != http.StatusOK {
 				t.Fatalf("checkpoint: status %d (body %q)", rec.Code, rec.Body.String())
 			}

@@ -16,7 +16,7 @@ import (
 
 // The TAC layout must flow through the service byte-identically to the
 // library: compress on the server, compare against the in-process encoder,
-// decompress through both the buffered and chunked-stream endpoints.
+// decompress through both Decompress and the io.Writer-fed DecompressStream.
 func TestServerTACRoundTrip(t *testing.T) {
 	m, f := testMesh(t)
 	_, cl := newTestServer(t, Config{})
@@ -58,7 +58,7 @@ func TestServerTACRoundTrip(t *testing.T) {
 	}
 	var sb strings.Builder
 	if _, err := cl.DecompressStream(ctx, id, got, &sb); err != nil {
-		t.Fatalf("decompress-stream of TAC artifact: %v", err)
+		t.Fatalf("DecompressStream of TAC artifact: %v", err)
 	}
 }
 
@@ -157,7 +157,6 @@ func TestServerRejectsAutoOnDecodePaths(t *testing.T) {
 	id := MeshID(m.Structure())
 	for _, path := range []string{
 		wire.DecompressPath(id) + "?layout=auto",
-		wire.DecompressStreamPath(id) + "?layout=auto",
 	} {
 		resp, err := http.Post(ts.URL+path, wire.ContentTypeBinary, bytes.NewReader([]byte{1, 2, 3, 4}))
 		if err != nil {

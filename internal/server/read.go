@@ -211,9 +211,8 @@ func (s *Server) handleCheckpointStructure(w http.ResponseWriter, r *http.Reques
 
 // handleCheckpointField: GET /v1/checkpoints/{id}/fields/{field} with
 // optional ?snap=N and one of ?levels=K / ?tiers=K. The default response is
-// the full level-order reconstruction as chunk-framed float64-LE; levels=K
-// serves the coarse prefix covering the first K refinement levels in the
-// same framing; tiers=K serves a batch of K multilevel tiers with strictly
+// the full level-order reconstruction as float64-LE; levels=K serves the
+// coarse prefix covering the first K refinement levels in the same form; tiers=K serves a batch of K multilevel tiers with strictly
 // decreasing error bounds (decode any prefix for a bounded-error preview).
 func (s *Server) handleCheckpointField(w http.ResponseWriter, r *http.Request) error {
 	if err := s.requireStore(); err != nil {
@@ -273,12 +272,12 @@ func (s *Server) handleCheckpointField(w http.ResponseWriter, r *http.Request) e
 		s.mStore.levelReads.Inc()
 	}
 	h.Set(wire.HeaderLevels, strconv.Itoa(levels))
-	h.Set("Content-Type", wire.ContentTypeChunked)
+	h.Set("Content-Type", wire.ContentTypeBinary)
 	raw, ok := wire.ViewBytes(out)
 	if !ok {
 		raw = wire.AppendFloats(nil, out)
 	}
-	if err := writeChunked(w, raw); err != nil {
+	if _, err := w.Write(raw); err != nil {
 		return committed(err)
 	}
 	return nil

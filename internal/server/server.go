@@ -159,15 +159,13 @@ type Server struct {
 	srv      *http.Server
 	shutdown bool
 
-	mRegister         *endpointMetrics
-	mCompress         *endpointMetrics
-	mDecompress       *endpointMetrics
-	mCompressStream   *endpointMetrics
-	mDecompressStream *endpointMetrics
-	mCheckpoint       *endpointMetrics
-	checkpointFields  *telemetry.Counter
-	mPeer             *peerMetrics
-	peerClient        *http.Client
+	mRegister        *endpointMetrics
+	mCompress        *endpointMetrics
+	mDecompress      *endpointMetrics
+	mCheckpoint      *endpointMetrics
+	checkpointFields *telemetry.Counter
+	mPeer            *peerMetrics
+	peerClient       *http.Client
 
 	// Temporal checkpoint store (nil unless Config.StoreDir is set) and its
 	// session registry + counters. The counters exist even when the store is
@@ -192,25 +190,23 @@ func New(cfg Config) *Server {
 		panic(fmt.Sprintf("server: Self %q is not a member of the configured ring %v", cfg.Self, cfg.Ring.Nodes()))
 	}
 	s := &Server{
-		cfg:               cfg,
-		reg:               cfg.Registry,
-		store:             newStore(cfg.MaxMeshes, cfg.Registry),
-		sem:               make(chan struct{}, cfg.MaxInflight),
-		mRegister:         newEndpointMetrics(cfg.Registry, "register"),
-		mCompress:         newEndpointMetrics(cfg.Registry, "compress"),
-		mDecompress:       newEndpointMetrics(cfg.Registry, "decompress"),
-		mCompressStream:   newEndpointMetrics(cfg.Registry, "compress_stream"),
-		mDecompressStream: newEndpointMetrics(cfg.Registry, "decompress_stream"),
-		mCheckpoint:       newEndpointMetrics(cfg.Registry, "checkpoint"),
-		checkpointFields:  cfg.Registry.Counter("server.checkpoint.fields"),
-		mPeer:             newPeerMetrics(cfg.Registry),
-		peerClient:        cfg.PeerClient,
-		mSession:          newSessionMetrics(cfg.Registry),
-		mStore:            newStoreMetrics(cfg.Registry),
-		mSessionCreate:    newEndpointMetrics(cfg.Registry, "session_create"),
-		mSessionFrame:     newEndpointMetrics(cfg.Registry, "session_frame"),
-		mSessionSeal:      newEndpointMetrics(cfg.Registry, "session_seal"),
-		mCheckpointRead:   newEndpointMetrics(cfg.Registry, "checkpoint_read"),
+		cfg:              cfg,
+		reg:              cfg.Registry,
+		store:            newStore(cfg.MaxMeshes, cfg.Registry),
+		sem:              make(chan struct{}, cfg.MaxInflight),
+		mRegister:        newEndpointMetrics(cfg.Registry, "register"),
+		mCompress:        newEndpointMetrics(cfg.Registry, "compress"),
+		mDecompress:      newEndpointMetrics(cfg.Registry, "decompress"),
+		mCheckpoint:      newEndpointMetrics(cfg.Registry, "checkpoint"),
+		checkpointFields: cfg.Registry.Counter("server.checkpoint.fields"),
+		mPeer:            newPeerMetrics(cfg.Registry),
+		peerClient:       cfg.PeerClient,
+		mSession:         newSessionMetrics(cfg.Registry),
+		mStore:           newStoreMetrics(cfg.Registry),
+		mSessionCreate:   newEndpointMetrics(cfg.Registry, "session_create"),
+		mSessionFrame:    newEndpointMetrics(cfg.Registry, "session_frame"),
+		mSessionSeal:     newEndpointMetrics(cfg.Registry, "session_seal"),
+		mCheckpointRead:  newEndpointMetrics(cfg.Registry, "checkpoint_read"),
 	}
 	s.sessions = newSessionRegistry(cfg.SessionTTL, cfg.MaxSessions, s.mSession)
 	if cfg.StoreDir != "" {
@@ -226,8 +222,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("POST "+wire.PathMeshes, s.instrumented(s.mRegister, s.handleRegister))
 	mux.HandleFunc("POST "+wire.PathMeshes+"/{id}/compress", s.instrumented(s.mCompress, s.handleCompress))
 	mux.HandleFunc("POST "+wire.PathMeshes+"/{id}/decompress", s.instrumented(s.mDecompress, s.handleDecompress))
-	mux.HandleFunc("POST "+wire.PathMeshes+"/{id}/compress-stream", s.instrumented(s.mCompressStream, s.handleCompressStream))
-	mux.HandleFunc("POST "+wire.PathMeshes+"/{id}/decompress-stream", s.instrumented(s.mDecompressStream, s.handleDecompressStream))
 	mux.HandleFunc("POST "+wire.PathMeshes+"/{id}/checkpoint", s.instrumented(s.mCheckpoint, s.handleCheckpoint))
 	// Temporal checkpoint store endpoints (alive only with Config.StoreDir;
 	// otherwise they answer 503 so clients get an explicit signal rather
@@ -326,9 +320,9 @@ func (s *Server) instrumented(m *endpointMetrics, h func(http.ResponseWriter, *h
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		if err := h(w, r); err != nil {
 			m.errors.Inc()
-			// A handler that already committed its response (streaming
-			// endpoints after the first body byte) signals failure on the
-			// wire itself — a truncated chunk/batch stream with no
+			// A handler that already committed its response (a checkpoint
+			// read after the first body byte) signals failure on the wire
+			// itself — a truncated body or a batch stream with no
 			// terminator — and a JSON error appended to a half-written
 			// binary body would only corrupt it further.
 			if !errors.Is(err, errCommitted) {
@@ -353,7 +347,8 @@ func badRequest(err error) error { return &httpError{status: http.StatusBadReque
 // errCommitted marks a handler failure that happened after the response
 // status and some body bytes were already written: instrumented() counts
 // it but must not append a JSON error to the committed body. The client
-// detects the failure as a truncated stream (missing terminator frame).
+// detects the failure as a truncated body (io.ErrUnexpectedEOF from the
+// transport, or a batch stream without its terminator).
 var errCommitted = errors.New("response already committed")
 
 // committed wraps err so instrumented() skips writeError.
@@ -429,8 +424,8 @@ func putScratch(sc *requestScratch) {
 // 1 MiB allocation, not a 1 GiB one.
 const readBodySeed = 1 << 20
 
-// readBody reads the whole request body into buf (grown as needed, reused
-// otherwise). A declared Content-Length beyond the server's cap fails
+// readBody reads a request body of unknown size — a decompress payload —
+// into buf (grown as needed, reused otherwise). A declared Content-Length beyond the server's cap fails
 // before any allocation; bodies without one are still stopped by the
 // MaxBytesReader installed in instrumented(). Either way the limit error
 // unwraps to *http.MaxBytesError, which statusFor maps to 413.
@@ -460,6 +455,43 @@ func (s *Server) readBody(r *http.Request, buf []byte) ([]byte, error) {
 		if err != nil {
 			return buf, err
 		}
+	}
+}
+
+// readValues reads a compress body, which is exactly the registered mesh's
+// nCells float64 values, into buf (reused when large enough, sized exactly
+// once otherwise). The size is known before the first byte: a mesh too large
+// for MaxBodyBytes answers 413, and a declared Content-Length other than
+// 8 × nCells answers 400 without reading the body. Under chunked
+// Transfer-Encoding the body must end exactly there, too. The mesh was
+// admitted under MeshFromStructure's guard, so sizing buf from it is no
+// allocation bomb, and nothing grows geometrically.
+func (s *Server) readValues(r *http.Request, buf []byte, nCells int) ([]byte, error) {
+	n := 8 * int64(nCells)
+	if n > s.cfg.MaxBodyBytes || r.ContentLength > s.cfg.MaxBodyBytes {
+		return buf, &http.MaxBytesError{Limit: s.cfg.MaxBodyBytes}
+	}
+	if r.ContentLength >= 0 && r.ContentLength != n {
+		return buf, badRequest(fmt.Errorf("body is %d bytes, the mesh's %d cells take %d", r.ContentLength, nCells, n))
+	}
+	if int64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r.Body, buf); err != nil {
+		if err == io.ErrUnexpectedEOF || err == io.EOF {
+			err = fmt.Errorf("body ends before the mesh's %d cells (%d bytes)", nCells, n)
+		}
+		return buf, badRequest(fmt.Errorf("reading values: %w", err))
+	}
+	var extra [1]byte
+	switch _, err := io.ReadFull(r.Body, extra[:]); err {
+	case io.EOF:
+		return buf, nil
+	case nil:
+		return buf, badRequest(fmt.Errorf("body runs past the mesh's %d cells (%d bytes)", nCells, n))
+	default:
+		return buf, badRequest(fmt.Errorf("reading values: %w", err))
 	}
 }
 
@@ -546,9 +578,9 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) error {
 	}
 	sc := scratchPool.Get().(*requestScratch)
 	defer putScratch(sc)
-	sc.body, err = s.readBody(r, sc.body)
+	sc.body, err = s.readValues(r, sc.body, nCells)
 	if err != nil {
-		return badRequest(fmt.Errorf("reading values: %w", err))
+		return err
 	}
 	if err := r.Context().Err(); err != nil {
 		// Client gone: skip the pipeline; the error still counts toward the
@@ -611,7 +643,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) error 
 	if err != nil {
 		return badRequest(fmt.Errorf("reading payload: %w", err))
 	}
-	out, err := decodeBody(w, r, wire.ContentTypeBinary, entry, shell, sc)
+	out, err := decodeBody(w, r, entry, shell, sc)
 	if err != nil {
 		return err
 	}
@@ -619,9 +651,9 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) error 
 	return err
 }
 
-// decodeParams resolves the shared front half of the decompress handlers:
-// mesh lookup, pipeline options (a concrete layout), and the artifact shell
-// the payload will be attached to.
+// decodeParams resolves the front half of the decompress handler: mesh
+// lookup, pipeline options (a concrete layout), and the artifact shell the
+// payload will be attached to.
 func (s *Server) decodeParams(r *http.Request) (*meshEntry, zmesh.Compressed, error) {
 	entry, err := s.resolveMesh(r.Context(), r.PathValue("id"))
 	if err != nil {
@@ -643,10 +675,10 @@ func (s *Server) decodeParams(r *http.Request) (*meshEntry, zmesh.Compressed, er
 	return entry, zmesh.Compressed{FieldName: fieldName, Layout: opt.Layout, Curve: opt.Curve}, nil
 }
 
-// decodeBody is the shared back half of the decompress handlers, from the
-// payload assembled in sc.body to the response bytes (headers set, nothing
-// written yet).
-func decodeBody(w http.ResponseWriter, r *http.Request, contentType string, entry *meshEntry, shell zmesh.Compressed, sc *requestScratch) ([]byte, error) {
+// decodeBody is the back half of the decompress handler, from the payload
+// read into sc.body to the response bytes (headers set, nothing written
+// yet).
+func decodeBody(w http.ResponseWriter, r *http.Request, entry *meshEntry, shell zmesh.Compressed, sc *requestScratch) ([]byte, error) {
 	if len(sc.body) == 0 {
 		return nil, badRequest(errors.New("empty payload body"))
 	}
@@ -660,7 +692,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, contentType string, entr
 		return nil, badRequest(err) // corrupt envelope/payload is the client's fault
 	}
 	h := w.Header()
-	h.Set("Content-Type", contentType)
+	h.Set("Content-Type", wire.ContentTypeBinary)
 	h.Set(wire.HeaderField, shell.FieldName)
 	h.Set(wire.HeaderNumValues, strconv.Itoa(len(values)))
 	// The response bytes are the values themselves on little-endian builds;

@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	zmesh "repro"
@@ -36,30 +37,24 @@ func testCheckpoint(t testing.TB) (*zmesh.Mesh, *zmesh.Checkpoint) {
 	return m, ck
 }
 
-// TestStreamRoundTripAllCodecs is the streaming acceptance criterion: a
-// field pushed through compress-stream in tiny chunks — so the body is
-// strictly larger than the server's chunk-ring budget — must produce an
-// artifact byte-identical to the pure-library path, and decompress-stream
-// must reproduce the values bit for bit.
+// TestStreamRoundTripAllCodecs: a field pushed through CompressStream from
+// an io.Reader with no known length (so the request is chunked
+// Transfer-Encoding, read in many small pieces) must produce an artifact
+// byte-identical to the pure-library path, and DecompressStream must
+// reproduce the values bit for bit.
 func TestStreamRoundTripAllCodecs(t *testing.T) {
 	m, f := testMesh(t)
-	const chunkBytes = 512
 	ts := httptest.NewServer(New(Config{}).Handler())
 	t.Cleanup(ts.Close)
 	cl := client.New(ts.URL,
 		client.WithBackoff(time.Millisecond, 50*time.Millisecond),
-		client.WithMaxRetries(20),
-		client.WithChunkBytes(chunkBytes))
+		client.WithMaxRetries(20))
 	ctx := context.Background()
 	id, err := cl.Register(ctx, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	values := zmesh.FieldValues(f)
-	if 8*len(values) <= ringSlots*chunkBytes {
-		t.Fatalf("test field (%d bytes) does not exceed the ring budget (%d); the bounded-buffer claim is untested",
-			8*len(values), ringSlots*chunkBytes)
-	}
 	for _, codec := range zmesh.Codecs() {
 		if strings.HasPrefix(codec, "test-") {
 			continue
@@ -67,7 +62,8 @@ func TestStreamRoundTripAllCodecs(t *testing.T) {
 		codec := codec
 		t.Run(codec, func(t *testing.T) {
 			opt := zmesh.Options{Layout: zmesh.LayoutZMesh, Curve: "hilbert", Codec: codec}
-			got, err := cl.CompressStream(ctx, id, "dens", bytes.NewReader(wire.AppendFloats(nil, values)), opt, testBound())
+			src := iotest.HalfReader(bytes.NewReader(wire.AppendFloats(nil, values)))
+			got, err := cl.CompressStream(ctx, id, "dens", src, opt, testBound())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,11 +108,11 @@ func TestStreamRoundTripAllCodecs(t *testing.T) {
 	}
 }
 
-// TestCompressChunkedBoundedBuffers asserts the tentpole's memory claim
-// directly on the handler core: streaming a body through compressChunked
-// must never materialize the byte-side body — sc.body stays untouched and
-// the ring's total capacity stays within slots × chunk size — while still
-// producing the exact library artifact.
+// TestCompressChunkedBoundedBuffers asserts the memory claim of the compress
+// body read on the handler core: a chunked Transfer-Encoding body (no
+// Content-Length) arriving a byte at a time is read into a buffer sized
+// exactly once to the mesh's 8 × nCells bytes — no geometric growth — which
+// a warm scratch then reuses, and the result is the library's artifact.
 func TestCompressChunkedBoundedBuffers(t *testing.T) {
 	m, f := testMesh(t)
 	values := zmesh.FieldValues(f)
@@ -125,14 +121,33 @@ func TestCompressChunkedBoundedBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	nCells := m.NumBlocks() * m.CellsPerBlock()
-	const chunkBytes = 1 << 10
-	body := wire.AppendChunked(nil, wire.AppendFloats(nil, values), chunkBytes)
-	if len(body) <= ringSlots*chunkBytes {
-		t.Fatalf("chunked body (%d bytes) does not exceed the ring budget", len(body))
+	raw := wire.AppendFloats(nil, values)
+	s := New(Config{})
+	read := func(buf []byte) []byte {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/", iotest.OneByteReader(bytes.NewReader(raw)))
+		if req.ContentLength != -1 {
+			t.Fatalf("request declares Content-Length %d; the test needs an unknown length", req.ContentLength)
+		}
+		body, err := s.readValues(req, buf, nCells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, raw) {
+			t.Fatal("read body differs from the sent values")
+		}
+		return body
 	}
 	sc := new(requestScratch)
-	ring := new(chunkRing)
-	c, err := compressChunked(enc, "dens", nCells, bytes.NewReader(body), testBound(), sc, ring)
+	sc.body = read(sc.body)
+	if cap(sc.body) != 8*nCells {
+		t.Fatalf("body buffer has capacity %d, want exactly %d", cap(sc.body), 8*nCells)
+	}
+	first := &sc.body[0]
+	if sc.body = read(sc.body); &sc.body[0] != first {
+		t.Fatal("a warm buffer was not reused")
+	}
+	c, err := compressStream(enc, "dens", nCells, sc.body, testBound(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,16 +156,7 @@ func TestCompressChunkedBoundedBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(c.Payload, want.Payload) {
-		t.Fatal("chunked compression diverges from buffered compression")
-	}
-	if cap(sc.body) != 0 {
-		t.Fatalf("compress-stream materialized %d bytes of byte-side body; the chunked path must not", cap(sc.body))
-	}
-	if got, budget := ring.pinnedBytes(), ringSlots*chunkBytes; got > budget {
-		t.Fatalf("ring grew to %d bytes, budget %d: per-request chunk memory is unbounded", got, budget)
-	}
-	if cap(sc.values) < nCells {
-		t.Fatal("value buffer was not adopted back into the scratch")
+		t.Fatal("compression of the chunked body diverges from the library")
 	}
 }
 
@@ -251,7 +257,7 @@ func TestCheckpointPerFieldBounds(t *testing.T) {
 	}
 }
 
-// streamQuery renders the compress-stream query grammar.
+// streamQuery renders the compress query grammar.
 func streamQuery(codec, bound string) string {
 	v := url.Values{
 		wire.ParamField:  {"dens"},
@@ -276,17 +282,18 @@ func postRaw(t *testing.T, h http.Handler, path, contentType string, body []byte
 	return rec
 }
 
-// TestStreamErrorShapes pins the streaming endpoints' pre-commit error
-// conventions: failures before the first response byte are ordinary JSON
-// errors with conventional status codes — including 404 (not 500) for a
-// mesh that the cache evicted.
+// TestStreamErrorShapes pins the compress-side error conventions: failures
+// before the first response byte are ordinary JSON errors with
+// conventional status codes — including 404 (not 500) for a mesh that the
+// cache evicted, and 400 for a body that is not exactly the mesh's values.
 func TestStreamErrorShapes(t *testing.T) {
 	s := New(Config{})
 	m, f := testMesh(t)
 	post(t, s.Handler(), wire.PathMeshes, m.Structure(), http.StatusCreated)
 	id := MeshID(m.Structure())
-	okBody := wire.AppendChunked(nil, wire.AppendFloats(nil, zmesh.FieldValues(f)), 0)
-	short := wire.AppendChunked(nil, wire.AppendFloats(nil, []float64{1, 2, 3}), 0)
+	okBody := wire.AppendFloats(nil, zmesh.FieldValues(f))
+	short := wire.AppendFloats(nil, []float64{1, 2, 3})
+	bin := wire.ContentTypeBinary
 
 	cases := []struct {
 		name, path  string
@@ -294,15 +301,15 @@ func TestStreamErrorShapes(t *testing.T) {
 		body        []byte
 		status      int
 	}{
-		{"unknown mesh", wire.CompressStreamPath("deadbeef") + "?" + streamQuery("sz", "abs:1e-3"), wire.ContentTypeChunked, okBody, http.StatusNotFound},
-		{"missing bound", wire.CompressStreamPath(id) + "?" + streamQuery("sz", ""), wire.ContentTypeChunked, okBody, http.StatusBadRequest},
-		{"bad magic", wire.CompressStreamPath(id) + "?" + streamQuery("sz", "abs:1e-3"), wire.ContentTypeChunked, []byte("XXXX????"), http.StatusBadRequest},
-		{"truncated stream", wire.CompressStreamPath(id) + "?" + streamQuery("sz", "abs:1e-3"), wire.ContentTypeChunked, okBody[:len(okBody)-8], http.StatusBadRequest},
-		{"wrong cell count", wire.CompressStreamPath(id) + "?" + streamQuery("sz", "abs:1e-3"), wire.ContentTypeChunked, short, http.StatusBadRequest},
-		{"unknown codec", wire.CompressStreamPath(id) + "?" + streamQuery("nope", "abs:1e-3"), wire.ContentTypeChunked, okBody, http.StatusBadRequest},
-		{"retired codec mgl", wire.CompressStreamPath(id) + "?" + streamQuery("mgl", "abs:1e-3"), wire.ContentTypeChunked, okBody, http.StatusBadRequest},
+		{"unknown mesh", wire.CompressPath("deadbeef") + "?" + streamQuery("sz", "abs:1e-3"), bin, okBody, http.StatusNotFound},
+		{"missing bound", wire.CompressPath(id) + "?" + streamQuery("sz", ""), bin, okBody, http.StatusBadRequest},
+		{"bad magic", wire.DecompressPath(id) + "?" + streamQuery("sz", ""), bin, []byte("XXXX????"), http.StatusBadRequest},
+		{"truncated stream", wire.CompressPath(id) + "?" + streamQuery("sz", "abs:1e-3"), bin, okBody[:len(okBody)-8], http.StatusBadRequest},
+		{"wrong cell count", wire.CompressPath(id) + "?" + streamQuery("sz", "abs:1e-3"), bin, short, http.StatusBadRequest},
+		{"unknown codec", wire.CompressPath(id) + "?" + streamQuery("nope", "abs:1e-3"), bin, okBody, http.StatusBadRequest},
+		{"retired codec mgl", wire.CompressPath(id) + "?" + streamQuery("mgl", "abs:1e-3"), bin, okBody, http.StatusBadRequest},
 		{"checkpoint retired codec mgl", wire.CheckpointPath(id) + "?codec=mgl&bound=abs:1e-3", wire.ContentTypeBatch, batchBody(t, [][2]string{{"dens", ""}}), http.StatusBadRequest},
-		{"decompress empty", wire.DecompressStreamPath(id), wire.ContentTypeChunked, wire.AppendChunked(nil, nil, 0), http.StatusBadRequest},
+		{"decompress empty", wire.DecompressPath(id), bin, nil, http.StatusBadRequest},
 		{"checkpoint empty batch", wire.CheckpointPath(id) + "?bound=abs:1e-3", wire.ContentTypeBatch, batchBody(t, nil), http.StatusBadRequest},
 		{"checkpoint no bound", wire.CheckpointPath(id), wire.ContentTypeBatch, batchBody(t, [][2]string{{"dens", ""}}), http.StatusBadRequest},
 	}
@@ -377,8 +384,9 @@ func TestCheckpointSectionErrorIsClean(t *testing.T) {
 	}
 }
 
-// TestStreamEndpointMetrics: the new endpoints account requests and
-// latency like the buffered ones.
+// TestStreamEndpointMetrics: CompressStream and DecompressStream are
+// requests to the plain endpoints, counted and timed there, and no
+// per-transport metric set exists beside them.
 func TestStreamEndpointMetrics(t *testing.T) {
 	m, ck := testCheckpoint(t)
 	s, cl := newTestServer(t, Config{})
@@ -401,17 +409,23 @@ func TestStreamEndpointMetrics(t *testing.T) {
 	}
 	reg := s.Registry()
 	for _, name := range []string{
-		"server.compress_stream.requests", "server.decompress_stream.requests", "server.checkpoint.requests",
+		"server.compress.requests", "server.decompress.requests", "server.checkpoint.requests",
 	} {
-		if reg.Counter(name).Load() == 0 {
-			t.Fatalf("%s = 0 after a streamed round trip", name)
+		if got := reg.Counter(name).Load(); got != 1 {
+			t.Fatalf("%s = %d after one streamed round trip and one checkpoint, want 1", name, got)
 		}
 	}
 	for _, name := range []string{
-		"server.compress_stream.latency", "server.decompress_stream.latency", "server.checkpoint.latency",
+		"server.compress.latency", "server.decompress.latency", "server.checkpoint.latency",
 	} {
 		if reg.Timer(name).TotalNs() == 0 {
 			t.Fatalf("%s recorded no time", name)
+		}
+	}
+	snap := reg.Snapshot()
+	for name := range snap.Counters {
+		if strings.Contains(name, "_stream.") {
+			t.Fatalf("metric %s exists: the compress and decompress transports are one each", name)
 		}
 	}
 }

@@ -6,7 +6,9 @@
 // for free and a read can always verify what the disk handed back. Writes
 // go through a temp file in the store's own tmp directory, are fsynced, and
 // are renamed into place, so a crash mid-write leaves garbage in tmp/ but
-// never a truncated object under its final name. Layout under the root:
+// never a truncated object under its final name; the directory is fsynced
+// after the rename, so a write that returned is on disk, name included.
+// Layout under the root:
 //
 //	objects/<id[:2]>/<id>   frame objects, fanned out by the first id byte
 //	checkpoints/<id>        sealed checkpoint manifests
@@ -53,6 +55,11 @@ func Open(dir string) (*Store, error) {
 	for _, e := range tmps {
 		os.Remove(filepath.Join(dir, "tmp", e.Name()))
 	}
+	// The objects/ and checkpoints/ entries must be durable before any put
+	// into them is acknowledged.
+	if err := syncDir(dir); err != nil {
+		return nil, fmt.Errorf("store: open %s: %w", dir, err)
+	}
 	return &Store{root: dir}, nil
 }
 
@@ -80,7 +87,10 @@ func (s *Store) checkpointPath(id string) string {
 	return filepath.Join(s.root, "checkpoints", id)
 }
 
-// writeAtomic persists b at path via temp-write, fsync, rename.
+// writeAtomic persists b at path via temp-write, fsync, rename, then fsyncs
+// the directory holding the new entry — and, when the objects/<xx>/ fan-out
+// directory had to be created, the directory holding that one too — so an
+// acknowledged write survives a power loss, name included.
 func (s *Store) writeAtomic(path string, b []byte) error {
 	tmp, err := os.CreateTemp(filepath.Join(s.root, "tmp"), "put-*")
 	if err != nil {
@@ -98,10 +108,33 @@ func (s *Store) writeAtomic(path string, b []byte) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	dir := filepath.Dir(path)
+	_, statErr := os.Stat(dir)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if statErr != nil {
+		if err := syncDir(filepath.Dir(dir)); err != nil {
+			return err
+		}
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making the entries created in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // PutObject persists b as a frame object and returns its content address.

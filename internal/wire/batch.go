@@ -53,8 +53,8 @@ const batchTerminator = 0xFFFF
 // declaring gigabytes while sending nothing cannot force the allocation.
 const batchReadSeed = 1 << 20
 
-// BatchWriter emits the batch framing onto w. Like ChunkWriter, the magic
-// is lazy and Close writes the terminator.
+// BatchWriter emits the batch framing onto w. The magic is written lazily
+// with the first section, and Close writes the terminator.
 type BatchWriter struct {
 	w          io.Writer
 	wroteMagic bool

@@ -9,22 +9,20 @@ import (
 	"repro/internal/frame"
 )
 
-// Chunked stream framing: the wire mode that lets multi-GB field streams
-// flow through bounded buffers instead of one contiguous blob. A chunked
-// body is a magic prefix followed by self-checking frames and an explicit
-// terminator, so truncation, reordering and corruption are all detectable
-// without knowing the stream length up front:
+// ZMC1 chunk framing: a magic prefix followed by self-checking frames and an
+// explicit terminator, so truncation, reordering and corruption are all
+// detectable without knowing the stream length up front:
 //
 //	stream     = magic chunk* terminator
 //	magic      = "ZMC1"                          (4 bytes)
 //	chunk      = u32le n | u32le crc32c(payload) | payload[n]   1 <= n <= MaxChunkPayload
 //	terminator = u32le 0 | u32le 0
 //
-// The payload bytes are opaque to the framing: the compress-stream request
-// carries float64-LE values, the decompress-stream request carries a
-// container-enveloped artifact, and the responses mirror them. Chunk
-// boundaries carry no meaning — a float64 may straddle two chunks — so
-// producers may cut frames wherever their buffers happen to end.
+// No zmeshd endpoint speaks it any more: compress and decompress take and
+// return plain bodies (DESIGN.md "Compress transport"). What is left here —
+// AppendChunked, ChunkReader, the limits and the ErrChunk* sentinels — is
+// used only by the benchmark's wire.chunk_mbps probe (bench/layers.go), and
+// goes together with that row when the benchmark is next revised.
 var (
 	chunkMagic = [4]byte{'Z', 'M', 'C', '1'}
 
@@ -46,84 +44,16 @@ const (
 	// receive-side allocation per chunk no matter what length a frame
 	// declares.
 	MaxChunkPayload = 4 << 20
-	// DefaultChunkBytes is the frame size producers use unless configured
-	// otherwise: large enough to amortize the 8-byte header, small enough
-	// that a ring of a few chunks stays cache- and pool-friendly.
+	// DefaultChunkBytes is the frame size AppendChunked uses unless told
+	// otherwise: large enough to amortize the 8-byte header.
 	DefaultChunkBytes = 256 << 10
 
 	chunkHeaderSize = 8
 )
 
-// ContentTypeChunked tags request/response bodies in the chunked framing.
-const ContentTypeChunked = "application/x-zmesh-chunked"
-
-// ChunkWriter emits the chunked framing onto w. The magic is written
-// lazily with the first frame, so constructing a writer commits nothing;
-// Close writes the terminator and must be called for the stream to be
-// complete. ChunkWriter does no buffering of its own — each WriteChunk is
-// one frame — so callers control the frame granularity (and copies: the
-// payload is written directly from the caller's slice).
-type ChunkWriter struct {
-	w          io.Writer
-	wroteMagic bool
-	hdr        [chunkHeaderSize]byte
-}
-
-// NewChunkWriter starts a chunked stream on w.
-func NewChunkWriter(w io.Writer) *ChunkWriter { return &ChunkWriter{w: w} }
-
-func (cw *ChunkWriter) magic() error {
-	if cw.wroteMagic {
-		return nil
-	}
-	if _, err := cw.w.Write(chunkMagic[:]); err != nil {
-		return err
-	}
-	cw.wroteMagic = true
-	return nil
-}
-
-// WriteChunk frames p as one chunk. Payloads larger than MaxChunkPayload
-// are split into multiple frames; an empty p writes nothing (zero-length
-// frames are reserved for the terminator).
-func (cw *ChunkWriter) WriteChunk(p []byte) error {
-	if err := cw.magic(); err != nil {
-		return err
-	}
-	for len(p) > 0 {
-		n := len(p)
-		if n > MaxChunkPayload {
-			n = MaxChunkPayload
-		}
-		binary.LittleEndian.PutUint32(cw.hdr[0:4], uint32(n))
-		binary.LittleEndian.PutUint32(cw.hdr[4:8], frame.Checksum(p[:n]))
-		if _, err := cw.w.Write(cw.hdr[:]); err != nil {
-			return err
-		}
-		if _, err := cw.w.Write(p[:n]); err != nil {
-			return err
-		}
-		p = p[n:]
-	}
-	return nil
-}
-
-// Close terminates the stream. It writes the magic first if no chunk was
-// ever written (an empty stream is valid) and does not close the
-// underlying writer.
-func (cw *ChunkWriter) Close() error {
-	if err := cw.magic(); err != nil {
-		return err
-	}
-	var term [chunkHeaderSize]byte
-	_, err := cw.w.Write(term[:])
-	return err
-}
-
-// AppendChunked frames data as a complete chunked stream appended to dst —
-// the buffered-producer convenience used when the whole payload is already
-// in memory (e.g. a client retrying from a buffer). chunkBytes <= 0 uses
-// DefaultChunkBytes.
+// AppendChunked frames data as a complete chunked stream appended to dst.
+// chunkBytes <= 0 uses DefaultChunkBytes; frames never exceed
+// MaxChunkPayload.
 func AppendChunked(dst, data []byte, chunkBytes int) []byte {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes

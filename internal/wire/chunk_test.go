@@ -35,59 +35,38 @@ func patternBytes(n int) []byte {
 	return b
 }
 
+// TestChunkRoundTrip frames payloads with AppendChunked at several frame
+// sizes and reads them back through ChunkReader.
 func TestChunkRoundTrip(t *testing.T) {
 	cases := []struct {
-		name   string
-		writes [][]byte
+		name       string
+		data       []byte
+		chunkBytes int
+		frames     int
 	}{
-		{"empty stream", nil},
-		{"one small chunk", [][]byte{[]byte("hello")}},
-		{"several chunks", [][]byte{patternBytes(100), patternBytes(1), patternBytes(4096)}},
-		{"empty write skipped", [][]byte{nil, []byte("x"), {}}},
-		{"oversized write split", [][]byte{patternBytes(MaxChunkPayload + 12345)}},
+		{"empty stream", nil, 0, 0},
+		{"one small chunk", []byte("hello"), 0, 1},
+		{"several chunks", patternBytes(4197), 1000, 5},
+		// An empty payload must not emit a zero-length frame: that is the
+		// terminator, so the reader would stop there.
+		{"empty write skipped", []byte{}, 1, 0},
+		// A frame size past the cap is clamped, so the payload splits.
+		{"oversized write split", patternBytes(MaxChunkPayload + 12345), MaxChunkPayload + 12345, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var wire bytes.Buffer
-			cw := NewChunkWriter(&wire)
-			var want []byte
-			for _, p := range tc.writes {
-				if err := cw.WriteChunk(p); err != nil {
-					t.Fatalf("WriteChunk: %v", err)
-				}
-				want = append(want, p...)
+			framed := AppendChunked(nil, tc.data, tc.chunkBytes)
+			if want := len(chunkMagic) + (tc.frames+1)*chunkHeaderSize + len(tc.data); len(framed) != want {
+				t.Fatalf("framed %d bytes, want %d (%d frames)", len(framed), want, tc.frames)
 			}
-			if err := cw.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			got, err := collectChunks(t, &wire)
+			got, err := collectChunks(t, bytes.NewReader(framed))
 			if err != nil {
 				t.Fatalf("read back: %v", err)
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("round trip mismatch: got %d bytes, want %d", len(got), len(want))
+			if !bytes.Equal(got, tc.data) {
+				t.Fatalf("round trip mismatch: got %d bytes, want %d", len(got), len(tc.data))
 			}
 		})
-	}
-}
-
-func TestAppendChunkedMatchesWriter(t *testing.T) {
-	data := patternBytes(3*DefaultChunkBytes + 17)
-	var viaWriter bytes.Buffer
-	cw := NewChunkWriter(&viaWriter)
-	for rest := data; len(rest) > 0; {
-		n := min(DefaultChunkBytes, len(rest))
-		if err := cw.WriteChunk(rest[:n]); err != nil {
-			t.Fatal(err)
-		}
-		rest = rest[n:]
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	viaAppend := AppendChunked(nil, data, DefaultChunkBytes)
-	if !bytes.Equal(viaWriter.Bytes(), viaAppend) {
-		t.Fatal("AppendChunked and ChunkWriter produce different framings")
 	}
 }
 
@@ -152,17 +131,7 @@ func TestChunkReaderNoAllocationBomb(t *testing.T) {
 }
 
 func TestChunkReaderReusesBuffer(t *testing.T) {
-	var wire bytes.Buffer
-	cw := NewChunkWriter(&wire)
-	for i := 0; i < 4; i++ {
-		if err := cw.WriteChunk(patternBytes(512)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cr := NewChunkReader(&wire)
+	cr := NewChunkReader(bytes.NewReader(AppendChunked(nil, patternBytes(4*512), 512)))
 	buf := make([]byte, 0, 512)
 	for {
 		p, err := cr.Next(buf)

@@ -51,20 +51,6 @@ func CompressPath(meshID string) string { return PathMeshes + "/" + meshID + "/c
 // DecompressPath returns the decompress endpoint for a registered mesh.
 func DecompressPath(meshID string) string { return PathMeshes + "/" + meshID + "/decompress" }
 
-// CompressStreamPath returns the chunked-streaming compress endpoint: the
-// request body is a chunked stream (chunk.go) of float64-LE values, the
-// response a chunked stream of the container-enveloped artifact.
-func CompressStreamPath(meshID string) string {
-	return PathMeshes + "/" + meshID + "/compress-stream"
-}
-
-// DecompressStreamPath returns the chunked-streaming decompress endpoint:
-// the request body is a chunked stream of a container-enveloped artifact,
-// the response a chunked stream of float64-LE values.
-func DecompressStreamPath(meshID string) string {
-	return PathMeshes + "/" + meshID + "/decompress-stream"
-}
-
 // CheckpointPath returns the batch checkpoint endpoint: one request
 // compresses every field of a snapshot (batch.go framing both ways)
 // against one cached encoder.
