@@ -72,7 +72,12 @@ func (c *Client) ReadField(ctx context.Context, checkpointID, field string, snap
 	return decodeValues(body)
 }
 
+// decodeValues turns a float64-LE response body into values, viewing the
+// body in place where the build allows it: the body is the caller's alone.
 func decodeValues(body []byte) ([]float64, error) {
+	if values, ok := wire.ViewFloats(body); ok {
+		return values, nil
+	}
 	values, err := wire.DecodeFloats(body)
 	if err != nil {
 		return nil, fmt.Errorf("client: decoding values: %w", err)

@@ -244,8 +244,7 @@ func (c *Client) do(ctx context.Context, method, url, contentType string, buf []
 		if err != nil || resp.StatusCode/100 != 2 {
 			return failed(ctx, resp, err)
 		}
-		body, err = io.ReadAll(resp.Body)
-		resp.Body.Close()
+		body, err = readBody(resp)
 		hdr = resp.Header
 		return err == nil, "", err // a torn 2xx body is worth another try
 	})
@@ -253,6 +252,31 @@ func (c *Client) do(ctx context.Context, method, url, contentType string, buf []
 		return nil, nil, err
 	}
 	return body, hdr, nil
+}
+
+// maxPreallocBody caps how much of a response's declared Content-Length the
+// client allocates before any byte arrives. A field body at or under it is
+// read into one buffer of exactly its size; a larger declaration is read by
+// growing a buffer as bytes actually arrive, so a server that declares more
+// than it sends cannot make the client allocate it up front.
+const maxPreallocBody = 64 << 20
+
+// readBody reads and closes a 2xx response body. A body cut short of its
+// declared length fails with io.ErrUnexpectedEOF from the transport.
+func readBody(resp *http.Response) ([]byte, error) {
+	defer resp.Body.Close()
+	n := resp.ContentLength
+	if n < 0 || n > maxPreallocBody {
+		return io.ReadAll(resp.Body)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return body, nil
 }
 
 // RegisterMesh registers serialized topology metadata (Mesh.Structure

@@ -99,8 +99,7 @@ func (c *Client) CompressStream(ctx context.Context, meshID, fieldName string, v
 		req.Header.Set("Content-Type", wire.ContentTypeBinary)
 		resp, err := c.hc.Do(req)
 		if err == nil && resp.StatusCode/100 == 2 {
-			payload, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
+			payload, rerr := readBody(resp)
 			if rerr != nil {
 				return true, "", fmt.Errorf("client: reading compress response: %w", rerr)
 			}

@@ -170,8 +170,10 @@ func checkExchangeAllocs(t *testing.T, codec string, layout zmesh.Layout, pinned
 // client and server together in one process. The body has no known
 // length, so it arrives under chunked Transfer-Encoding, and the server
 // reads it straight into the pooled request buffer it sized once to the
-// mesh's 8 × cells bytes. Measured 5.4 MiB per warm request, of which the
-// server's handler is 2.1 MiB (DESIGN.md "Compress transport"). The test
+// mesh's 8 × cells bytes. Measured 2.1 MiB per warm request, about what the
+// server's handler alone costs: the artifact comes back with a
+// Content-Length, which the client reads into one exact buffer (DESIGN.md
+// "Compress transport"). The test
 // runs on one P: a sync.Pool Put lands in the running P's private slot,
 // which a Get on another P cannot take, so with two Ps a request that
 // happens to run on the other one rebuilds its scratch. A GC can still empty
@@ -216,7 +218,7 @@ func TestServerReaderFedAllocs(t *testing.T) {
 		}
 	}
 	sort.Float64s(warm)
-	const pinnedMiB = 5.4
+	const pinnedMiB = 2.1
 	budget := pinnedMiB*1.25 + 1
 	t.Logf("warm reader-fed 8 MiB compress: %.1f MiB per request (median of %v)", warm[len(warm)/2], warm)
 	if got := warm[len(warm)/2]; got > budget {
@@ -254,5 +256,88 @@ func TestCompressStreamMisaligned(t *testing.T) {
 		if fmt.Sprintf("%x", c.Payload) != fmt.Sprintf("%x", want.Payload) {
 			t.Fatalf("offset %d: payload diverges from aligned compression", off)
 		}
+	}
+}
+
+// TestCheckpointReadAllocs pins the heap bytes and allocation count of one
+// warm checkpoint read of a 1.7 MB field (2-D, 212 992 cells, sz/zmesh/
+// hilbert) at its fourth snapshot, so the read replays a keyframe and three
+// deltas; client and server together in one process, on one P for the reason
+// TestServerReaderFedAllocs gives. What a read must allocate is the four
+// decoded frames and the client's one response buffer: the frames advance the
+// layout-order reconstruction, the one restore lands in the pooled request
+// scratch, and the sized body is read into one exact buffer. Measured 10.55
+// MiB and 209 allocations for a full read, 9.05 MiB and 212 for a one-level
+// prefix (DESIGN.md "Temporal checkpoint store"); the pins are the medians of
+// seven warm reads, with 25 % slack for a GC emptying the pools.
+func TestCheckpointReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m, err := zmesh.NewMesh(2, 16, [3]int{16, 16, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, root := range m.Roots()[:192] {
+		if err := m.Refine(root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, cl := newTestServer(t, temporalConfig(t))
+	ctx := context.Background()
+	sess, err := cl.NewTemporalSession(ctx, temporalOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const snaps = 4
+	for si := 0; si < snaps; si++ {
+		if _, err := sess.Append(ctx, snapField(m, "dens", 0.2*float64(si)), zmesh.RelBound(1e-4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ckpt, err := sess.Seal(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name              string
+		pinnedMiB, allocs float64
+		read              func() error
+	}{
+		{"full", 10.55, 209, func() error {
+			_, err := cl.ReadField(ctx, ckpt, "dens", snaps-1)
+			return err
+		}},
+		{"levels", 9.05, 212, func() error {
+			_, err := cl.ReadFieldLevels(ctx, ckpt, "dens", snaps-1, 1)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mib, allocs []float64
+			for i := 0; i < 9; i++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if err := tc.read(); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				if i >= 2 {
+					mib = append(mib, float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
+					allocs = append(allocs, float64(after.Mallocs-before.Mallocs))
+				}
+			}
+			sort.Float64s(mib)
+			sort.Float64s(allocs)
+			gotMiB, gotAllocs := mib[len(mib)/2], allocs[len(allocs)/2]
+			t.Logf("warm %s read: %.2f MiB, %v allocs (medians of %v and %v)", tc.name, gotMiB, gotAllocs, mib, allocs)
+			if budget := tc.pinnedMiB * 1.25; gotMiB > budget {
+				t.Errorf("warm %s read allocates %.2f MiB, budget %.2f", tc.name, gotMiB, budget)
+			}
+			if budget := tc.allocs * 1.25; gotAllocs > budget {
+				t.Errorf("warm %s read makes %v allocations, budget %v", tc.name, gotAllocs, budget)
+			}
+		})
 	}
 }

@@ -19,12 +19,15 @@ import (
 // involved, so reads keep working across daemon restarts and concurrently
 // with live writers. A field read replays the persisted frame chain through
 // a fresh TemporalDecoder (the store is the source of truth; stream state is
-// never cached across requests) and then serves the reconstruction in one of
-// three shapes: the full level-order stream, a coarse level-prefix
-// (?levels=K), or an error-bounded tier cascade (?tiers=K). Only the restore
-// recipe outlives a request: the keyframe's Decoder comes from the mesh LRU,
-// a cache derived from the keyframe's structure bytes, so every read on one
-// topology shares one recipe build.
+// never cached across requests), which keeps the reconstruction in layout
+// order frame by frame and restores it to level order once, for the
+// requested snapshot, into the pooled request scratch. It then serves the
+// reconstruction in one of three shapes: the full level-order stream, a
+// coarse level-prefix (?levels=K), both with a Content-Length, or an
+// error-bounded tier cascade (?tiers=K). Only the restore recipe outlives a
+// request: the keyframe's Decoder comes from the mesh LRU, a cache derived
+// from the keyframe's structure bytes, so every read on one topology shares
+// one recipe build.
 
 // maxReadTiers caps ?tiers=K: each tier k is relative-bound 10^-k, and
 // beyond 8 the residuals are below double-precision noise for typical
@@ -147,26 +150,28 @@ func lastKeyframe(f *wire.ManifestField, snap int) (int, error) {
 
 // replayField replays one persisted stream through a fresh decoder, from the
 // last keyframe at or before snap (a keyframe resets all decoder state, so
-// nothing earlier can matter), and returns the snapshot's reconstruction. The
-// keyframe's structure is registered like a POST /v1/meshes body, so the
-// replay restores through the mesh's shared Decoder and its recipe.
-func (s *Server) replayField(f *wire.ManifestField, snap int) (*zmesh.Field, *zmesh.Mesh, error) {
+// nothing earlier can matter), and appends the snapshot's reconstruction to
+// dst in level order. The frames advance the layout-order reconstruction and
+// only the last one is restored. The keyframe's structure is registered like
+// a POST /v1/meshes body, so the replay restores through the mesh's shared
+// Decoder and its recipe.
+func (s *Server) replayField(f *wire.ManifestField, snap int, dst []float64) ([]float64, *zmesh.Mesh, error) {
 	key, err := lastKeyframe(f, snap)
 	if err != nil {
-		return nil, nil, err
+		return dst, nil, err
 	}
 	dec := zmesh.NewTemporalDecoderFrom(s.store.decoder)
-	var field *zmesh.Field
 	for i := key; i <= snap; i++ {
 		tc, err := s.loadFrame(&f.Frames[i])
 		if err != nil {
-			return nil, nil, err
+			return dst, nil, err
 		}
-		if field, err = dec.DecompressSnapshot(tc); err != nil {
-			return nil, nil, fmt.Errorf("replaying frame %d (object %s): %w", i, f.Frames[i].Object, err)
+		if err := dec.Advance(tc); err != nil {
+			return dst, nil, fmt.Errorf("replaying frame %d (object %s): %w", i, f.Frames[i].Object, err)
 		}
 	}
-	return field, dec.Mesh(), nil
+	values, err := dec.AppendValues(dst)
+	return values, dec.Mesh(), err
 }
 
 // handleCheckpointStructure: GET /v1/checkpoints/{id}/structure?field=&snap=
@@ -236,11 +241,13 @@ func (s *Server) handleCheckpointField(w http.ResponseWriter, r *http.Request) e
 		return badRequest(fmt.Errorf("%s and %s are mutually exclusive", wire.ParamLevels, wire.ParamTiers))
 	}
 
-	field, mesh, err := s.replayField(f, snap)
+	sc := scratchPool.Get().(*requestScratch)
+	defer putScratch(sc)
+	values, mesh, err := s.replayField(f, snap, sc.values[:0])
+	sc.values = values
 	if err != nil {
 		return err
 	}
-	values := zmesh.FieldValues(field)
 	s.mStore.reads.Inc()
 
 	h := w.Header()
@@ -275,8 +282,10 @@ func (s *Server) handleCheckpointField(w http.ResponseWriter, r *http.Request) e
 	h.Set("Content-Type", wire.ContentTypeBinary)
 	raw, ok := wire.ViewBytes(out)
 	if !ok {
-		raw = wire.AppendFloats(nil, out)
+		sc.body = wire.AppendFloats(sc.body[:0], out)
+		raw = sc.body
 	}
+	h.Set("Content-Length", strconv.Itoa(len(raw)))
 	if _, err := w.Write(raw); err != nil {
 		return committed(err)
 	}

@@ -380,9 +380,10 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // requestScratch is the pooled per-request state of the compress/decompress
-// hot paths: the body buffer, the float decode buffer (used only when the
-// body cannot be viewed zero-copy), the pipeline Scratch, and the response
-// artifact shell. Pooling them makes steady-state requests allocate only
+// hot paths and of checkpoint field reads: the body buffer, the float buffer
+// (a compress body's decoded values when the body cannot be viewed
+// zero-copy, or a checkpoint read's restored values), the pipeline Scratch,
+// and the response artifact shell. Pooling them makes steady-state requests allocate only
 // what the pipeline itself must produce (the wrapped payload); see the
 // AllocsPerRun pins in alloc_test.go and DESIGN.md "Hot path".
 type requestScratch struct {
@@ -592,6 +593,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	artifactHeaders(w.Header(), wire.ContentTypeBinary, c)
+	w.Header().Set("Content-Length", strconv.Itoa(len(c.Payload)))
 	_, err = w.Write(c.Payload)
 	return err
 }
@@ -702,5 +704,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, entry *meshEntry, shell 
 		sc.body = wire.AppendFloats(sc.body[:0], values)
 		out = sc.body
 	}
+	h.Set("Content-Length", strconv.Itoa(len(out)))
 	return out, nil
 }

@@ -19,15 +19,17 @@ import (
 )
 
 // Temporal sessions: the server-side half of a simulation's temporal stream.
-// A session holds one TemporalDecoder per quantity, whose keyframes restore
-// through the mesh LRU's Decoder for their structure; every posted frame is
-// fully decoded (the decoder's validate-first-commit-last contract) before
-// its raw bytes are persisted to the content-addressed artifact store, so a
-// sealed checkpoint only ever references frames the server proved it can
-// replay. Sessions are soft state by design: idle ones are evicted, restarts
-// drop them all, and recovery is always the same cheap move — the client
-// re-attaches and sends a forced keyframe, never replaying history and never
-// resuming a stream whose server state silently diverged.
+// A session holds one TemporalDecoder per quantity, whose keyframes take
+// their recipe from the mesh LRU's Decoder for their structure; every posted
+// frame is fully decoded and committed to the stream's layout-order
+// reconstruction (Advance's validate-first-commit-last contract; nothing is
+// restored to level order on a write) before its raw bytes are persisted to
+// the content-addressed artifact store, so a sealed checkpoint only ever
+// references frames the server proved it can replay. Sessions are soft state
+// by design: idle ones are evicted, restarts drop them all, and recovery is
+// always the same cheap move — the client re-attaches and sends a forced
+// keyframe, never replaying history and never resuming a stream whose server
+// state silently diverged.
 
 // sessionMetrics is the server.session.* counter set (see vars_session_test
 // for the pinned key shape).
@@ -360,7 +362,7 @@ func (s *Server) handleSessionFrame(w http.ResponseWriter, r *http.Request) erro
 			frame.Layout, frame.Curve, frame.Codec, st.layout, st.curve, st.codec))
 	}
 
-	if _, err := st.dec.DecompressSnapshot(tc); err != nil {
+	if err := st.dec.Advance(tc); err != nil {
 		// Validate-first-commit-last: the decoder did not advance, the store
 		// was never touched, and the client may retry the same frame index.
 		return badRequest(fmt.Errorf("frame rejected: %w", err))

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"slices"
 	"strconv"
@@ -955,5 +956,67 @@ func TestTemporalWireFaultInjection(t *testing.T) {
 			t.Fatalf("read snap %d: %v", si, err)
 		}
 		assertBitExact(t, fmt.Sprintf("snap %d", si), got, want[si])
+	}
+}
+
+// TestResponseBodiesAreSized: the compress artifact, the decompressed values
+// and the full and level-prefix checkpoint field bodies all carry a
+// Content-Length, and a field body's is 8 × the values it holds, so a client
+// reads each into one buffer of exactly that size.
+func TestResponseBodiesAreSized(t *testing.T) {
+	m, f := testMesh(t)
+	s := New(temporalConfig(t))
+	h := s.Handler()
+	do := func(method, path string, body []byte, sized bool) *httptest.ResponseRecorder {
+		t.Helper()
+		req := httptest.NewRequest(method, path, bytes.NewReader(body))
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, req)
+		if rw.Code/100 != 2 {
+			t.Fatalf("%s %s: status %d (%s)", method, path, rw.Code, rw.Body.String())
+		}
+		if got, want := rw.Header().Get("Content-Length"), strconv.Itoa(rw.Body.Len()); sized && got != want {
+			t.Fatalf("%s %s: Content-Length %q, body is %s bytes", method, path, got, want)
+		}
+		return rw
+	}
+	do(http.MethodPost, wire.PathMeshes, m.Structure(), false)
+	id := MeshID(m.Structure())
+	q := "?" + wire.ParamCodec + "=sz&" + wire.ParamBound + "=" + url.QueryEscape(wire.FormatBound(testBound()))
+	artifact := do(http.MethodPost, wire.CompressPath(id)+q, wire.AppendFloats(nil, zmesh.FieldValues(f)), true).Body.Bytes()
+	do(http.MethodPost, wire.DecompressPath(id), artifact, true)
+
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	cl := client.New(ts.URL)
+	ctx := context.Background()
+	sess, err := cl.NewTemporalSession(ctx, temporalOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si := 0; si < 3; si++ {
+		if _, err := sess.Append(ctx, snapField(m, "dens", 0.2*float64(si)), testBound()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ckpt, err := sess.Seal(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix, err := zmesh.LevelPrefixCells(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, read := range []struct {
+		query  string
+		values int
+	}{
+		{"", m.NumBlocks() * m.CellsPerBlock()},
+		{"?" + wire.ParamLevels + "=1", prefix},
+	} {
+		rw := do(http.MethodGet, wire.CheckpointFieldPath(ckpt, "dens")+read.query, nil, true)
+		if got := rw.Body.Len(); got != 8*read.values {
+			t.Errorf("read %q: %d bytes, want 8 × %d values", read.query, got, read.values)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package zmesh
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/amr"
@@ -169,22 +170,25 @@ func (te *TemporalEncoder) CompressSnapshot(f *Field, bound Bound) (tc *Temporal
 	return tc, nil
 }
 
-// TemporalDecoder reconstructs a quantity stream snapshot by snapshot.
+// TemporalDecoder reconstructs a quantity stream snapshot by snapshot. Its
+// state is the reconstruction of the last committed frame in layout order,
+// the order frames are coded in: Advance moves it one frame forward without
+// restoring anything, and AppendValues restores it to level order when a
+// caller wants the values.
 type TemporalDecoder struct {
 	// source hands out the Decoder for a keyframe's structure bytes.
-	source    func(structure []byte) (*Decoder, error)
-	dec       *Decoder // mesh and recipe of the last keyframe
-	prevRecon []float64
+	source func(structure []byte) (*Decoder, error)
+	dec    *Decoder     // mesh and recipe cache of the last keyframe
+	recipe *core.Recipe // the last keyframe's restore recipe
+	recon  []float64    // reconstruction of the last committed frame, layout order
 	// Stream identity, pinned by the last keyframe. Delta frames must match
 	// it exactly; a frame from another stream that happens to have the same
 	// length must be rejected, not silently accumulated.
 	layout    Layout
 	curve     string
 	fieldName string
-	// Scratch buffers reused across snapshots.
-	flat      []float64
-	nextRecon []float64
 
+	flat  []float64      // DecompressSnapshot's level-order scratch
 	stats *temporalStats // nil unless Instrument attached a registry
 	reg   *Registry      // registry for the recipe builds of ownDecoder's Decoders
 }
@@ -220,34 +224,38 @@ func (td *TemporalDecoder) ownDecoder(structure []byte) (*Decoder, error) {
 	return dec, nil
 }
 
-// DecompressSnapshot decodes the next snapshot. Keyframes reset the stream
-// state (and carry the topology); delta frames require the preceding
-// frames to have been decoded in order, and must match the stream identity
-// (layout, curve, field) established by the last keyframe.
+// Advance decodes the next frame and commits it to the stream's layout-order
+// reconstruction: a keyframe replaces it (and carries the topology), a delta
+// adds into it in place. Delta frames require the preceding frames to have
+// been decoded in order, and must match the stream identity (layout, curve,
+// field) established by the last keyframe. Nothing is restored and no Field
+// is built; AppendValues does that once, for the frame a caller wants.
 //
-// Decoder state commits only after the snapshot fully decodes: a corrupt
-// frame — even one that passes CRC and codec framing but fails later
-// validation — leaves the stream state untouched, so the stream keeps
-// decoding from where it was.
-func (td *TemporalDecoder) DecompressSnapshot(c *TemporalCompressed) (f *Field, err error) {
+// Every check runs before the reconstruction is touched — the stream
+// identity, the envelope and codec, and the decoded length against the
+// keyframe's recipe — so a corrupt frame, even one that passes CRC and codec
+// framing, leaves the stream exactly where it was and the next good frame
+// decodes as if the bad one had never arrived. A keyframe's decoded values
+// become the reconstruction without a copy.
+func (td *TemporalDecoder) Advance(c *TemporalCompressed) (err error) {
 	defer td.stats.abortOn(&err)
 	dec := td.dec
 	switch {
 	case c.Keyframe:
 		if len(c.Structure) == 0 {
-			return nil, fmt.Errorf("zmesh: keyframe without topology")
+			return fmt.Errorf("zmesh: keyframe without topology")
 		}
 		if dec, err = td.source(c.Structure); err != nil {
-			return nil, err
+			return err
 		}
 	// Delta frame: validate against the stream identity first.
 	case dec == nil:
-		return nil, fmt.Errorf("zmesh: delta frame before any keyframe")
+		return fmt.Errorf("zmesh: delta frame before any keyframe")
 	case c.Layout != td.layout || c.Curve != td.curve:
-		return nil, fmt.Errorf("zmesh: delta frame layout %v/%s does not match stream keyframe %v/%s",
+		return fmt.Errorf("zmesh: delta frame layout %v/%s does not match stream keyframe %v/%s",
 			c.Layout, c.Curve, td.layout, td.curve)
 	case c.FieldName != td.fieldName:
-		return nil, fmt.Errorf("zmesh: delta frame for field %q on a stream of %q",
+		return fmt.Errorf("zmesh: delta frame for field %q on a stream of %q",
 			c.FieldName, td.fieldName)
 	}
 	var env *containerStats
@@ -257,46 +265,59 @@ func (td *TemporalDecoder) DecompressSnapshot(c *TemporalCompressed) (f *Field, 
 	t0 := stageStart(env != nil)
 	recipe, vals, _, err := dec.decodeOrdered(&c.Compressed, env)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if env != nil {
 		td.stats.codec.Since(t0)
 	}
-	recon := vals
-	if !c.Keyframe {
-		if len(vals) != len(td.prevRecon) {
-			return nil, fmt.Errorf("zmesh: delta frame length %d, stream has %d", len(vals), len(td.prevRecon))
-		}
-		// Accumulate into a candidate buffer; prevRecon stays untouched until
-		// the frame fully decodes.
-		if cap(td.nextRecon) < len(vals) {
-			td.nextRecon = make([]float64, len(vals))
-		}
-		recon = td.nextRecon[:len(vals)]
-		for i := range recon {
-			recon[i] = td.prevRecon[i] + vals[i]
+	if len(vals) != recipe.Len() {
+		return fmt.Errorf("zmesh: frame decoded to %d values, the %v/%s recipe takes %d",
+			len(vals), c.Layout, c.Curve, recipe.Len())
+	}
+	// Commit.
+	if c.Keyframe {
+		td.dec, td.recipe, td.recon = dec, recipe, vals
+		td.layout, td.curve, td.fieldName = c.Layout, c.Curve, c.FieldName
+	} else {
+		recon := td.recon[:len(vals)]
+		for i, v := range vals {
+			recon[i] += v
 		}
 	}
-	flat, err := recipe.RestoreTo(td.flat, recon)
+	td.stats.commit(c.Keyframe, len(vals)*8, len(c.Payload))
+	return nil
+}
+
+// AppendValues appends the reconstruction of the last committed frame to dst
+// in level order (FieldValues' order) and returns the extended slice. It is
+// the stream's one restore: replaying frames with Advance and calling
+// AppendValues once costs one permutation pass, not one per frame.
+func (td *TemporalDecoder) AppendValues(dst []float64) ([]float64, error) {
+	if td.recipe == nil {
+		return dst, fmt.Errorf("zmesh: no snapshot decoded yet")
+	}
+	n, m := len(dst), td.recipe.Len()
+	dst = slices.Grow(dst, m)
+	if _, err := td.recipe.RestoreTo(dst[n:n+m], td.recon); err != nil {
+		return dst[:n], err
+	}
+	return dst[:n+m], nil
+}
+
+// DecompressSnapshot decodes the next snapshot into a Field: Advance, then
+// AppendValues into a buffer the stream reuses across snapshots. A frame
+// Advance rejects leaves the stream state untouched; once Advance commits,
+// the restore fails only on a recipe whose permutation is corrupt.
+func (td *TemporalDecoder) DecompressSnapshot(c *TemporalCompressed) (*Field, error) {
+	if err := td.Advance(c); err != nil {
+		return nil, err
+	}
+	flat, err := td.AppendValues(td.flat[:0])
 	if err != nil {
 		return nil, err
 	}
 	td.flat = flat
-	if f, err = FieldFromValues(dec.mesh, c.FieldName, flat); err != nil {
-		return nil, err
-	}
-	// Commit. A keyframe resets the stream; a delta swaps the candidate in
-	// and the old buffer becomes the next call's scratch, so steady-state
-	// delta decoding allocates no stream slices.
-	if c.Keyframe {
-		td.dec = dec
-		td.prevRecon = recon
-		td.layout, td.curve, td.fieldName = c.Layout, c.Curve, c.FieldName
-	} else {
-		td.prevRecon, td.nextRecon = recon, td.prevRecon
-	}
-	td.stats.commit(c.Keyframe, len(vals)*8, len(c.Payload))
-	return f, nil
+	return FieldFromValues(td.dec.mesh, c.FieldName, flat)
 }
 
 // Mesh exposes the topology of the last decoded keyframe.
